@@ -147,6 +147,8 @@ def _to_float(cfg, key, positive=False):
         value = float(cfg[key])
     except ValueError:
         raise ValueError(f"config key {key!r}: not a number: {cfg[key]!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"config key {key!r}: not finite: {cfg[key]!r}")
     if positive and not value > 0:
         raise ValueError(f"config key {key!r}: must be positive")
     return value
@@ -159,6 +161,8 @@ def _to_float_list(cfg, key, positive=False):
         raise ValueError(f"config key {key!r}: not a comma list: {cfg[key]!r}")
     if not values:
         raise ValueError(f"config key {key!r}: empty list")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"config key {key!r}: entries must be finite")
     if positive and any(v <= 0 for v in values):
         raise ValueError(f"config key {key!r}: entries must be positive")
     return values
@@ -199,8 +203,10 @@ def resolve_config(command, args):
 def validate_config(command, cfg):
     """Check every module precondition reachable from the config, before
     any heavy compute."""
-    _to_int(cfg, "d", minimum=1)
-    _to_int(cfg, "n", minimum=2)
+    if _to_int(cfg, "d") not in (2, 3):
+        raise ValueError("config key 'd': must be 2 or 3")
+    if _to_int(cfg, "n", minimum=8) % 2:
+        raise ValueError("config key 'n': must be even")
     _to_float(cfg, "r", positive=True)
     if cfg["delta_shape"] not in ("gaussian", "triangular"):
         raise ValueError(f"config key 'delta_shape': {cfg['delta_shape']!r}")

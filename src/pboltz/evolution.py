@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
 
+from .collision import fourier_evaluator
 from .hydrodynamics import SlowBasis
 
 TWO_PI = 2.0 * np.pi
@@ -509,15 +510,6 @@ def _transport_rhs(disp, W, ik):
     return -(disp.grad[:, 0][None, :] / TWO_PI) * dW
 
 
-def _batch_evaluator(collision_op):
-    """Return an evaluator with `apply_batch`, wrapping direct ones."""
-    if hasattr(collision_op, "apply_batch"):
-        return collision_op
-    from .collision import FourierCollision
-
-    return FourierCollision(collision_op.grid, collision_op.disp, collision_op.delta)
-
-
 def evolve_nonlinear(collision_op, L, disp, W0, times, box_length,
                      dt=None, safety=0.4):
     """Method-of-lines RK4 for the full equation on a 1-D periodic box.
@@ -537,7 +529,7 @@ def evolve_nonlinear(collision_op, L, disp, W0, times, box_length,
         raise ValueError("time grid must start at 0")
     if dt is None:
         dt = stable_step(L, disp, n_x, box_length, safety)
-    collision_op = _batch_evaluator(collision_op)
+    collision_op = fourier_evaluator(collision_op)
     ik = 1j * TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
 
     def rhs(W):
@@ -814,7 +806,7 @@ def hydro_limit_study(collision_op, L, disp, summary, response, kappa,
 
     if norm_spec is None:
         norm_spec = WeightedNormSpec(d=disp.grid.d)
-    collision_op = _batch_evaluator(collision_op)
+    collision_op = fourier_evaluator(collision_op)
     tau0 = np.asarray(tau0, dtype=float)
     v0_fields = np.asarray(v0_fields, dtype=float)
     n_x = tau0.shape[0]

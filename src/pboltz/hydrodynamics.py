@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .collision import FourierCollision
+from .collision import fourier_evaluator
 from .linearized import OperatorMatrix, SpectralSummary, spectrum_L
 
 TWO_PI = 2.0 * np.pi
@@ -392,12 +392,7 @@ class CollisionResponse:
         else:
             self.matrix = np.asarray(L)
         self.solver = DeflatedInverse(self.matrix, disp, summary)
-        if fast and not isinstance(collision_op, FourierCollision):
-            self.evaluator = FourierCollision(
-                collision_op.grid, collision_op.disp, collision_op.delta
-            )
-        else:
-            self.evaluator = collision_op
+        self.evaluator = fourier_evaluator(collision_op) if fast else collision_op
         self.fd_step = float(fd_step)
         self.rtol = float(rtol)
         self.maxiter = int(maxiter)

@@ -77,6 +77,25 @@ class TestConfigHandling:
                      "--p-max", "0.1"]) == 2
         assert main(["evolve", "--ripple", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--d", "4"],
+            ["spectrum", "--n", "9"],
+            ["spectrum", "--n", "6"],
+            ["spectrum", "--r", "inf"],
+            ["evolve", "--ripple", "nan"],
+            ["hydro-limit", "--tau-amplitude", "nan"],
+        ],
+        ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan"],
+    )
+    def test_rejected_before_output_directory(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, "o", *argv)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "config"
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key = 7\n", encoding="utf-8")

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pboltz.collision import (
+    _CHUNK_VALUES,
     AUTO_WIDTH_COEF,
     EQUILIBRIUM_FAMILY,
+    PREFACTOR,
     CollisionOperator,
     DeltaKernel,
     FourierCollision,
@@ -190,6 +192,38 @@ class TestFourierPath:
         cb = fourier12.apply_batch(Wb)
         for i in range(3):
             assert np.allclose(cb[i], fourier12.apply(Wb[i]), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_rows_do_not_depend_on_the_batch(self, params, rng, n):
+        grid = TorusGrid(2, n)
+        disp = DispersionField(grid, params)
+        fourier = FourierCollision(grid, disp, DeltaKernel.auto(grid, disp))
+        Wb = 0.1 + rng.random((32, grid.size))
+        # the t-node chunking must take both extremes: every node in one
+        # transform call at B = 1, one node per call at B = 32
+        n_t = len(fourier.t_nodes)
+        if n == 12:
+            assert n_t * grid.size <= _CHUNK_VALUES
+        assert 2 * 32 * grid.size > _CHUNK_VALUES
+        full = fourier.apply_batch(Wb)
+        for B in (1, 2, 3, 7, 16):
+            assert np.array_equal(full[:B], fourier.apply_batch(Wb[:B]))
+        lead = fourier.apply_batch(Wb[:6].reshape(2, 3, grid.size))
+        assert np.array_equal(lead.reshape(6, grid.size), full[:6])
+
+    def test_matches_direct_rows_in_three_dimensions(self):
+        grid = TorusGrid(3, 8)
+        disp = DispersionField(grid, DispersionParams(d=3, r=1.0))
+        delta = DeltaKernel.auto(grid, disp)
+        rng = np.random.default_rng(3)
+        W = 0.1 + rng.random(grid.size)
+        fast = FourierCollision(grid, disp, delta).apply(W)
+        # a full direct apply at N = 512 is too slow here: sample rows
+        rows = rng.choice(grid.size, size=8, replace=False)
+        out = np.zeros(grid.size)
+        CollisionOperator(grid, disp, delta)._rows(W, rows, out)
+        direct = PREFACTOR * out[rows] / grid.size**2
+        assert sup_norm(fast[rows] - direct) <= 1e-10 * sup_norm(fast)
 
     def test_requires_gaussian_shape(self, stack12):
         grid, disp, _ = stack12
