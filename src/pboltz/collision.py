@@ -252,24 +252,14 @@ class FourierCollision:
         self.grid = grid
         self.disp = disp
         self.delta = delta
-        eta = delta.width
-        w = disp.w
-        umax = 2.0 * float(w.max() - w.min())
-        z = np.sqrt(-2.0 * np.log(rtol))
-        t_end = z / eta
-        n_t = int(np.ceil(t_end * (umax + z * eta) / (2.0 * np.pi))) + 2
-        t = np.linspace(0.0, t_end, n_t)
-        dt = t[1] - t[0]
-        cw = (dt / np.pi) * np.exp(-0.5 * (eta * t) ** 2)
-        cw[0] *= 0.5
-        cw[-1] *= 0.5
-        self.t_nodes = t
-        self.t_weights = cw
+        self.t_nodes, self.t_weights = _cosine_series(disp, delta, rtol)
 
         shape = (grid.n,) * grid.d
         self._shape = shape
         self._axes = tuple(range(-grid.d, 0))
-        self._phase = np.exp(1j * np.outer(t, w)).reshape((n_t,) + shape)
+        self._phase = np.exp(1j * np.outer(self.t_nodes, disp.w)).reshape(
+            (len(self.t_nodes),) + shape
+        )
         self._b = disp.winv.reshape(shape) * self._phase
         self._rev_Fb = _rev_fft(self._b, self._axes)
 
@@ -308,6 +298,30 @@ class FourierCollision:
 
     def apply(self, W):
         return self.apply_batch(np.asarray(W)[None, :])[0]
+
+
+def _cosine_series(disp, delta, rtol=1e-12):
+    """Nodes t_j and weights c_j of delta_eta(u) ~= sum_j c_j cos(t_j u) for
+    the gaussian kernel, valid for every energy sum |u| <= 2 (max w - min w)
+    of four legs.
+
+    Trapezoid rule on the Fourier integral of the gaussian, cut where its
+    transform falls below `rtol` of its peak, with a node spacing fine
+    enough that the periodic images of the kernel stay below the same
+    level on that energy range.
+    """
+    eta = delta.width
+    w = disp.w
+    umax = 2.0 * float(w.max() - w.min())
+    z = np.sqrt(-2.0 * np.log(rtol))
+    t_end = z / eta
+    n_t = int(np.ceil(t_end * (umax + z * eta) / (2.0 * np.pi))) + 2
+    t = np.linspace(0.0, t_end, n_t)
+    dt = t[1] - t[0]
+    cw = (dt / np.pi) * np.exp(-0.5 * (eta * t) ** 2)
+    cw[0] *= 0.5
+    cw[-1] *= 0.5
+    return t, cw
 
 
 def _rev_fft(x, axes):

@@ -119,27 +119,30 @@ class ModeSemigroup:
     """Propagator exp(-t D) via complex eigendecomposition.
 
     Falls back to the scaled-and-squared Pade exponential when the eigenbasis
-    condition number exceeds `cond_limit`.
+    condition number exceeds `cond_limit`.  The eigendecomposition (w, V,
+    V^-1) is kept either way; it also gives the spectral projector.
     """
 
     def __init__(self, mode, cond_limit=1e8):
         self.mode = mode
-        w, V = eig(mode.matrix)
-        self.cond = float(np.linalg.cond(V))
-        if self.cond <= cond_limit:
-            self.method = "eig"
-            self._w = w
-            self._V = V
-            self._Vinv = np.linalg.inv(V)
-        else:
-            self.method = "expm"
+        self.w, self.V = eig(mode.matrix)
+        self.Vinv = np.linalg.inv(self.V)
+        self.cond = float(np.linalg.cond(self.V))
+        self.method = "eig" if self.cond <= cond_limit else "expm"
 
     def propagator(self, t):
         if t < 0:
             raise ValueError("propagator requires t >= 0")
         if self.method == "eig":
-            return (self._V * np.exp(-t * self._w)) @ self._Vinv
+            return (self.V * np.exp(-t * self.w)) @ self.Vinv
         return expm(-t * self.mode.matrix)
+
+    def fast_projector(self):
+        """Q~ = I - P~, where P~ is the spectral projector onto the
+        eigenvectors of the two eigenvalues of smallest real part."""
+        sel = np.argsort(self.w.real, kind="stable")[:2]
+        Ptil = self.V[:, sel] @ self.Vinv[sel, :]
+        return np.eye(self.w.size) - Ptil
 
 
 def semigroup(L, disp, p, t, cond_limit=1e8):
@@ -189,9 +192,9 @@ class BlockFrame:
         # the symmetric-problem eigenvectors are orthonormal in plain l2, so
         # the dual coefficients carry w^2 with no 1/N mean normalization
         self.Linv = (rest / ev[2:]) @ (rest * disp.w_sq[:, None]).T
-        phase = np.diag(self.disp.grad @ self.p)
-        self.A = (-1j / TWO_PI) * (self.Linv @ phase)
-        self.B = (-1j / TWO_PI) * (self.P @ phase @ self.Linv)
+        phase = (self.disp.grad @ self.p)[None, :]  # diag(p . grad) as column scaling
+        self.A = (-1j / TWO_PI) * (self.Linv * phase)
+        self.B = (-1j / TWO_PI) * ((self.P * phase) @ self.Linv)
 
     def slow_propagator(self, t):
         """exp(-t p^2 kappa) lifted to the node basis."""
@@ -219,15 +222,9 @@ def block_decomposition_check(L, disp, summary, kappa, p, times, cond_limit=1e8)
     remainder computed from the spectral projection onto the two slowest
     eigenvectors.  All norms are weighted operator norms.
     """
-    mode = ModeOperator.build(L, disp, p)
-    sg = ModeSemigroup(mode, cond_limit)
+    sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
     frame = BlockFrame(disp, summary, kappa, p)
-
-    ev, V = eig(mode.matrix)
-    order = np.argsort(ev.real, kind="stable")
-    sel = order[:2]
-    Ptil = V[:, sel] @ np.linalg.inv(V)[sel, :]
-    Qtil = np.eye(mode.matrix.shape[0]) - Ptil
+    Qtil = sg.fast_projector()
 
     rows = []
     for t in times:
@@ -309,13 +306,9 @@ def semigroup_bound_sweep(L, disp, summary, kappa, p_values, t_values,
     qtil = np.zeros(shape)
 
     for i, p_abs in enumerate(p_values):
-        mode = ModeOperator.build(L, disp, p_abs * e)
-        sg = ModeSemigroup(mode, cond_limit)
+        sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
         frame = BlockFrame(disp, summary, kappa, p_abs * e)
-        ev, V = eig(mode.matrix)
-        sel = np.argsort(ev.real, kind="stable")[:2]
-        Ptil = V[:, sel] @ np.linalg.inv(V)[sel, :]
-        Qtil = np.eye(mode.matrix.shape[0]) - Ptil
+        Qtil = sg.fast_projector()
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
             full[i, j] = h_operator_norm(disp, S)

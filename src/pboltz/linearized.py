@@ -11,6 +11,13 @@ where I1 and I2 are one-lattice-sum integrals over the interaction set (see
 omega^2-weighted inner product, annihilates span{1/omega, 1/omega^2} up to
 the mollification bias, and has a spectral gap above that pair.
 
+For the gaussian kernel, M, I1 and I2 are assembled from the cosine series
+of `FourierCollision`: every sum over k1 is a lattice convolution of one node
+field, so the cost is a few FFTs per series node plus an O(n_t N^2) fill
+(N = n^d) instead of O(N^3) kernel evaluations.  The direct sums stay as
+`_assemble_*_direct`: they are the test oracle and the path taken for the
+triangular kernel, which has no series.
+
 The module also carries two independent validators:
 
 * a central finite-difference derivative of the collision evaluator
@@ -24,12 +31,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import scipy.fft
 from scipy.linalg import eigh, subspace_angles
 from scipy.optimize import brentq
 
-from .collision import PREFACTOR
+from .collision import PREFACTOR, _cosine_series
 from .dispersion import omega
 
 __all__ = [
@@ -96,6 +105,88 @@ class SpectralSummary:
 
 # ----------------------------------------------------------------------
 # assembly
+#
+# For the gaussian kernel the energy delta is the cosine series
+# delta_eta(u) ~= sum_j c_j cos(t_j u) of `FourierCollision`.  With
+# E_j = exp(i t_j w), b_j = w^-2 conj(E_j) and B_j = fftn(b_j), each sum over
+# k1 is a circular convolution or correlation of b_j on the lattice
+# (indices mod n):
+#
+#   M(k)     = (9pi/4) N^-2 Re sum_j c_j E_j(k) S_j(k),        S_j = ifftn(|B_j|^2 B_j)
+#   I1(k,k') = 2 N^-1 Re sum_j c_j E_j(k) conj E_j(k') G_j(k-k'), G_j = ifftn(|B_j|^2)
+#   I2(k,k') = -N^-1 Re sum_j c_j E_j(k) E_j(k') H_j(k+k'),     H_j = ifftn(B_j^2)
+#
+# with N = n^d (Mouhot & Pareschi, Math. Comp. 75, 2006).  The nodes are
+# summed one at a time in node order, so the result does not depend on
+# `workers`, which only the direct loops use.
+
+
+def _node_spectra(grid, disp, delta):
+    """Series weights c_j, phases E_j (n_t, N) and the spectra
+    fftn(b_j) (n_t, n, ..., n) of b_j = w^-2 conj(E_j)."""
+    t, c = _cosine_series(disp, delta)
+    E = np.exp(1j * np.outer(t, disp.w))
+    b = (disp.winv2 * np.conj(E)).reshape((len(t),) + (grid.n,) * grid.d)
+    return c, E, scipy.fft.fftn(b, axes=tuple(range(1, b.ndim)))
+
+
+def _node_fields(spectra):
+    """Inverse transforms of stacked node spectra, as flat node fields."""
+    fields = scipy.fft.ifftn(spectra, axes=tuple(range(1, spectra.ndim)))
+    return fields.reshape(len(spectra), -1)
+
+
+def _pair_sum(c, left, right, F, index):
+    """Re sum_j c_j left_j(k) right_j(k') F_j(index[k, k']), node by node."""
+    out = np.zeros(index.shape)
+    for cj, lj, rj, Fj in zip(c, left, right, F):
+        term = Fj[index]
+        term *= (cj * lj)[:, None]
+        term *= rj
+        out += term.real
+    return out
+
+
+def _pair_index(grid, sign):
+    """Flat index of k + sign k' (per axis mod n) for every pair (k, k')."""
+    index = np.zeros((grid.size, grid.size), dtype=np.intp)
+    for axis, stride in enumerate(grid.strides):
+        m = grid.multi_index[:, axis]
+        index += (m[:, None] + sign * m[None, :]) % grid.n * stride
+    return index
+
+
+def assemble_M(grid, disp, delta, workers=1):
+    """The multiplier: M(k) = (9pi/4) n^{-2d} sum_{k1,k2} (w1 w2 w3)^{-2}
+    delta_eta(w+w1-w2-w3), k3 = k+k1-k2.  Strictly positive."""
+    if delta.shape != "gaussian":
+        return _assemble_M_direct(grid, disp, delta, workers)
+    c, E, B = _node_spectra(grid, disp, delta)
+    S = _node_fields((B.real * B.real + B.imag * B.imag) * B)
+    acc = np.zeros(grid.size)
+    for cj, Ej, Sj in zip(c, E, S):
+        acc += cj * (Ej * Sj).real
+    return PREFACTOR * acc / grid.size**2
+
+
+def assemble_I1(grid, disp, delta, workers=1):
+    """I1(k,k') = 2 n^{-d} sum_{k1} (w(k1) w(k1+k-k'))^{-2}
+    delta_eta(w(k1) - w(k1+k-k') + w(k) - w(k'))."""
+    if delta.shape != "gaussian":
+        return _assemble_I1_direct(grid, disp, delta, workers)
+    c, E, B = _node_spectra(grid, disp, delta)
+    G = _node_fields(B.real * B.real + B.imag * B.imag)
+    return 2.0 * _pair_sum(c, E, np.conj(E), G, _pair_index(grid, -1)) / grid.size
+
+
+def assemble_I2(grid, disp, delta, workers=1):
+    """I2(k,k') = - n^{-d} sum_{k1} (w(k1) w(k+k'-k1))^{-2}
+    delta_eta(w(k) + w(k') - w(k1) - w(k+k'-k1))."""
+    if delta.shape != "gaussian":
+        return _assemble_I2_direct(grid, disp, delta, workers)
+    c, E, B = _node_spectra(grid, disp, delta)
+    H = _node_fields(B * B)
+    return -_pair_sum(c, E, E, H, _pair_index(grid, 1)) / grid.size
 
 
 def _chunked(loop_body, count, workers):
@@ -113,60 +204,54 @@ def _chunked(loop_body, count, workers):
             f.result()
 
 
-def assemble_M(grid, disp, delta, workers=1):
-    """The multiplier: M(k) = (9pi/4) n^{-2d} sum_{k1,k2} (w1 w2 w3)^{-2}
-    delta_eta(w+w1-w2-w3), k3 = k+k1-k2.  Strictly positive."""
+def _assemble_M_direct(grid, disp, delta, workers=1):
+    """M by the direct O(N^3) double sum, one kernel evaluation per term."""
+    M = np.empty(grid.size)
+    _chunked(partial(_M_direct_rows, grid, disp, delta, M), grid.size, workers)
+    return M
+
+
+def _M_direct_rows(grid, disp, delta, out, rows):
+    """Write M(k) into out[k] for every k in `rows`."""
     N = grid.size
     w = disp.w
     winv2 = disp.winv2
     mi = grid.multi_index
     dmi = mi[:, None, :] - mi[None, :, :]
     pref12 = winv2[:, None] * winv2[None, :]
-    out = np.empty(N)
-
-    def body(rows):
-        for i0 in rows:
-            i3 = ((mi[i0] + dmi) % grid.n) @ grid.strides
-            u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
-            out[i0] = np.sum(pref12 * winv2[i3] * delta.weights(u))
-
-    _chunked(body, N, workers)
-    return PREFACTOR * out / N**2
+    for i0 in rows:
+        i3 = ((mi[i0] + dmi) % grid.n) @ grid.strides
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
+        out[i0] = PREFACTOR * np.sum(pref12 * winv2[i3] * delta.weights(u)) / N**2
 
 
-def assemble_I1(grid, disp, delta, workers=1):
-    """I1(k,k') = 2 n^{-d} sum_{k1} (w(k1) w(k1+k-k'))^{-2}
-    delta_eta(w(k1) - w(k1+k-k') + w(k) - w(k')).
-
-    Grouped by the difference D = k - k': all pairs on one diagonal share
-    the k1-profile, so the N^3 total work vectorizes per diagonal.
-    """
-    N = grid.size
-    w = disp.w
-    winv2 = disp.winv2
-    I1 = np.empty((N, N))
-    cols = np.arange(N)
-
-    def body(deltas):
-        for idelta in deltas:
-            S = grid.shift(grid.multi_index[idelta])  # k -> k + D
-            pref = winv2 * winv2[S]
-            du = w - w[S]
-            off = w[S] - w  # w(k) - w(k') along the diagonal, per k'
-            vals = pref[None, :] * delta.weights(du[None, :] + off[:, None])
-            I1[S, cols] = 2.0 * vals.sum(axis=1) / N
-
-    _chunked(body, N, workers)
+def _assemble_I1_direct(grid, disp, delta, workers=1):
+    """I1 by direct sums, one kernel evaluation per term."""
+    I1 = np.empty((grid.size, grid.size))
+    _chunked(partial(_I1_direct_diagonals, grid, disp, delta, I1), grid.size, workers)
     return I1
 
 
-def assemble_I2(grid, disp, delta, workers=1):
-    """I2(k,k') = - n^{-d} sum_{k1} (w(k1) w(k+k'-k1))^{-2}
-    delta_eta(w(k) + w(k') - w(k1) - w(k+k'-k1)).
+def _I1_direct_diagonals(grid, disp, delta, out, deltas):
+    """Write I1(k' + D, k') into `out` for every k' and every difference D
+    (flat index) in `deltas`.  All pairs on one diagonal share the
+    k1-profile, so the work vectorizes per diagonal."""
+    N = grid.size
+    w = disp.w
+    winv2 = disp.winv2
+    cols = np.arange(N)
+    for idelta in deltas:
+        S = grid.shift(grid.multi_index[idelta])  # k -> k + D
+        pref = winv2 * winv2[S]
+        du = w - w[S]
+        off = w[S] - w  # w(k) - w(k') along the diagonal, per k'
+        vals = pref[None, :] * delta.weights(du[None, :] + off[:, None])
+        out[S, cols] = 2.0 * vals.sum(axis=1) / N
 
-    Grouped by the sum s = k + k'; note the second argument pairs k1 with
-    s - k1 (the partner within the colliding pair).
-    """
+
+def _assemble_I2_direct(grid, disp, delta, workers=1):
+    """I2 by direct sums, grouped by the sum s = k + k'; note the second
+    argument pairs k1 with s - k1 (the partner within the colliding pair)."""
     N = grid.size
     w = disp.w
     winv2 = disp.winv2

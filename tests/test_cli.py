@@ -86,8 +86,12 @@ class TestConfigHandling:
             ["spectrum", "--r", "inf"],
             ["evolve", "--ripple", "nan"],
             ["hydro-limit", "--tau-amplitude", "nan"],
+            ["evolve", "--delta-shape", "triangular"],
+            ["hydro-limit", "--delta-shape", "triangular"],
+            ["validate-kernel", "--d", "3"],
         ],
-        ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan"],
+        ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan",
+             "evolve-triangular", "hydro-triangular", "validate-kernel-d3"],
     )
     def test_rejected_before_output_directory(self, tmp_path, capsys, argv):
         code, out = run(tmp_path, "o", *argv)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from pboltz import linearized
 from pboltz.collision import DeltaKernel
-from pboltz.dispersion import DispersionParams
+from pboltz.dispersion import DispersionField, DispersionParams
+from pboltz.hydrodynamics import compute_kappa
 from pboltz.linearized import (
     OperatorMatrix,
+    assemble_I1,
+    assemble_L,
+    assemble_M,
     conjugate_row_identity_residual,
     fd_linearization_check,
     i1_exact,
@@ -16,6 +21,19 @@ from pboltz.linearized import (
     row_identity_residual,
     spectrum_L,
 )
+from pboltz.torus_grid import TorusGrid
+
+TERMS = ("M", "I1", "I2")
+
+
+def _stack(d, n):
+    grid = TorusGrid(d, n)
+    disp = DispersionField(grid, DispersionParams(d=d, r=1.0))
+    return grid, disp, DeltaKernel.auto(grid, disp)
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
 
 
 class TestAssembly:
@@ -55,6 +73,85 @@ class TestAssembly:
         _, K, _ = operators12
         A = K.matrix
         assert np.abs(A - A.T).max() < 1e-10 * np.abs(A).max()
+
+
+class TestSeriesAssembly:
+    """The cosine-series assembly against the direct O(N^3) sums."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_matches_direct_sums(self, n, monkeypatch):
+        grid, disp, delta = _stack(2, n)
+        L = assemble_L(grid, disp, delta).matrix
+        for term in TERMS:
+            series = getattr(linearized, f"assemble_{term}")(grid, disp, delta)
+            direct = getattr(linearized, f"_assemble_{term}_direct")
+            assert _rel(series, direct(grid, disp, delta)) <= 1e-12
+            monkeypatch.setattr(linearized, f"assemble_{term}", direct)
+        assert _rel(L, assemble_L(grid, disp, delta).matrix) <= 1e-12
+
+    def test_triangular_kernel_uses_the_direct_sums(self, stack8):
+        grid, disp, _ = stack8
+        tri = DeltaKernel("triangular", 2.0)
+        for term in TERMS:
+            assembled = getattr(linearized, f"assemble_{term}")(grid, disp, tri)
+            direct = getattr(linearized, f"_assemble_{term}_direct")(grid, disp, tri)
+            assert np.array_equal(assembled, direct)
+
+    def test_worker_count_does_not_change_L(self, stack12):
+        one = assemble_L(*stack12, workers=1).matrix
+        two = assemble_L(*stack12, workers=2).matrix
+        assert np.array_equal(one, two)
+
+
+class TestThreeDimensions:
+    """The linearization at d = 3, n = 8 (N = 512)."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return _stack(3, 8)
+
+    @pytest.fixture(scope="class")
+    def L(self, stack):
+        return assemble_L(*stack)
+
+    @pytest.fixture(scope="class")
+    def summary(self, stack, L):
+        return spectrum_L(L, stack[1])
+
+    def test_zero_mode_residuals(self, L, summary):
+        r1, r2 = summary.zero_mode_residuals
+        assert r2 < 1e-14 * np.abs(L.matrix).max()  # exact null w^-2
+        assert r2 < r1 < 1e-3  # w^-1 only up to the mollification bias
+
+    def test_h_self_adjoint(self, stack, L):
+        B = L.symmetrized(stack[1])  # raises if the defect exceeds tolerance
+        assert np.linalg.norm(B - B.T) / np.linalg.norm(B) < 1e-12
+
+    def test_positive_semidefinite(self, summary):
+        lam = summary.eigenvalues
+        assert lam.min() >= -1e-12 * lam.max()
+        assert summary.gap > 0.0
+
+    def test_conductivity_is_positive_definite(self, stack, L, summary):
+        kappa = compute_kappa(L, stack[1], summary)
+        assert np.array_equal(kappa.kappa_op, kappa.kappa_op.T)
+        assert kappa.mu.min() > 0.0
+
+    def test_matches_sampled_direct_sums(self, stack):
+        # a full direct M takes seconds at N = 512: sample rows of M and
+        # difference diagonals I1(k' + D, k') of I1
+        grid, disp, delta = stack
+        sample = np.random.default_rng(3).choice(grid.size, size=8, replace=False)
+        M = assemble_M(grid, disp, delta)
+        direct_M = np.zeros(grid.size)
+        linearized._M_direct_rows(grid, disp, delta, direct_M, sample)
+        assert _rel(M[sample], direct_M[sample]) <= 1e-12
+        I1 = assemble_I1(grid, disp, delta)
+        direct_I1 = np.full(I1.shape, np.nan)
+        linearized._I1_direct_diagonals(grid, disp, delta, direct_I1, sample)
+        filled = ~np.isnan(direct_I1)
+        assert np.count_nonzero(filled) == sample.size * grid.size
+        assert _rel(I1[filled], direct_I1[filled]) <= 1e-12
 
 
 class TestRowIdentities:
