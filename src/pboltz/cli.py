@@ -1,4 +1,4 @@
-"""Batch front-end: config parsing, run orchestration, report emission.
+"""Batch front-end: config schema, run orchestration, report emission.
 
 Commands build the operator stack for one grid, run one scenario, and emit
 plot-ready CSV tables plus a single ``manifest.json``.  Config is a flat
@@ -6,8 +6,17 @@ plot-ready CSV tables plus a single ``manifest.json``.  Config is a flat
 ``PBOLTZ_OUTDIR`` environment variable overrides the configured output
 directory unless ``--outdir`` is given explicitly.
 
+Every key is declared once, in ``SCHEMA`` (kind, bounds, and the
+subcommands that take it with their defaults), and the few cross-key rules
+in ``RULES``.  The flags come from that table, and `resolve_config` parses
+each value once into the typed values the commands read.  A malformed,
+non-finite or out-of-range value, an empty entry in a comma list (``0.5,``
+or ``0.4,,0.2``) and a broken cross-key rule are all rejected before the
+output directory is made.
+
 Exit codes: 0 success, 2 invalid configuration (machine-readable error on
-stderr), 3 numerical failure (diagnostic recorded in the manifest).
+stderr, nothing written), 3 numerical failure (diagnostic recorded in the
+manifest).
 
 Determinism: identical config and seed reproduce every CSV byte-for-byte,
 for any worker count.  The manifest's ``execution`` section (worker count
@@ -44,6 +53,7 @@ from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it her
     semigroup_bound_sweep,
     spectrum_D,
     stable_step,
+    unit_direction,
 )
 from .hydrodynamics import CollisionResponse, compute_kappa
 from .linearized import assemble_L, i1_exact, i1_mollified, spectrum_L
@@ -62,59 +72,73 @@ except Exception:  # pragma: no cover - metadata missing in odd installs
 # ----------------------------------------------------------------------
 # configuration
 
-GLOBAL_DEFAULTS = {
-    "d": "2",
-    "n": "12",
-    "r": "1.0",
-    "delta_shape": "gaussian",
-    "eta": "auto",
-    "outdir": "runs",
-    "workers": "1",
-    "seed": "1",
+INF = np.inf
+POSITIVE = (0.0, INF)
+
+# One entry per key: (kind, bounds, default).  Kinds: "int", "real",
+# "real|auto" ("auto" reads as None), "reals" (a comma list, every entry
+# checked), "text", or a tuple of allowed words.  Integer bounds are
+# inclusive, real bounds exclusive, so nan and +-inf fail every real bound.
+# A string default means every subcommand takes the key; a dict names the
+# subcommands that take it, each with its default.
+SCHEMA = {
+    "d": ("int", (2, 3), "2"),
+    "n": ("int", (8, INF), "12"),
+    "r": ("real", POSITIVE, "1.0"),
+    "delta_shape": (("gaussian", "triangular"), None, "gaussian"),
+    "eta": ("real|auto", POSITIVE, "auto"),
+    "outdir": ("text", None, "runs"),
+    "workers": ("int", (1, INF), "1"),
+    "seed": ("int", (0, INF), "1"),
+    "samples": ("int", (1, INF), {"collision-check": "20"}),
+    "p_min": ("real", POSITIVE, {"dispersion-relation": "0.02"}),
+    "p_max": ("real", POSITIVE, {"dispersion-relation": "0.1"}),
+    "p_count": ("int", (2, INF), {"dispersion-relation": "9"}),
+    "p_factors": ("reals", POSITIVE, {"semigroup-bounds": "0.25,0.5,1.0"}),
+    "t_factors": ("reals", POSITIVE, {"semigroup-bounds": "0.3,1.0,3.0"}),
+    "axis": ("int", (0, INF), {"dispersion-relation": "0", "semigroup-bounds": "0"}),
+    "n_x": ("int", (2, INF), {"evolve": "32", "hydro-limit": "16"}),
+    "box_length": ("real", POSITIVE, {"evolve": "200.0", "hydro-limit": "200.0"}),
+    "t_max": ("real", POSITIVE, {"evolve": "30.0"}),
+    "n_times": ("int", (2, INF), {"evolve": "16"}),
+    "ripple": ("real", (-1.0, 1.0), {"evolve": "0.01"}),
+    "dt": ("real|auto", POSITIVE, {"evolve": "auto"}),
+    "t_min": ("real", POSITIVE, {"evolve": "10.0"}),
+    "contamination": ("real", (0.0, 1.0), {"evolve": "0.1"}),
+    "eps_list": ("reals", POSITIVE, {"hydro-limit": "0.4,0.2,0.1,0.05"}),
+    "t_compare": ("real", POSITIVE, {"hydro-limit": "1.0"}),
+    "dt_base": ("real", POSITIVE, {"hydro-limit": "0.02"}),
+    "dt_reference": ("real", POSITIVE, {"hydro-limit": "0.001"}),
+    "tau_amplitude": ("real", (-INF, INF), {"hydro-limit": "0.001"}),
+    "pairs": ("int", (1, INF), {"validate-kernel": "10"}),
+    "quad_m": ("int", (8, INF), {"validate-kernel": "1024"}),
+    "refine_tol": ("real", POSITIVE, {"validate-kernel": "1e-8"}),
+    "eta_chain": ("reals", POSITIVE, {"validate-kernel": "0.25,0.125,0.0625"}),
+    "min_sin": ("real", (0.0, 1.0), {"validate-kernel": "0.3"}),
 }
 
-SCENARIO_DEFAULTS = {
-    "spectrum": {},
-    "kappa": {},
-    "collision-check": {"samples": "20"},
-    "dispersion-relation": {
-        "p_min": "0.02",
-        "p_max": "0.1",
-        "p_count": "9",
-        "axis": "0",
-    },
-    "semigroup-bounds": {
-        "p_factors": "0.25,0.5,1.0",
-        "t_factors": "0.3,1.0,3.0",
-        "axis": "0",
-    },
-    "evolve": {
-        "n_x": "32",
-        "box_length": "200.0",
-        "t_max": "30.0",
-        "n_times": "16",
-        "ripple": "0.01",
-        "dt": "auto",
-        "t_min": "10.0",
-        "contamination": "0.1",
-    },
-    "hydro-limit": {
-        "n_x": "16",
-        "box_length": "200.0",
-        "eps_list": "0.4,0.2,0.1,0.05",
-        "t_compare": "1.0",
-        "dt_base": "0.02",
-        "dt_reference": "0.001",
-        "tau_amplitude": "0.001",
-    },
-    "validate-kernel": {
-        "pairs": "10",
-        "quad_m": "1024",
-        "refine_tol": "1e-8",
-        "eta_chain": "0.25,0.125,0.0625",
-        "min_sin": "0.3",
-    },
-}
+# Cross-key rules: (subcommands, or None for every one; rule; message).
+RULES = (
+    (None, lambda v: v.n % 2 == 0, "config key 'n': must be even"),
+    (("dispersion-relation",), lambda v: v.p_min < v.p_max,
+     "config: p_min must be below p_max"),
+    (("dispersion-relation", "semigroup-bounds"), lambda v: v.axis < v.d,
+     "config key 'axis': out of range for the grid"),
+    (("evolve", "hydro-limit"), lambda v: v.delta_shape == "gaussian",
+     "config key 'delta_shape': evolve and hydro-limit run the FFT collision "
+     "evaluator, which needs the gaussian kernel"),
+    (("validate-kernel",), lambda v: v.d == 2,
+     "config key 'd': validate-kernel's exact-shell reduction is d = 2 only"),
+)
+
+
+def command_defaults(command):
+    """The keys a subcommand takes, with their default strings."""
+    return {
+        key: default if isinstance(default, str) else default[command]
+        for key, (_, _, default) in SCHEMA.items()
+        if isinstance(default, str) or command in default
+    }
 
 
 def parse_config_file(path):
@@ -132,144 +156,78 @@ def parse_config_file(path):
     return out
 
 
-def _to_int(cfg, key, minimum=None):
+def _number(key, text, kind, bounds):
     try:
-        value = int(cfg[key])
+        value = kind(text)
     except ValueError:
-        raise ValueError(f"config key {key!r}: not an integer: {cfg[key]!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"config key {key!r}: must be >= {minimum}")
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key!r}: not {what}: {text!r}") from None
+    lo, hi = bounds
+    if kind is int and not lo <= value <= hi:
+        raise ValueError(f"config key {key!r}: {text!r} not in [{lo:g}, {hi:g}]")
+    if kind is float and not lo < value < hi:
+        raise ValueError(f"config key {key!r}: {text!r} not in ({lo:g}, {hi:g})")
     return value
 
 
-def _to_float(cfg, key, positive=False):
-    try:
-        value = float(cfg[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r}: not a number: {cfg[key]!r}")
-    if not np.isfinite(value):
-        raise ValueError(f"config key {key!r}: not finite: {cfg[key]!r}")
-    if positive and not value > 0:
-        raise ValueError(f"config key {key!r}: must be positive")
-    return value
+def _parse_value(key, text):
+    """The typed value of one config string; ValueError when it is invalid."""
+    kind, bounds, _ = SCHEMA[key]
+    if kind == "text":
+        return text
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"config key {key!r}: {text!r} is not one of {kind}")
+        return text
+    if kind == "real|auto" and text == "auto":
+        return None
+    if kind == "reals":
+        return tuple(_number(key, tok, float, bounds) for tok in text.split(","))
+    return _number(key, text, int if kind == "int" else float, bounds)
 
 
-def _to_float_list(cfg, key, positive=False):
-    try:
-        values = [float(tok) for tok in cfg[key].split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"config key {key!r}: not a comma list: {cfg[key]!r}")
-    if not values:
-        raise ValueError(f"config key {key!r}: empty list")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"config key {key!r}: entries must be finite")
-    if positive and any(v <= 0 for v in values):
-        raise ValueError(f"config key {key!r}: entries must be positive")
+def parse_config(command, text):
+    """Parse every key of a string config once and check the cross-key rules
+    (only the rules for every subcommand when ``command`` is None).
+
+    Returns an ``argparse.Namespace`` of the typed values; raises ValueError.
+    """
+    values = argparse.Namespace(**{k: _parse_value(k, v) for k, v in text.items()})
+    for commands, rule, message in RULES:
+        if (commands is None or command in commands) and not rule(values):
+            raise ValueError(message)
     return values
 
 
 def resolve_config(command, args):
-    """Merge defaults < config file < environment < explicit flags.
+    """Merge defaults < config file < environment < explicit flags, then
+    parse and check each key once (`parse_config`).
 
-    Returns the merged string-valued config (echoed verbatim into the
-    manifest).  Raises ValueError on unknown keys or malformed values.
+    Returns ``(text, values)``: the merged string config, echoed verbatim
+    into the manifest, and its typed values.  Raises ValueError on unknown
+    keys, malformed or out-of-range values and broken cross-key rules.
     """
-    allowed = dict(GLOBAL_DEFAULTS)
-    allowed.update(SCENARIO_DEFAULTS[command])
-    cfg = dict(allowed)
+    text = command_defaults(command)
 
     if args.config is not None:
         file_cfg = parse_config_file(args.config)
-        unknown = sorted(set(file_cfg) - set(allowed))
+        unknown = sorted(set(file_cfg) - set(text))
         if unknown:
             raise ValueError(
                 f"unknown config keys for {command!r}: {', '.join(unknown)}"
             )
-        cfg.update(file_cfg)
+        text.update(file_cfg)
 
     env_outdir = os.environ.get("PBOLTZ_OUTDIR")
     if env_outdir:
-        cfg["outdir"] = env_outdir
+        text["outdir"] = env_outdir
 
-    for key in allowed:
-        flag_value = getattr(args, key.replace("-", "_"), None)
+    for key in text:
+        flag_value = getattr(args, key)
         if flag_value is not None:
-            cfg[key] = flag_value
+            text[key] = flag_value
 
-    validate_config(command, cfg)
-    return cfg
-
-
-def validate_config(command, cfg):
-    """Check every module precondition reachable from the config, before
-    any heavy compute."""
-    if _to_int(cfg, "d") not in (2, 3):
-        raise ValueError("config key 'd': must be 2 or 3")
-    if _to_int(cfg, "n", minimum=8) % 2:
-        raise ValueError("config key 'n': must be even")
-    _to_float(cfg, "r", positive=True)
-    if cfg["delta_shape"] not in ("gaussian", "triangular"):
-        raise ValueError(f"config key 'delta_shape': {cfg['delta_shape']!r}")
-    if cfg["eta"] != "auto":
-        _to_float(cfg, "eta", positive=True)
-    _to_int(cfg, "workers", minimum=1)
-    _to_int(cfg, "seed", minimum=0)
-
-    d = int(cfg["d"])
-    if command in ("evolve", "hydro-limit") and cfg["delta_shape"] != "gaussian":
-        raise ValueError(
-            f"config key 'delta_shape': {command} runs the FFT collision "
-            f"evaluator, which needs the gaussian kernel"
-        )
-    if command == "validate-kernel" and d != 2:
-        raise ValueError(
-            "config key 'd': validate-kernel's exact-shell reduction is d = 2 only"
-        )
-    if command == "collision-check":
-        _to_int(cfg, "samples", minimum=1)
-    elif command == "dispersion-relation":
-        lo = _to_float(cfg, "p_min", positive=True)
-        hi = _to_float(cfg, "p_max", positive=True)
-        if not lo < hi:
-            raise ValueError("config: p_min must be below p_max")
-        _to_int(cfg, "p_count", minimum=2)
-        if not 0 <= _to_int(cfg, "axis", minimum=0) < d:
-            raise ValueError("config key 'axis': out of range for the grid")
-    elif command == "semigroup-bounds":
-        _to_float_list(cfg, "p_factors", positive=True)
-        _to_float_list(cfg, "t_factors", positive=True)
-        if not 0 <= _to_int(cfg, "axis", minimum=0) < d:
-            raise ValueError("config key 'axis': out of range for the grid")
-    elif command == "evolve":
-        _to_int(cfg, "n_x", minimum=2)
-        _to_float(cfg, "box_length", positive=True)
-        _to_float(cfg, "t_max", positive=True)
-        _to_int(cfg, "n_times", minimum=2)
-        _to_float(cfg, "ripple")
-        if abs(float(cfg["ripple"])) >= 1.0:
-            raise ValueError("config key 'ripple': |amplitude| must be < 1")
-        if cfg["dt"] != "auto":
-            _to_float(cfg, "dt", positive=True)
-        _to_float(cfg, "t_min", positive=True)
-        contamination = _to_float(cfg, "contamination", positive=True)
-        if contamination >= 1.0:
-            raise ValueError("config key 'contamination': must be < 1")
-    elif command == "hydro-limit":
-        _to_int(cfg, "n_x", minimum=2)
-        _to_float(cfg, "box_length", positive=True)
-        _to_float_list(cfg, "eps_list", positive=True)
-        _to_float(cfg, "t_compare", positive=True)
-        _to_float(cfg, "dt_base", positive=True)
-        _to_float(cfg, "dt_reference", positive=True)
-        _to_float(cfg, "tau_amplitude")
-    elif command == "validate-kernel":
-        _to_int(cfg, "pairs", minimum=1)
-        _to_int(cfg, "quad_m", minimum=8)
-        _to_float(cfg, "refine_tol", positive=True)
-        _to_float_list(cfg, "eta_chain", positive=True)
-        sin_floor = _to_float(cfg, "min_sin", positive=True)
-        if sin_floor >= 1.0:
-            raise ValueError("config key 'min_sin': must be < 1")
+    return text, parse_config(command, text)
 
 
 # ----------------------------------------------------------------------
@@ -336,40 +294,39 @@ class StageClock:
 
 
 def build_stack(cfg, clock):
-    d = int(cfg["d"])
-    n = int(cfg["n"])
+    """Grid, dispersion and kernel.  ``cfg`` holds the typed values from
+    `resolve_config`, or is a string config as echoed in a manifest."""
+    if isinstance(cfg, dict):
+        cfg = parse_config(None, cfg)
     with clock.stage("grid"):
-        grid = TorusGrid(d, n)
-        disp = DispersionField(grid, DispersionParams(d, float(cfg["r"])))
-    if cfg["eta"] == "auto":
-        width = AUTO_WIDTH_COEF * disp.max_grad * np.sqrt(n)
+        grid = TorusGrid(cfg.d, cfg.n)
+        disp = DispersionField(grid, DispersionParams(cfg.d, cfg.r))
+    if cfg.eta is None:
+        width = AUTO_WIDTH_COEF * disp.max_grad * np.sqrt(cfg.n)
     else:
-        width = float(cfg["eta"])
-    delta = DeltaKernel(cfg["delta_shape"], width)
+        width = cfg.eta
+    delta = DeltaKernel(cfg.delta_shape, width)
     return grid, disp, delta
 
 
-def build_linear(cfg, clock):
-    grid, disp, delta = build_stack(cfg, clock)
+def build_linear(cfg, stack, clock):
+    grid, disp, delta = stack
     with clock.stage("assemble_linearized"):
-        L = assemble_L(grid, disp, delta, workers=int(cfg["workers"]))
+        L = assemble_L(grid, disp, delta, workers=cfg.workers)
     with clock.stage("spectrum"):
         summary = spectrum_L(L, disp)
-    return grid, disp, delta, L, summary
-
-
-def _axis_direction(d, axis):
-    e = np.zeros(d)
-    e[axis] = 1.0
-    return e
+    return L, summary
 
 
 # ----------------------------------------------------------------------
 # subcommands
+#
+# Each takes (cfg, stack, out, clock), writes its tables into ``out`` and
+# returns (artifact names, fitted constants, checks) for the manifest.
 
 
-def cmd_spectrum(cfg, out, manifest, clock):
-    _, disp, delta, L, summary = build_linear(cfg, clock)
+def cmd_spectrum(cfg, stack, out, clock):
+    _, summary = build_linear(cfg, stack, clock)
     rows = [(i, lam) for i, lam in enumerate(summary.eigenvalues)]
     write_csv(
         out / "eigenvalues.csv",
@@ -386,22 +343,22 @@ def cmd_spectrum(cfg, out, manifest, clock):
         ],
         [(summary.gap, res1, res2)],
     )
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "gap_a": summary.gap,
         "zero_mode_residual_winv": res1,
         "zero_mode_residual_winv2": res2,
     }
-    manifest["checks"] = {
+    checks = {
         "gap_positive": summary.gap > 0.0,
         "exact_null_mode": res2 < 1e-12,
         "near_null_mode": res1 < 1e-4,
     }
-    return ["eigenvalues.csv", "spectrum_summary.csv"]
+    return ["eigenvalues.csv", "spectrum_summary.csv"], fitted, checks
 
 
-def cmd_kappa(cfg, out, manifest, clock):
-    _, disp, delta, L, summary = build_linear(cfg, clock)
+def cmd_kappa(cfg, stack, out, clock):
+    _, disp, _ = stack
+    L, summary = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
         kappa = compute_kappa(L, disp, summary)
     payload = {
@@ -414,29 +371,28 @@ def cmd_kappa(cfg, out, manifest, clock):
     }
     write_json(out / "kappa.json", payload)
     mu = np.sort(np.asarray(kappa.mu))
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "mu_1": float(mu[0]),
         "mu_2": float(mu[1]),
         "solve_residual": kappa.solve_residual,
     }
-    manifest["checks"] = {
+    checks = {
         "positive_definite": bool(mu[0] > 0.0),
         "axis_isotropy": bool(
             kappa.cross_direction_sup < 1e-6 * np.abs(kappa.kappa_op).max()
         ),
     }
-    return ["kappa.json"]
+    return ["kappa.json"], fitted, checks
 
 
-def cmd_collision_check(cfg, out, manifest, clock):
-    grid, disp, delta = build_stack(cfg, clock)
+def cmd_collision_check(cfg, stack, out, clock):
+    grid, disp, delta = stack
     with clock.stage("collision_tables"):
-        op = CollisionOperator(grid, disp, delta, workers=int(cfg["workers"]))
-        rng = np.random.default_rng(int(cfg["seed"]))
+        op = CollisionOperator(grid, disp, delta, workers=cfg.workers)
+        rng = np.random.default_rng(cfg.seed)
         rows = []
         all_number = all_energy = all_entropy = True
-        for sample in range(int(cfg["samples"])):
+        for sample in range(cfg.samples):
             W = 0.2 + 1.3 * rng.random(grid.size)
             C = op.apply(W)
             sup = float(np.abs(C).max())
@@ -474,30 +430,24 @@ def cmd_collision_check(cfg, out, manifest, clock):
         ],
         rows,
     )
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
-        "equilibrium_tolerance": op.equilibrium_tolerance()
-    }
-    manifest["checks"] = {
+    fitted = {"equilibrium_tolerance": op.equilibrium_tolerance()}
+    checks = {
         "number_conserved": bool(all_number),
         "energy_conserved": bool(all_energy),
         "entropy_nonnegative": bool(all_entropy),
     }
-    return ["collision_checks.csv"]
+    return ["collision_checks.csv"], fitted, checks
 
 
-def cmd_dispersion_relation(cfg, out, manifest, clock):
-    _, disp, delta, L, summary = build_linear(cfg, clock)
+def cmd_dispersion_relation(cfg, stack, out, clock):
+    _, disp, _ = stack
+    L, summary = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
         kappa = compute_kappa(L, disp, summary)
-    axis = int(cfg["axis"])
-    p_values = np.linspace(
-        float(cfg["p_min"]), float(cfg["p_max"]), int(cfg["p_count"])
-    )
+    p_values = np.linspace(cfg.p_min, cfg.p_max, cfg.p_count)
     with clock.stage("eigenvalue_sweep"):
         sweep = dispersion_relation_sweep(
-            L, disp, kappa, p_values,
-            direction=_axis_direction(disp.grid.d, axis),
+            L, disp, kappa, p_values, direction=cfg.axis
         )
     rows = [
         (p, l1.real, l1.imag, l2.real, l2.imag)
@@ -514,8 +464,7 @@ def cmd_dispersion_relation(cfg, out, manifest, clock):
         ],
         rows,
     )
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "quad_coef_1": float(sweep.quad_coef[0]),
         "quad_coef_2": float(sweep.quad_coef[1]),
         "mu_1": float(sweep.mu[0]),
@@ -523,30 +472,28 @@ def cmd_dispersion_relation(cfg, out, manifest, clock):
         "rel_err_1": float(sweep.rel_err[0]),
         "rel_err_2": float(sweep.rel_err[1]),
     }
-    manifest["checks"] = {
+    checks = {
         "quadratic_coefficients_match_conductivity": bool(
             np.all(sweep.rel_err <= 0.05)
         ),
     }
-    return ["dispersion_relation.csv"]
+    return ["dispersion_relation.csv"], fitted, checks
 
 
-def cmd_semigroup_bounds(cfg, out, manifest, clock):
-    _, disp, delta, L, summary = build_linear(cfg, clock)
+def cmd_semigroup_bounds(cfg, stack, out, clock):
+    _, disp, _ = stack
+    L, summary = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
         kappa = compute_kappa(L, disp, summary)
-    axis = int(cfg["axis"])
-    direction = _axis_direction(disp.grid.d, axis)
+    direction = unit_direction(disp.grid.d, cfg.axis)
     with clock.stage("two_mode_boundary"):
         p0 = find_p0(L, disp, summary.gap, direction=direction)
         floor_mode = ModeOperator.build(L, disp, 2.0 * p0 * direction)
         floor = spectrum_D(floor_mode).eigenvalues.real
         b = float(floor.min())
         n_slow = int(np.count_nonzero(floor < 0.5 * summary.gap))
-    p_factors = np.array([float(v) for v in cfg["p_factors"].split(",")])
-    t_factors = np.array([float(v) for v in cfg["t_factors"].split(",")])
-    p_values = p_factors * p0
-    t_values = t_factors / summary.gap
+    p_values = np.array(cfg.p_factors) * p0
+    t_values = np.array(cfg.t_factors) / summary.gap
     with clock.stage("norm_sweep"):
         sweep = semigroup_bound_sweep(
             L, disp, summary, kappa, p_values, t_values, direction=direction
@@ -600,8 +547,7 @@ def cmd_semigroup_bounds(cfg, out, manifest, clock):
         halving_rows,
     )
     ratios = sweep.qq_halving_ratios
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "gap_a": summary.gap,
         "p0": p0,
         "floor_b": b,
@@ -609,7 +555,7 @@ def cmd_semigroup_bounds(cfg, out, manifest, clock):
         "prefactor_C_pq": float(sweep.bound_ratio_pq.max()),
         "prefactor_C_full": float(sweep.bound_ratio_full.max()),
     }
-    manifest["checks"] = {
+    checks = {
         "two_slow_modes_at_p0": bool(n_slow < 2),
         "positive_floor_beyond_p0": bool(b > 0.0),
         "energy_norm_contraction": bool(
@@ -619,31 +565,31 @@ def cmd_semigroup_bounds(cfg, out, manifest, clock):
             ratios.size > 0 and np.all((0.7 <= ratios) & (ratios <= 1.3))
         ),
     }
-    return ["semigroup_bounds.csv", "semigroup_halving.csv"]
+    return ["semigroup_bounds.csv", "semigroup_halving.csv"], fitted, checks
 
 
-def cmd_evolve(cfg, out, manifest, clock):
-    grid, disp, delta, L, summary = build_linear(cfg, clock)
+def cmd_evolve(cfg, stack, out, clock):
+    grid, disp, delta = stack
+    L, summary = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
         kappa = compute_kappa(L, disp, summary)
-    n_x = int(cfg["n_x"])
-    box = float(cfg["box_length"])
-    times = np.linspace(0.0, float(cfg["t_max"]), int(cfg["n_times"]))
-    x = np.arange(n_x) / n_x
-    ripple = float(cfg["ripple"]) * np.sin(TWO_PI * x)
+    times = np.linspace(0.0, cfg.t_max, cfg.n_times)
+    x = np.arange(cfg.n_x) / cfg.n_x
+    ripple = cfg.ripple * np.sin(TWO_PI * x)
     W0 = disp.winv[None, :] * (1.0 + ripple[:, None])
-    dt = None if cfg["dt"] == "auto" else float(cfg["dt"])
     with clock.stage("integrate"):
         evaluator = FourierCollision(grid, disp, delta)
-        traj = evolve_nonlinear(evaluator, L, disp, W0, times, box, dt=dt)
+        traj = evolve_nonlinear(
+            evaluator, L, disp, W0, times, cfg.box_length, dt=cfg.dt
+        )
     with clock.stage("decay_report"):
         report = decay_diagnostics(
             traj,
             disp,
             summary,
             kappa,
-            t_min=float(cfg["t_min"]),
-            contamination=float(cfg["contamination"]),
+            t_min=cfg.t_min,
+            contamination=cfg.contamination,
         )
     diag = traj.diagnostics
     rows = [
@@ -673,14 +619,14 @@ def cmd_evolve(cfg, out, manifest, clock):
         ],
         rows,
     )
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "t_box": report.t_box,
         "slope_T": report.slope_T,
         "slope_v": report.slope_v,
-        "step_dt": dt if dt is not None else stable_step(L, disp, n_x, box),
+        "step_dt": cfg.dt if cfg.dt is not None
+        else stable_step(L, disp, cfg.n_x, cfg.box_length),
     }
-    manifest["checks"] = {
+    checks = {
         "fit_window_nonempty": bool(not report.window_empty),
         "slow_decay_rate": bool(
             not report.window_empty and abs(report.slope_T + 1.0) <= 0.15
@@ -689,21 +635,21 @@ def cmd_evolve(cfg, out, manifest, clock):
             not report.window_empty and abs(report.slope_v + 1.5) <= 0.15
         ),
     }
-    return ["trajectory.csv"]
+    return ["trajectory.csv"], fitted, checks
 
 
-def cmd_hydro_limit(cfg, out, manifest, clock):
-    grid, disp, delta, L, summary = build_linear(cfg, clock)
+def cmd_hydro_limit(cfg, stack, out, clock):
+    grid, disp, delta = stack
+    L, summary = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
         kappa = compute_kappa(L, disp, summary)
     with clock.stage("response_solver"):
         evaluator = FourierCollision(grid, disp, delta)
         response = CollisionResponse(evaluator, L, disp, summary)
-    n_x = int(cfg["n_x"])
-    x = np.arange(n_x) / n_x
-    tau0 = np.zeros((n_x, 2))
-    tau0[:, 0] = float(cfg["tau_amplitude"]) * np.sin(TWO_PI * x)
-    v0 = np.zeros((n_x, grid.size))
+    x = np.arange(cfg.n_x) / cfg.n_x
+    tau0 = np.zeros((cfg.n_x, 2))
+    tau0[:, 0] = cfg.tau_amplitude * np.sin(TWO_PI * x)
+    v0 = np.zeros((cfg.n_x, grid.size))
     with clock.stage("scaling_study"):
         study = hydro_limit_study(
             evaluator,
@@ -714,11 +660,11 @@ def cmd_hydro_limit(cfg, out, manifest, clock):
             kappa,
             tau0,
             v0,
-            float(cfg["box_length"]),
-            eps_list=tuple(float(v) for v in cfg["eps_list"].split(",")),
-            t_compare=float(cfg["t_compare"]),
-            dt_base=float(cfg["dt_base"]),
-            dt_reference=float(cfg["dt_reference"]),
+            cfg.box_length,
+            eps_list=cfg.eps_list,
+            t_compare=cfg.t_compare,
+            dt_base=cfg.dt_base,
+            dt_reference=cfg.dt_reference,
         )
     rows = [
         (row.eps, row.distance_T, row.distance_v, row.n_steps,
@@ -736,47 +682,44 @@ def cmd_hydro_limit(cfg, out, manifest, clock):
         ],
         rows,
     )
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "t_compare": study.t_compare,
         "final_vs_first": study.final_vs_first,
     }
-    manifest["checks"] = {
+    checks = {
         "distances_shrink_monotonically": bool(study.monotone),
         "distance_scales_with_eps": bool(
             study.monotone and study.final_vs_first <= 0.5
         ),
     }
-    return ["hydro_limit.csv"]
+    return ["hydro_limit.csv"], fitted, checks
 
 
-def cmd_validate_kernel(cfg, out, manifest, clock):
-    grid, disp, delta = build_stack(cfg, clock)
-    params = DispersionParams(grid.d, float(cfg["r"]))
-    rng = np.random.default_rng(int(cfg["seed"]))
-    chain = [float(v) for v in cfg["eta_chain"].split(",")]
-    sin_floor = float(cfg["min_sin"])
+def cmd_validate_kernel(cfg, stack, out, clock):
+    _, disp, _ = stack
+    rng = np.random.default_rng(cfg.seed)
+    chain = cfg.eta_chain
     rows = []
     all_pass = True
     with clock.stage("quadrature_cross_check"):
         accepted = 0
-        while accepted < int(cfg["pairs"]):
+        while accepted < cfg.pairs:
             k = -np.pi + TWO_PI * rng.random(2)
             kp = -np.pi + TWO_PI * rng.random(2)
-            if not np.all(np.abs(np.sin((k - kp) / 2.0)) > sin_floor):
+            if not np.all(np.abs(np.sin((k - kp) / 2.0)) > cfg.min_sin):
                 continue
             exact = i1_exact(
                 k,
                 kp,
-                params,
-                m=int(cfg["quad_m"]),
-                refine_tol=float(cfg["refine_tol"]),
+                disp.params,
+                m=cfg.quad_m,
+                refine_tol=cfg.refine_tol,
                 max_doublings=4,
             )
             errors = []
             for eta in chain:
                 approx = i1_mollified(
-                    k, kp, params, DeltaKernel(cfg["delta_shape"], eta)
+                    k, kp, disp.params, DeltaKernel(cfg.delta_shape, eta)
                 )
                 errors.append(abs(approx - exact))
             ratios = [
@@ -805,12 +748,11 @@ def cmd_validate_kernel(cfg, out, manifest, clock):
     ratio_cols = np.array(
         [row[6 + len(chain):6 + 2 * len(chain) - 1] for row in rows], dtype=float
     )
-    manifest["delta"]["eta"] = delta.width
-    manifest["fitted_constants"] = {
+    fitted = {
         "mean_error_ratio": float(ratio_cols.mean()) if ratio_cols.size else 0.0,
     }
-    manifest["checks"] = {"width_refinement_second_order": bool(all_pass)}
-    return ["kernel_validation.csv"]
+    checks = {"width_refinement_second_order": bool(all_pass)}
+    return ["kernel_validation.csv"], fitted, checks
 
 
 COMMANDS = {
@@ -838,9 +780,7 @@ def build_parser():
     for command in COMMANDS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", help="flat key = value config file")
-        keys = dict(GLOBAL_DEFAULTS)
-        keys.update(SCENARIO_DEFAULTS[command])
-        for key in keys:
+        for key in command_defaults(command):
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
 
@@ -849,23 +789,21 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     command = args.command
     try:
-        cfg = resolve_config(command, args)
+        text, cfg = resolve_config(command, args)
     except (ValueError, OSError) as exc:
         print(json.dumps({"kind": "config", "error": str(exc)}), file=sys.stderr)
         return 2
 
-    out = Path(cfg["outdir"])
+    out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     clock = StageClock()
-    config_echo = {k: v for k, v in cfg.items() if k != "workers"}
     manifest = {
         "command": command,
         "status": "ok",
-        "config": config_echo,
-        "grid": {"d": int(cfg["d"]), "n": int(cfg["n"]),
-                 "size": int(cfg["n"]) ** int(cfg["d"])},
-        "dispersion": {"r": float(cfg["r"])},
-        "delta": {"shape": cfg["delta_shape"], "eta": cfg["eta"]},
+        "config": {k: v for k, v in text.items() if k != "workers"},
+        "grid": {"d": cfg.d, "n": cfg.n, "size": cfg.n ** cfg.d},
+        "dispersion": {"r": cfg.r},
+        "delta": {"shape": cfg.delta_shape, "eta": text["eta"]},
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -876,26 +814,24 @@ def main(argv=None):
         "checks": {},
         "artifacts": [],
     }
+    code = 0
     try:
-        manifest["artifacts"] = COMMANDS[command](cfg, out, manifest, clock)
-    except (ValueError,) as exc:
+        stack = build_stack(cfg, clock)
+        artifacts, fitted, checks = COMMANDS[command](cfg, stack, out, clock)
+        manifest.update(artifacts=artifacts, fitted_constants=fitted, checks=checks)
+        manifest["delta"]["eta"] = stack[2].width
+    except ValueError as exc:
+        # a precondition that depends on the computed stack, such as the
+        # positivity of hydro-limit's initial data, fails only here
         print(json.dumps({"kind": "config", "error": str(exc)}), file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         manifest["status"] = "numerical-failure"
         manifest["diagnostic"] = str(exc)
-        manifest["execution"] = {
-            "workers": int(cfg["workers"]),
-            "wall_clock_s": clock.seconds,
-        }
-        write_json(out / "manifest.json", manifest)
-        return 3
-    manifest["execution"] = {
-        "workers": int(cfg["workers"]),
-        "wall_clock_s": clock.seconds,
-    }
+        code = 3
+    manifest["execution"] = {"workers": cfg.workers, "wall_clock_s": clock.seconds}
     write_json(out / "manifest.json", manifest)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

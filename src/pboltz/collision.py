@@ -165,14 +165,7 @@ class CollisionOperator:
             raise ValueError("field length does not match grid")
         N = self.grid.size
         out = np.empty(N)
-        if self.workers == 1:
-            self._rows(W, range(N), out)
-        else:
-            chunks = np.array_split(np.arange(N), 4 * self.workers)
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [pool.submit(self._rows, W, c, out) for c in chunks]
-                for f in futures:
-                    f.result()
+        _chunked(lambda rows: self._rows(W, rows, out), N, self.workers)
         return PREFACTOR * out / N**2
 
     def conservation_residuals(self, W, C=None):
@@ -322,6 +315,21 @@ def _cosine_series(disp, delta, rtol=1e-12):
     cw[0] *= 0.5
     cw[-1] *= 0.5
     return t, cw
+
+
+def _chunked(loop_body, count, workers):
+    """Run loop_body(index_array) over range(count), optionally threaded.
+
+    Output slices written by distinct indices are disjoint, so threading is
+    deterministic.
+    """
+    if workers <= 1:
+        loop_body(np.arange(count))
+        return
+    chunks = np.array_split(np.arange(count), 4 * workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for f in [pool.submit(loop_body, c) for c in chunks]:
+            f.result()
 
 
 def _rev_fft(x, axes):

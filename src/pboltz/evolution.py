@@ -16,13 +16,26 @@ import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
 
 from .collision import fourier_evaluator
-from .hydrodynamics import SlowBasis
+from .hydrodynamics import SlowBasis, deflated_inverse_matrix
 
 TWO_PI = 2.0 * np.pi
 
 
 # ----------------------------------------------------------------------
 # mode operator and spectrum
+
+
+def unit_direction(d, direction=None):
+    """Unit d-vector along `direction`: a vector (normalized), an axis
+    index, or None for the first axis."""
+    if direction is None:
+        direction = 0
+    if np.ndim(direction) == 0:
+        e = np.zeros(d)
+        e[direction] = 1.0
+        return e
+    e = np.asarray(direction, dtype=float)
+    return e / np.linalg.norm(e)
 
 
 @dataclass(frozen=True)
@@ -85,13 +98,7 @@ def find_p0(L, disp, gap, direction=None, p_max=1.0, rel_tol=1e-3):
     value is an artifact of the grid and kernel width, reported, never
     asserted against any external constant.
     """
-    d = disp.grid.d
-    e = np.zeros(d)
-    if direction is None:
-        e[0] = 1.0
-    else:
-        e = np.asarray(direction, dtype=float)
-        e /= np.linalg.norm(e)
+    e = unit_direction(disp.grid.d, direction)
     half = 0.5 * gap
 
     def count(p_abs):
@@ -182,16 +189,9 @@ class BlockFrame:
         self.p = np.asarray(p, dtype=float)
         basis = kappa.basis if kappa is not None else SlowBasis(disp)
         self.basis = basis
-        U = basis.u
-        self.to_coef = (U * disp.w_sq[:, None]).T / grid.size  # (2, N)
-        self.P = U @ self.to_coef
+        self.P = basis.u @ basis.to_coef
         self.Q = np.eye(grid.size) - self.P
-        ev = summary.eigenvalues
-        V = summary.eigenvectors_sym / disp.w[:, None]
-        rest = V[:, 2:]
-        # the symmetric-problem eigenvectors are orthonormal in plain l2, so
-        # the dual coefficients carry w^2 with no 1/N mean normalization
-        self.Linv = (rest / ev[2:]) @ (rest * disp.w_sq[:, None]).T
+        self.Linv = deflated_inverse_matrix(disp, summary)
         phase = (self.disp.grad @ self.p)[None, :]  # diag(p . grad) as column scaling
         self.A = (-1j / TWO_PI) * (self.Linv * phase)
         self.B = (-1j / TWO_PI) * ((self.P * phase) @ self.Linv)
@@ -200,7 +200,7 @@ class BlockFrame:
         """exp(-t p^2 kappa) lifted to the node basis."""
         p2 = float(self.p @ self.p)
         small = expm(-t * p2 * self.kappa.kappa_op)
-        return self.basis.u @ small @ self.to_coef
+        return self.basis.u @ small @ self.basis.to_coef
 
 
 @dataclass(frozen=True)
@@ -285,13 +285,7 @@ def semigroup_bound_sweep(L, disp, summary, kappa, p_values, t_values,
     spectrally-projected remainder; it then fits the exponential rate from
     the remainder decay and reports measured-over-envelope ratios.
     """
-    d = disp.grid.d
-    e = np.zeros(d)
-    if direction is None:
-        e[0] = 1.0
-    else:
-        e = np.asarray(direction, dtype=float)
-        e /= np.linalg.norm(e)
+    e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     n_p, n_t = p_values.size, t_values.size
@@ -376,13 +370,7 @@ class DispersionRelationSweep:
 def dispersion_relation_sweep(L, disp, kappa, p_values, direction=None):
     """Fit the two lowest eigenvalues of the mode operator to c * p^2 and
     compare the coefficients with the conductivity eigenvalues."""
-    d = disp.grid.d
-    e = np.zeros(d)
-    if direction is None:
-        e[0] = 1.0
-    else:
-        e = np.asarray(direction, dtype=float)
-        e /= np.linalg.norm(e)
+    e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     lam1 = np.zeros(p_values.size, dtype=complex)
     lam2 = np.zeros(p_values.size, dtype=complex)
@@ -465,13 +453,7 @@ def box_modes(n_x, box_length):
 
 def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
     """Propagate each mode with its own semigroup: w(p, t) = exp(-tD(p)) w(p, 0)."""
-    d = disp.grid.d
-    e = np.zeros(d)
-    if direction is None:
-        e[0] = 1.0
-    else:
-        e = np.asarray(direction, dtype=float)
-        e /= np.linalg.norm(e)
+    e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     w0 = np.asarray(w0, dtype=complex)
     times = np.asarray(times, dtype=float)
@@ -635,9 +617,8 @@ def decay_diagnostics(traj, disp, summary, kappa, norm_spec=None,
     p_abs = np.abs(p_values)
     n_t = traj.times.size
 
-    frame_basis = kappa.basis
-    U = frame_basis.u
-    to_coef = (U * disp.w_sq[:, None]).T / disp.grid.size
+    U = kappa.basis.u
+    to_coef = kappa.basis.to_coef
 
     # slow heat flow of the initial data, in orthonormal coordinates
     muv, O = np.linalg.eigh(kappa.kappa_op)
@@ -645,10 +626,7 @@ def decay_diagnostics(traj, disp, summary, kappa, norm_spec=None,
     cut = (p_abs <= 1.0).astype(float)
     coef0 = coef0 * cut[:, None]
 
-    ev = summary.eigenvalues
-    V = summary.eigenvectors_sym / disp.w[:, None]
-    rest = V[:, 2:]
-    Linv = (rest / ev[2:]) @ (rest * disp.w_sq[:, None]).T
+    Linv = deflated_inverse_matrix(disp, summary)
     slave = Linv @ (disp.grad[:, 0][:, None] * U)  # (N, 2)
 
     norm_T = np.zeros(n_t)
@@ -805,7 +783,7 @@ def hydro_limit_study(collision_op, L, disp, summary, response, kappa,
     n_x = tau0.shape[0]
     basis = kappa.basis
     U = basis.u
-    to_coef = (U * disp.w_sq[:, None]).T / disp.grid.size
+    to_coef = basis.to_coef
     p_values = box_modes(n_x, box_length)
     p_abs = np.abs(p_values)
     ik = 1j * p_values

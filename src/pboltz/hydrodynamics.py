@@ -50,8 +50,10 @@ class SlowBasis:
     """The slow pair {omega^-1, omega^-2}, its Gram matrix, and projections.
 
     ``gram[a, b] = inner_H(omega^-(a+1), omega^-(b+1))``; ``u`` holds the
-    Gram-Schmidt orthonormal pair as columns, and ``coeff_map`` the 2x2
-    matrix S with u[:, j] = e1*S[0, j] + e2*S[1, j].
+    Gram-Schmidt orthonormal pair as columns, ``coeff_map`` the 2x2
+    matrix S with u[:, j] = e1*S[0, j] + e2*S[1, j], and ``to_coef`` the
+    (2, N) dual of ``u``: ``f @ to_coef.T`` are the coordinates of the slow
+    part of f, and ``u @ to_coef`` is the slow projection matrix.
     """
 
     def __init__(self, disp):
@@ -67,6 +69,7 @@ class SlowBasis:
         # Cholesky of G = R^T R gives S = R^{-1} with S^T G S = I.
         self.coeff_map = np.linalg.inv(np.linalg.cholesky(self.gram).T)
         self.u = self.e @ self.coeff_map
+        self.to_coef = (self.u * disp.w_sq[:, None]).T / disp.grid.size
 
     def project_P(self, f):
         """Weighted-orthogonal projection onto the slow pair (batched)."""
@@ -189,6 +192,17 @@ class DeflatedInverse:
         """Weighted relative residual of the solve."""
         ip = self.disp.weighted_inner()
         return ip.norm(self.matrix @ x - np.asarray(g)) / ip.norm(g)
+
+
+def deflated_inverse_matrix(disp, summary):
+    """Dense node-space matrix of the deflated inverse: L^-1 on the
+    complement of the two lowest eigenvectors, zero on them."""
+    ev = summary.eigenvalues
+    V = summary.eigenvectors_sym / disp.w[:, None]
+    rest = V[:, 2:]
+    # the symmetric-problem eigenvectors are orthonormal in plain l2, so
+    # the dual coefficients carry w^2 with no 1/N mean normalization
+    return (rest / ev[2:]) @ (rest * disp.w_sq[:, None]).T
 
 
 # ----------------------------------------------------------------------

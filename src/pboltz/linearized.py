@@ -29,7 +29,6 @@ The module also carries two independent validators:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,7 +37,7 @@ import scipy.fft
 from scipy.linalg import eigh, subspace_angles
 from scipy.optimize import brentq
 
-from .collision import PREFACTOR, _cosine_series
+from .collision import PREFACTOR, _chunked, _cosine_series
 from .dispersion import omega
 
 __all__ = [
@@ -187,21 +186,6 @@ def assemble_I2(grid, disp, delta, workers=1):
     c, E, B = _node_spectra(grid, disp, delta)
     H = _node_fields(B * B)
     return -_pair_sum(c, E, E, H, _pair_index(grid, 1)) / grid.size
-
-
-def _chunked(loop_body, count, workers):
-    """Run loop_body(index_array) over range(count), optionally threaded.
-
-    Output slices written by distinct indices are disjoint, so threading is
-    deterministic.
-    """
-    if workers <= 1:
-        loop_body(np.arange(count))
-        return
-    chunks = np.array_split(np.arange(count), 4 * workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for f in [pool.submit(loop_body, c) for c in chunks]:
-            f.result()
 
 
 def _assemble_M_direct(grid, disp, delta, workers=1):

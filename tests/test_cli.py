@@ -1,13 +1,25 @@
 """Command-line front-end: config handling, artifacts, exit codes,
 byte-level determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pboltz.cli import main, parse_config_file
+from pboltz.cli import (
+    COMMANDS,
+    SCHEMA,
+    build_parser,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 
 FAST = ["--n", "8"]
 
@@ -89,9 +101,14 @@ class TestConfigHandling:
             ["evolve", "--delta-shape", "triangular"],
             ["hydro-limit", "--delta-shape", "triangular"],
             ["validate-kernel", "--d", "3"],
+            ["semigroup-bounds", "--p-factors", "0.5,1.0,"],
+            ["hydro-limit", "--eps-list", "0.4,,0.2"],
+            ["validate-kernel", "--eta-chain", "0.5,0.25,"],
         ],
         ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan",
-             "evolve-triangular", "hydro-triangular", "validate-kernel-d3"],
+             "evolve-triangular", "hydro-triangular", "validate-kernel-d3",
+             "p-factors-empty-entry", "eps-list-empty-entry",
+             "eta-chain-empty-entry"],
     )
     def test_rejected_before_output_directory(self, tmp_path, capsys, argv):
         code, out = run(tmp_path, "o", *argv)
@@ -105,6 +122,133 @@ class TestConfigHandling:
         cfg.write_text("bogus_key = 7\n", encoding="utf-8")
         assert main(["spectrum", "--config", str(cfg)]) == 2
         assert "bogus_key" in capsys.readouterr().err
+
+
+# Strings drawn for the config property test: valid values, values at and
+# beside each key's declared bounds, out-of-range numbers, non-numbers,
+# nan/inf, empty list entries, odd or small n and axis >= d.  The checks in
+# `assert_preconditions` are stated apart from the schema, so a draw just
+# inside a wrong bound in the table fails there.  `workers` only takes small
+# values, so no draw asks for a large thread pool.
+SPECIALS = ["nan", "-nan", "inf", "-inf", "", " ", "x", "1e999", "1.5.0", "0.5",
+            "-0.0", "1e-8"]
+LIST_ENTRIES = ["0.5", "0.25", "1", "3.0", "", " ", "0", "-1", "nan", "inf", "x"]
+WORDS = {
+    "d": ["2.0"],
+    "n": ["8", "10", "12", "6", "7", "9", "-8"],
+    "axis": ["0", "1", "2", "3"],
+    "delta_shape": ["gaussian", "triangular", "box", "", "Gaussian"],
+    "eta": ["auto", "Auto", "0.3"],
+    "dt": ["auto", "0.1"],
+    "workers": ["1", "2", "0", "-1", "x", "", "1.0"],
+}
+
+
+def beside_bounds(key):
+    """Numbers at and beside the bounds the schema declares for ``key``."""
+    kind, bounds, _ = SCHEMA[key]
+    out = []
+    for b in bounds or ():
+        if kind == "int":
+            out += [str(int(b) + k) for k in (-1, 0, 1)] if math.isfinite(b) else []
+        elif math.isfinite(b):
+            out += [repr(b + step) for step in (-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0)]
+    return out
+
+
+def drawn_value(key):
+    if key == "workers":
+        return st.sampled_from(WORDS[key])
+    kind = SCHEMA[key][0]
+    near = st.sampled_from(WORDS.get(key, []) + beside_bounds(key) or SPECIALS)
+    if kind == "reals":
+        entries = st.sampled_from(LIST_ENTRIES + beside_bounds(key))
+        return st.lists(entries, min_size=1, max_size=4).map(",".join)
+    if kind == "int":
+        wide = st.integers(-3, 40).map(str)
+    else:
+        wide = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    return st.one_of(near, near, st.sampled_from(SPECIALS), wide)
+
+
+def positive(x):
+    return isinstance(x, float) and math.isfinite(x) and x > 0
+
+
+def assert_preconditions(command, v):
+    """Every module precondition the subcommand's typed config must meet."""
+    assert v.d in (2, 3) and type(v.d) is int
+    assert v.n >= 8 and v.n % 2 == 0 and type(v.n) is int
+    assert positive(v.r)
+    assert v.delta_shape in ("gaussian", "triangular")
+    assert v.eta is None or positive(v.eta)
+    assert type(v.workers) is int and v.workers >= 1
+    assert type(v.seed) is int and v.seed >= 0
+    if command in ("evolve", "hydro-limit"):
+        assert v.delta_shape == "gaussian"
+        assert type(v.n_x) is int and v.n_x >= 2
+        assert positive(v.box_length)
+    if command == "collision-check":
+        assert type(v.samples) is int and v.samples >= 1
+    if command in ("dispersion-relation", "semigroup-bounds"):
+        assert type(v.axis) is int and 0 <= v.axis < v.d
+    if command == "dispersion-relation":
+        assert positive(v.p_min) and positive(v.p_max) and v.p_min < v.p_max
+        assert type(v.p_count) is int and v.p_count >= 2
+    if command == "semigroup-bounds":
+        for values in (v.p_factors, v.t_factors):
+            assert len(values) >= 1 and all(positive(x) for x in values)
+    if command == "evolve":
+        assert positive(v.t_max) and positive(v.t_min)
+        assert type(v.n_times) is int and v.n_times >= 2
+        assert math.isfinite(v.ripple) and abs(v.ripple) < 1.0
+        assert v.dt is None or positive(v.dt)
+        assert positive(v.contamination) and v.contamination < 1.0
+    if command == "hydro-limit":
+        assert len(v.eps_list) >= 1 and all(positive(x) for x in v.eps_list)
+        assert positive(v.t_compare) and positive(v.dt_base)
+        assert positive(v.dt_reference)
+        assert isinstance(v.tau_amplitude, float) and math.isfinite(v.tau_amplitude)
+    if command == "validate-kernel":
+        assert v.d == 2
+        assert type(v.pairs) is int and v.pairs >= 1
+        assert type(v.quad_m) is int and v.quad_m >= 8
+        assert positive(v.refine_tol)
+        assert len(v.eta_chain) >= 1 and all(positive(x) for x in v.eta_chain)
+        assert positive(v.min_sin) and v.min_sin < 1.0
+
+
+class TestConfigSchemaProperty:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_resolves_to_checked_values_or_exits_2_up_front(
+        self, tmp_path, command, data
+    ):
+        # no example may create the output directory, so one tmp_path serves all
+        out = tmp_path / "o"
+        parser = build_parser()
+        text, _ = resolve_config(command, parser.parse_args([command]))
+        settable = sorted(set(text) - {"outdir"})
+        # one key, and sometimes a second one for the cross-key rules
+        keys = {data.draw(st.sampled_from(settable), label="key"),
+                data.draw(st.none() | st.sampled_from(settable), label="second")}
+        argv = [command, f"--outdir={out}"] + [
+            f"--{key.replace('_', '-')}={data.draw(drawn_value(key), label=key)}"
+            for key in sorted(keys - {None})
+        ]
+        try:
+            _, values = resolve_config(command, parser.parse_args(argv))
+        except ValueError:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(argv) == 2
+            assert json.loads(err.getvalue().splitlines()[-1])["kind"] == "config"
+            assert not out.exists()
+            return
+        assert set(vars(values)) == set(text)
+        assert_preconditions(command, values)
 
 
 class TestArtifacts:
