@@ -35,12 +35,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .collision import (
-    AUTO_WIDTH_COEF,
-    CollisionOperator,
-    DeltaKernel,
-    FourierCollision,
-)
+from .collision import CollisionOperator, DeltaKernel, FourierCollision
 from .dispersion import DispersionField, DispersionParams
 from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it here
     ModeOperator,
@@ -301,10 +296,7 @@ def build_stack(cfg, clock):
     with clock.stage("grid"):
         grid = TorusGrid(cfg.d, cfg.n)
         disp = DispersionField(grid, DispersionParams(cfg.d, cfg.r))
-    if cfg.eta is None:
-        width = AUTO_WIDTH_COEF * disp.max_grad * np.sqrt(cfg.n)
-    else:
-        width = cfg.eta
+    width = DeltaKernel.auto(grid, disp).width if cfg.eta is None else cfg.eta
     delta = DeltaKernel(cfg.delta_shape, width)
     return grid, disp, delta
 
@@ -643,12 +635,15 @@ def cmd_hydro_limit(cfg, stack, out, clock):
     L, summary = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
         kappa = compute_kappa(L, disp, summary)
-    with clock.stage("response_solver"):
-        evaluator = FourierCollision(grid, disp, delta)
-        response = CollisionResponse(evaluator, L, disp, summary)
     x = np.arange(cfg.n_x) / cfg.n_x
     tau0 = np.zeros((cfg.n_x, 2))
     tau0[:, 0] = cfg.tau_amplitude * np.sin(TWO_PI * x)
+    if (disp.winv[None, :] + tau0 @ kappa.basis.u.T).min() <= 0:
+        # the bound depends on the grid, so the schema cannot check it
+        raise ValueError("initial data breaks positivity: lower tau_amplitude")
+    with clock.stage("response_solver"):
+        evaluator = FourierCollision(grid, disp, delta)
+        response = CollisionResponse(evaluator, L, disp, summary)
     v0 = np.zeros((cfg.n_x, grid.size))
     with clock.stage("scaling_study"):
         study = hydro_limit_study(

@@ -127,7 +127,10 @@ class ModeSemigroup:
 
     Falls back to the scaled-and-squared Pade exponential when the eigenbasis
     condition number exceeds `cond_limit`.  The eigendecomposition (w, V,
-    V^-1) is kept either way; it also gives the spectral projector.
+    V^-1) is kept either way; it also gives the spectral projector onto the
+    two eigenvalues of smallest real part in rank-2 form, P~ = a b with
+    a = V[:, sel] (N x 2) and b = V^-1[sel, :] (2 x N).  Its complement
+    Q~ = I - P~ is never formed: S Q~ = S - (S a) b.
     """
 
     def __init__(self, mode, cond_limit=1e8):
@@ -144,12 +147,11 @@ class ModeSemigroup:
             return (self.V * np.exp(-t * self.w)) @ self.Vinv
         return expm(-t * self.mode.matrix)
 
-    def fast_projector(self):
-        """Q~ = I - P~, where P~ is the spectral projector onto the
+    def slow_factors(self):
+        """(a, b) with P~ = a @ b, the spectral projector onto the
         eigenvectors of the two eigenvalues of smallest real part."""
         sel = np.argsort(self.w.real, kind="stable")[:2]
-        Ptil = self.V[:, sel] @ self.Vinv[sel, :]
-        return np.eye(self.w.size) - Ptil
+        return self.V[:, sel], self.Vinv[sel, :]
 
 
 def semigroup(L, disp, p, t, cond_limit=1e8):
@@ -162,6 +164,19 @@ def h_operator_norm(disp, mat):
     the omega-similarity transform)."""
     w = disp.w
     return float(np.linalg.norm((w[:, None] / w[None, :]) * mat, 2))
+
+
+def h_low_rank_norm(disp, left, right):
+    """`h_operator_norm` of left @ right for thin factors (N x k, k x N).
+
+    With D = diag(omega), thin QRs D left = Q1 R1 and (right D^-1)^H = Q2 R2
+    give D left right D^-1 = Q1 (R1 R2^H) Q2^H, whose norm is that of the
+    k x k core.
+    """
+    w = disp.w
+    r_left = np.linalg.qr(w[:, None] * left, mode="r")
+    r_right = np.linalg.qr((right / w[None, :]).conj().T, mode="r")
+    return float(np.linalg.norm(r_left @ r_right.conj().T, 2))
 
 
 def sup_operator_norm(mat):
@@ -196,11 +211,66 @@ class BlockFrame:
         self.A = (-1j / TWO_PI) * (self.Linv * phase)
         self.B = (-1j / TWO_PI) * ((self.P * phase) @ self.Linv)
 
+    def slow_block(self, t):
+        """exp(-t p^2 kappa) in the orthonormalized slow coordinates."""
+        p2 = float(self.p @ self.p)
+        return expm(-t * p2 * self.kappa.kappa_op)
+
     def slow_propagator(self, t):
         """exp(-t p^2 kappa) lifted to the node basis."""
-        p2 = float(self.p @ self.p)
-        small = expm(-t * p2 * self.kappa.kappa_op)
-        return self.basis.u @ small @ self.basis.to_coef
+        return self.basis.u @ self.slow_block(t) @ self.basis.to_coef
+
+
+class SlowFastBlocks:
+    """Blocks of a node-space matrix S against the slow pair, in thin form.
+
+    The slow projection P = u to_coef (`SlowBasis`) is H-orthogonal and of
+    rank 2: with D = diag(omega) and u~ = D u / sqrt(N), whose columns are
+    l2-orthonormal, D P D^-1 = u~ u~^T.  The spectral projector
+    P~ = a b (`ModeSemigroup.slow_factors`) has rank 2 as well.  So
+    Q = I - P and Q~ = I - P~ act as rank-2 updates in O(N^2), the
+    off-diagonal blocks are P S Q = u (to_coef S Q) and
+    Q S P = (Q S u) to_coef, and no N x N sandwich product is formed.
+    """
+
+    def __init__(self, basis, sg):
+        self.u, self.to_coef = basis.u, basis.to_coef
+        self.a, self.b = sg.slow_factors()
+
+    def q_left(self, X):
+        """Q X for an N x k factor."""
+        return X - self.u @ (self.to_coef @ X)
+
+    def q_right(self, Y):
+        """Y Q for a k x N factor."""
+        return Y - (Y @ self.u) @ self.to_coef
+
+    def split(self, S):
+        """(to_coef S Q, Q S u, Q S Q); the last as
+        Q S Q = S - u (to_coef S) - (Q S u) to_coef."""
+        Y = self.to_coef @ S
+        QZ = self.q_left(S @ self.u)
+        QSQ = S - self.u @ Y
+        QSQ -= QZ @ self.to_coef
+        return self.q_right(Y), QZ, QSQ
+
+    def deflation(self, S):
+        """Thin factors (N x 4, 4 x N) of QSQ - Q Q~ S Q~ Q.
+
+        That difference is Q (P~ S + S P~ - P~ S P~) Q
+        = Q [a, S a] [b S - (b S a) b; b] Q.  P~ S = S P~ is not assumed:
+        when S comes from the Pade fallback it holds only to that
+        exponential's accuracy.
+        """
+        a, b = self.a, self.b
+        Sa = S @ a
+        left = self.q_left(np.hstack([a, Sa]))
+        right = self.q_right(np.vstack([b @ S - (b @ Sa) @ b, b]))
+        return left, right
+
+    def fast(self, S):
+        """S Q~ = S - (S a) b."""
+        return S - (S @ self.a) @ self.b
 
 
 @dataclass(frozen=True)
@@ -216,31 +286,38 @@ class BlockResiduals:
 def block_decomposition_check(L, disp, summary, kappa, p, times, cond_limit=1e8):
     """Residuals of the four propagator blocks against their leading terms.
 
-    The slow-slow block is compared to exp(-t p^2 kappa), the off-diagonal
-    blocks to its compositions with the coupling operators A and B, and the
-    fast-fast block to A exp(-t p^2 kappa) B plus the doubly-projected
-    remainder computed from the spectral projection onto the two slowest
-    eigenvectors.  All norms are weighted operator norms.
+    The slow-slow block is compared to K_t = exp(-t p^2 kappa), the
+    off-diagonal blocks to its compositions with the coupling operators A
+    and B, and the fast-fast block to A K_t B plus the doubly-projected
+    remainder Q Q~ S Q~ Q computed from the spectral projection onto the two
+    slowest eigenvectors.  All norms are weighted operator norms, each taken
+    from thin factors (`SlowFastBlocks`): with K_t = u k_t to_coef, the pp,
+    pq and qp residuals have rank <= 2 and the qq residual
+    Q (P~ S + S P~ - P~ S P~) Q - (A u) k_t (to_coef B) has rank <= 6.
     """
     sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
     frame = BlockFrame(disp, summary, kappa, p)
-    Qtil = sg.fast_projector()
+    blocks = SlowFastBlocks(frame.basis, sg)
+    u, to_coef = blocks.u, blocks.to_coef
+    Au = frame.A @ u
+    TB = to_coef @ frame.B
 
     rows = []
     for t in times:
         S = sg.propagator(t)
-        Kt = frame.slow_propagator(t)
-        R = frame.Q @ Qtil @ S @ Qtil @ frame.Q
+        k_t = frame.slow_block(t)
+        YQ, QZ, _ = blocks.split(S)
+        left, right = blocks.deflation(S)
         rows.append(
             BlockResiduals(
                 t=float(t),
-                pp=h_operator_norm(disp, frame.P @ S @ frame.P - Kt),
-                pq=h_operator_norm(disp, frame.P @ S @ frame.Q - Kt @ frame.B),
-                qp=h_operator_norm(disp, frame.Q @ S @ frame.P - frame.A @ Kt),
-                qq=h_operator_norm(
-                    disp, frame.Q @ S @ frame.Q - (frame.A @ Kt @ frame.B + R)
+                pp=h_low_rank_norm(disp, u @ (to_coef @ S @ u - k_t), to_coef),
+                pq=h_low_rank_norm(disp, u, YQ - k_t @ TB),
+                qp=h_low_rank_norm(disp, QZ - Au @ k_t, to_coef),
+                qq=h_low_rank_norm(
+                    disp, np.hstack([left, Au @ k_t]), np.vstack([right, -TB])
                 ),
-                slow_norm=h_operator_norm(disp, Kt),
+                slow_norm=h_low_rank_norm(disp, u @ k_t, to_coef),
             )
         )
     return rows
@@ -280,12 +357,19 @@ def semigroup_bound_sweep(L, disp, summary, kappa, p_values, t_values,
     """Measure the propagator block norms over a (p, t) grid.
 
     For each p (magnitudes along `direction`, default first axis) and t the
-    sweep records the weighted norms of the full propagator, the
+    sweep records the weighted norms of the full propagator S, the
     slow-to-fast and fast-to-slow blocks, the fast-fast block, and the
     spectrally-projected remainder; it then fits the exponential rate from
     the remainder decay and reports measured-over-envelope ratios.
+
+    The blocks come from rank-2 factors (`SlowFastBlocks`): P S Q and
+    Q S P have rank <= 2, the deflated block QSQ - Q Q~ S Q~ Q has rank
+    <= 4, and Q S Q and S Q~ are rank-2 updates of S.  Per (p, t) the only
+    O(N^3) work is S itself and the full norms of S, Q S Q and S Q~.
+    `summary` is not needed: the slow basis comes from `kappa`.
     """
     e = unit_direction(disp.grid.d, direction)
+    basis = kappa.basis if kappa is not None else SlowBasis(disp)
     p_values = np.asarray(p_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     n_p, n_t = p_values.size, t_values.size
@@ -301,21 +385,19 @@ def semigroup_bound_sweep(L, disp, summary, kappa, p_values, t_values,
 
     for i, p_abs in enumerate(p_values):
         sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
-        frame = BlockFrame(disp, summary, kappa, p_abs * e)
-        Qtil = sg.fast_projector()
+        blocks = SlowFastBlocks(basis, sg)
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
             full[i, j] = h_operator_norm(disp, S)
             full_sup[i, j] = sup_operator_norm(S)
-            pq[i, j] = h_operator_norm(disp, frame.P @ S @ frame.Q)
-            qp[i, j] = h_operator_norm(disp, frame.Q @ S @ frame.P)
-            QSQ = frame.Q @ S @ frame.Q
+            YQ, QZ, QSQ = blocks.split(S)
+            pq[i, j] = h_low_rank_norm(disp, basis.u, YQ)
+            qp[i, j] = h_low_rank_norm(disp, QZ, basis.to_coef)
             qq[i, j] = h_operator_norm(disp, QSQ)
             # the p-independent remainder (doubly projected off the slow
             # pair) is subtracted before measuring the p^2 scaling
-            R = frame.Q @ Qtil @ S @ Qtil @ frame.Q
-            qq_defl[i, j] = h_operator_norm(disp, QSQ - R)
-            qtil[i, j] = h_operator_norm(disp, S @ Qtil)
+            qq_defl[i, j] = h_low_rank_norm(disp, *blocks.deflation(S))
+            qtil[i, j] = h_operator_norm(disp, blocks.fast(S))
 
     # rate from the remainder decay: log qtilde ~ -c t (averaged over p)
     logq = np.log(np.maximum(qtil, 1e-300))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pboltz import cli
 from pboltz.cli import (
     COMMANDS,
     SCHEMA,
@@ -20,6 +21,7 @@ from pboltz.cli import (
     parse_config_file,
     resolve_config,
 )
+from pboltz.collision import DeltaKernel
 
 FAST = ["--n", "8"]
 
@@ -116,6 +118,22 @@ class TestConfigHandling:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["kind"] == "config"
         assert not out.exists()
+
+    def test_hydro_limit_positivity_checked_before_the_response_solver(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # tau_amplitude = 1 passes the schema, but on this grid the initial
+        # data 1/omega + tau0 u^T dips below zero
+        def refuse(*args, **kwargs):
+            raise AssertionError("CollisionResponse built before the check")
+
+        monkeypatch.setattr(cli, "CollisionResponse", refuse)
+        code, _ = run(tmp_path, "o", "hydro-limit", *FAST, "--n-x", "8",
+                      "--tau-amplitude", "1.0")
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["kind"] == "config"
+        assert "positivity" in payload["error"]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -267,6 +285,13 @@ class TestArtifacts:
         assert len(rows) == grid.size
         assert manifest["fitted_constants"]["gap_a"] > 0
         assert manifest["checks"]["exact_null_mode"] is True
+
+    def test_default_eta_is_the_auto_width_rule(self, tmp_path, stack8):
+        grid, disp, _ = stack8
+        code, out = run(tmp_path, "spec", "spectrum", *FAST)
+        assert code == 0
+        eta = read_manifest(out)["delta"]["eta"]
+        assert eta == DeltaKernel.auto(grid, disp).width
 
     def test_csv_is_rfc4180_utf8_crlf(self, tmp_path):
         code, out = run(tmp_path, "spec", "spectrum", *FAST)

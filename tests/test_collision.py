@@ -230,3 +230,47 @@ class TestFourierPath:
         tri = DeltaKernel("triangular", 2.0)
         with pytest.raises(ValueError):
             FourierCollision(grid, disp, tri)
+
+
+def _fourier3(n):
+    grid = TorusGrid(3, n)
+    disp = DispersionField(grid, DispersionParams(d=3, r=1.0))
+    delta = DeltaKernel.auto(grid, disp)
+    return grid, disp, delta, FourierCollision(grid, disp, delta)
+
+
+class TestInvariantsInThreeDimensions:
+    """The FFT evaluator at d = 3, n = 8 (N = 512)."""
+
+    @pytest.fixture(scope="class")
+    def fourier3(self):
+        return _fourier3(8)
+
+    def test_equilibria_annihilated_up_to_the_width_bias(self, fourier3):
+        grid, disp, delta, fourier = fourier3
+        W_random = 0.1 + np.random.default_rng(4).random(grid.size)
+        scale = sup_norm(fourier.apply(W_random))
+        _, disp12, _, fourier12 = _fourier3(12)
+        rows = np.random.default_rng(5).choice(grid.size, size=4, replace=False)
+        direct = CollisionOperator(grid, disp, delta)
+        for T, A in EQUILIBRIUM_FAMILY:
+            W = equilibrium(disp, T, A)
+            c = fourier.apply(W)
+            if A == 0.0:
+                # the bracket vanishes identically at T / omega
+                assert sup_norm(c) <= 1e-14 * scale
+                continue
+            # otherwise only on the energy shell: the residual is the
+            # direct operator's own mollifier bias, and it shrinks as the
+            # grid is refined at the production width rule
+            out = np.zeros(grid.size)
+            direct._rows(W, rows, out)
+            ref = PREFACTOR * out[rows] / grid.size**2
+            assert sup_norm(c[rows] - ref) <= 1e-10 * sup_norm(c)
+            assert sup_norm(fourier12.apply(equilibrium(disp12, T, A))) < sup_norm(c)
+
+    def test_number_is_conserved(self, fourier3):
+        grid, _, _, fourier = fourier3
+        W = 0.1 + np.random.default_rng(6).random((5, grid.size))
+        c = fourier.apply_batch(W)
+        assert np.all(np.abs(c.mean(axis=1)) <= 1e-14 * sup_norm(c))

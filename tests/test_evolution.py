@@ -8,9 +8,13 @@ slow/fast splittings inherits an order-one, frequency-independent channel.
 Those tests record the measured behaviour rather than the idealised law.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pboltz.collision import DeltaKernel
+from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.evolution import (
     BlockFrame,
     EvolutionTrajectory,
@@ -31,8 +35,11 @@ from pboltz.evolution import (
     semigroup_bound_sweep,
     spectrum_D,
     stable_step,
+    unit_direction,
 )
 from pboltz.hydrodynamics import CollisionResponse, compute_kappa
+from pboltz.linearized import assemble_L, spectrum_L
+from pboltz.torus_grid import TorusGrid
 
 TWO_PI = 2.0 * np.pi
 BOX = 200.0
@@ -341,6 +348,135 @@ class TestSemigroupSweep:
         ratios = sweep.qq_halving_ratios
         assert np.all(np.isfinite(ratios))
         assert np.all((0.15 < ratios) & (ratios < 0.6))
+
+
+# ----------------------------------------------------------------------
+# the dense oracle: the sweep and the block check from N x N sandwich
+# products, with Q~ formed densely
+
+
+def _dense_qtilde(sg):
+    sel = np.argsort(sg.w.real, kind="stable")[:2]
+    return np.eye(sg.w.size) - sg.V[:, sel] @ sg.Vinv[sel, :]
+
+
+def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
+                 cond_limit):
+    e = unit_direction(disp.grid.d, direction)
+    norms = {name: np.zeros((p_values.size, t_values.size)) for name in (
+        "full_norm", "full_norm_sup", "pq_norm", "qp_norm", "qq_norm",
+        "qq_deflated_norm", "qtilde_norm")}
+    for i, p_abs in enumerate(p_values):
+        sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
+        frame = BlockFrame(disp, summary, kappa, p_abs * e)
+        P, Q, Qtil = frame.P, frame.Q, _dense_qtilde(sg)
+        for j, t in enumerate(t_values):
+            S = sg.propagator(t)
+            QSQ = Q @ S @ Q
+            for name, mat in (
+                ("full_norm", S),
+                ("pq_norm", P @ S @ Q),
+                ("qp_norm", Q @ S @ P),
+                ("qq_norm", QSQ),
+                ("qq_deflated_norm", QSQ - Q @ Qtil @ S @ Qtil @ Q),
+                ("qtilde_norm", S @ Qtil),
+            ):
+                norms[name][i, j] = h_operator_norm(disp, mat)
+            norms["full_norm_sup"][i, j] = np.abs(S).sum(axis=1).max()
+
+    logq = np.log(np.maximum(norms["qtilde_norm"], 1e-300))
+    slopes = [np.polyfit(t_values, row, 1)[0] for row in logq]
+    c_hat = float(max(-np.mean(slopes), 0.0))
+    pv, tv = p_values[:, None], t_values[None, :]
+    envelope = np.exp(-c_hat * tv * pv**2) + np.exp(-c_hat * tv)
+    qq_defl = norms["qq_deflated_norm"]
+    halving = np.array([
+        qq_defl[i + 1] / qq_defl[i] / (p_values[i + 1] / p_values[i]) ** 2
+        for i in range(p_values.size - 1)
+    ])
+    return dict(
+        norms,
+        p_values=p_values,
+        t_values=t_values,
+        c_hat=c_hat,
+        bound_ratio_pq=norms["pq_norm"] / (pv * envelope),
+        bound_ratio_full=norms["full_norm"] / envelope,
+        qq_halving_ratios=halving,
+    )
+
+
+def _dense_block_check(L, disp, summary, kappa, p, times, cond_limit):
+    sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
+    frame = BlockFrame(disp, summary, kappa, p)
+    P, Q, A, B, Qtil = frame.P, frame.Q, frame.A, frame.B, _dense_qtilde(sg)
+    rows = []
+    for t in times:
+        S = sg.propagator(t)
+        Kt = frame.slow_propagator(t)
+        R = Q @ Qtil @ S @ Qtil @ Q
+        rows.append(dict(
+            t=float(t),
+            pp=h_operator_norm(disp, P @ S @ P - Kt),
+            pq=h_operator_norm(disp, P @ S @ Q - Kt @ B),
+            qp=h_operator_norm(disp, Q @ S @ P - A @ Kt),
+            qq=h_operator_norm(disp, Q @ S @ Q - (A @ Kt @ B + R)),
+            slow_norm=h_operator_norm(disp, Kt),
+        ))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def stack3d():
+    grid = TorusGrid(3, 8)
+    disp = DispersionField(grid, DispersionParams(d=3, r=1.0))
+    L = assemble_L(grid, disp, DeltaKernel.auto(grid, disp))
+    summary = spectrum_L(L, disp)
+    return L, disp, summary, compute_kappa(L, disp, summary)
+
+
+@pytest.fixture(scope="module", params=["d2-n12", "d3-n8-oblique", "d2-n12-expm"])
+def oracle_case(request, operators12, stack12, summary12, kappa12, p0_12):
+    """(L, disp, summary, kappa, p_values, t_values, direction, cond_limit)."""
+    if request.param == "d3-n8-oblique":
+        L, disp, summary, kappa = request.getfixturevalue("stack3d")
+        # frequencies on the scale where p^2 mu_max reaches the gap
+        p_star = np.sqrt(summary.gap / np.max(kappa.mu))
+        p_values = np.array([0.5, 1.0]) * p_star
+        t_values = np.array([0.3, 3.0]) / summary.gap
+        return L, disp, summary, kappa, p_values, t_values, [1.0, 2.0, 0.5], 1e8
+    cond_limit = 0.0 if request.param == "d2-n12-expm" else 1e8
+    p_values = np.array([0.25, 0.5, 1.0]) * p0_12
+    t_values = np.array([0.3, 1.0, 3.0]) / summary12.gap
+    return (operators12[2], stack12[1], summary12, kappa12, p_values, t_values,
+            None, cond_limit)
+
+
+class TestDenseOracleAgreement:
+    """The thin-factor block norms against the dense sandwich products."""
+
+    def test_sweep_matches_the_dense_products(self, oracle_case):
+        L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
+        sweep = semigroup_bound_sweep(L, disp, summary, kappa, p_values,
+                                      t_values, direction=direction,
+                                      cond_limit=cond)
+        oracle = _dense_sweep(L, disp, summary, kappa, p_values, t_values,
+                              direction, cond)
+        assert set(oracle) == {f.name for f in dataclasses.fields(sweep)}
+        for name, expect in oracle.items():
+            np.testing.assert_allclose(getattr(sweep, name), expect,
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_block_check_matches_the_dense_products(self, oracle_case):
+        L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
+        p = p_values[-1] * unit_direction(disp.grid.d, direction)
+        rows = block_decomposition_check(L, disp, summary, kappa, p, t_values,
+                                         cond_limit=cond)
+        oracle = _dense_block_check(L, disp, summary, kappa, p, t_values, cond)
+        for row, expect in zip(rows, oracle, strict=True):
+            assert set(expect) == {f.name for f in dataclasses.fields(row)}
+            for name, value in expect.items():
+                assert getattr(row, name) == pytest.approx(value, rel=1e-12,
+                                                           abs=0.0), name
 
 
 class TestDispersionRelationSweep:
