@@ -7,7 +7,8 @@ spectrum and semigroup, checks the slow/fast block structure of the
 propagator, integrates the full nonlinear equation on a 1-D periodic box
 (method of lines, spectral transport), produces the diffusive-decay
 diagnostics, and runs the diffusive-scaling study against a nonlinear heat
-reference.
+reference.  The slow/fast frame is that of `hydrodynamics` (`SlowBasis`,
+`DeflatedInverse`, `slaved_state`); no N x N projector or inverse is formed.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
 
 from .collision import fourier_evaluator
-from .hydrodynamics import SlowBasis, deflated_inverse_matrix
+from .hydrodynamics import DeflatedInverse, DiffusivityModel, SlowState, slaved_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -188,39 +189,6 @@ def sup_operator_norm(mat):
 # slow/fast block algebra
 
 
-class BlockFrame:
-    """Matrices for the slow projection, its complement, the restricted
-    inverse on the complement, and the off-diagonal coupling operators.
-
-    A = -(i/2pi) Linv diag(p . grad), B = -(i/2pi) P diag(p . grad) Linv; the
-    leading propagator block on the slow pair is exp(-t p^2 kappa) in the
-    orthonormalized slow coordinates.
-    """
-
-    def __init__(self, disp, summary, kappa, p):
-        grid = disp.grid
-        self.disp = disp
-        self.kappa = kappa
-        self.p = np.asarray(p, dtype=float)
-        basis = kappa.basis if kappa is not None else SlowBasis(disp)
-        self.basis = basis
-        self.P = basis.u @ basis.to_coef
-        self.Q = np.eye(grid.size) - self.P
-        self.Linv = deflated_inverse_matrix(disp, summary)
-        phase = (self.disp.grad @ self.p)[None, :]  # diag(p . grad) as column scaling
-        self.A = (-1j / TWO_PI) * (self.Linv * phase)
-        self.B = (-1j / TWO_PI) * ((self.P * phase) @ self.Linv)
-
-    def slow_block(self, t):
-        """exp(-t p^2 kappa) in the orthonormalized slow coordinates."""
-        p2 = float(self.p @ self.p)
-        return expm(-t * p2 * self.kappa.kappa_op)
-
-    def slow_propagator(self, t):
-        """exp(-t p^2 kappa) lifted to the node basis."""
-        return self.basis.u @ self.slow_block(t) @ self.basis.to_coef
-
-
 class SlowFastBlocks:
     """Blocks of a node-space matrix S against the slow pair, in thin form.
 
@@ -286,26 +254,32 @@ class BlockResiduals:
 def block_decomposition_check(L, disp, summary, kappa, p, times, cond_limit=1e8):
     """Residuals of the four propagator blocks against their leading terms.
 
-    The slow-slow block is compared to K_t = exp(-t p^2 kappa), the
-    off-diagonal blocks to its compositions with the coupling operators A
-    and B, and the fast-fast block to A K_t B plus the doubly-projected
-    remainder Q Q~ S Q~ Q computed from the spectral projection onto the two
-    slowest eigenvectors.  All norms are weighted operator norms, each taken
-    from thin factors (`SlowFastBlocks`): with K_t = u k_t to_coef, the pp,
-    pq and qp residuals have rank <= 2 and the qq residual
-    Q (P~ S + S P~ - P~ S P~) Q - (A u) k_t (to_coef B) has rank <= 6.
+    The slow-slow block is compared to K_t = u k_t to_coef with
+    k_t = exp(-t p^2 kappa), the off-diagonal blocks to its compositions with
+    the couplings A = -(i/2pi) L^-1 diag(p . grad omega) and
+    B = -(i/2pi) P diag(p . grad omega) L^-1, and the fast-fast block to
+    A K_t B plus the doubly-projected remainder Q Q~ S Q~ Q from the spectral
+    projection onto the two slowest eigenvectors.  Only thin factors are
+    formed: A u is the slaving map of the orthonormal pair (`slaved_state`),
+    and since L^-1 is H-self-adjoint, to_coef B = ((A u) omega^2)^T / N.  The
+    pp, pq and qp residuals have rank <= 2, the qq residual
+    Q (P~ S + S P~ - P~ S P~) Q - (A u) k_t (to_coef B) rank <= 6; all are
+    weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).
     """
+    p = np.asarray(p, dtype=float)
+    p2 = float(p @ p)
     sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
-    frame = BlockFrame(disp, summary, kappa, p)
-    blocks = SlowFastBlocks(frame.basis, sg)
+    basis = kappa.basis
+    blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
-    Au = frame.A @ u
-    TB = to_coef @ frame.B
+    solver = DeflatedInverse(L, disp, summary)
+    Au = slaved_state(solver, SlowState(*basis.coeff_map), p).T
+    TB = (Au * disp.w_sq[:, None]).T / disp.grid.size
 
     rows = []
     for t in times:
         S = sg.propagator(t)
-        k_t = frame.slow_block(t)
+        k_t = expm(-t * p2 * kappa.kappa_op)
         YQ, QZ, _ = blocks.split(S)
         left, right = blocks.deflation(S)
         rows.append(
@@ -352,8 +326,8 @@ class SemigroupSweep:
     qq_halving_ratios: np.ndarray
 
 
-def semigroup_bound_sweep(L, disp, summary, kappa, p_values, t_values,
-                          direction=None, cond_limit=1e8):
+def semigroup_bound_sweep(L, disp, kappa, p_values, t_values, direction=None,
+                          cond_limit=1e8):
     """Measure the propagator block norms over a (p, t) grid.
 
     For each p (magnitudes along `direction`, default first axis) and t the
@@ -366,10 +340,9 @@ def semigroup_bound_sweep(L, disp, summary, kappa, p_values, t_values,
     Q S P have rank <= 2, the deflated block QSQ - Q Q~ S Q~ Q has rank
     <= 4, and Q S Q and S Q~ are rank-2 updates of S.  Per (p, t) the only
     O(N^3) work is S itself and the full norms of S, Q S Q and S Q~.
-    `summary` is not needed: the slow basis comes from `kappa`.
     """
     e = unit_direction(disp.grid.d, direction)
-    basis = kappa.basis if kappa is not None else SlowBasis(disp)
+    basis = kappa.basis
     p_values = np.asarray(p_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     n_p, n_t = p_values.size, t_values.size
@@ -683,16 +656,20 @@ def _to_modes(traj):
     return traj.p_values, modes
 
 
-def decay_diagnostics(traj, disp, summary, kappa, norm_spec=None,
-                      t_min=10.0, contamination=0.1):
+def decay_diagnostics(traj, disp, kappa, norm_spec=None, t_min=10.0,
+                      contamination=0.1):
     """Per-time distances from the explicit leading-order evolution.
 
     The slow part is compared against the conductivity heat flow of the
     initial slow data (sharp cutoff at |p| = 1), the fast part against the
-    slaved gradient response of that flow.  Log-log decay slopes are fitted
-    on times in [t_min, t_box] after removing the log(1+t) factor; an empty
-    window is reported as such, with slopes NaN.
+    slaved gradient response of that flow, L^-1 (d_1 omega * u), which is
+    the conductivity's own solve: ``kappa`` must be taken along the
+    transport axis 0.  Log-log decay slopes are fitted on times in
+    [t_min, t_box] after removing the log(1+t) factor; an empty window is
+    reported as such, with slopes NaN.
     """
+    if kappa.axis != 0:
+        raise ValueError(f"kappa must be taken along axis 0, not {kappa.axis}")
     if norm_spec is None:
         norm_spec = WeightedNormSpec(d=disp.grid.d)
     p_values, modes = _to_modes(traj)
@@ -708,8 +685,7 @@ def decay_diagnostics(traj, disp, summary, kappa, norm_spec=None,
     cut = (p_abs <= 1.0).astype(float)
     coef0 = coef0 * cut[:, None]
 
-    Linv = deflated_inverse_matrix(disp, summary)
-    slave = Linv @ (disp.grad[:, 0][:, None] * U)  # (N, 2)
+    slave = kappa.response_fields @ kappa.basis.coeff_map  # (N, 2)
 
     norm_T = np.zeros(n_t)
     norm_v = np.zeros(n_t)
@@ -775,7 +751,7 @@ class HydroStudy:
     final_vs_first: float
 
 
-def _heat_reference(model, basis, disp, tau0, box_length, t_final, dt):
+def _heat_reference(model, tau0, box_length, t_final, dt):
     """Nonlinear heat flow of the slow coefficients on the box.
 
     The mean diffusivity is integrated implicitly per spatial mode (2x2
@@ -843,8 +819,8 @@ def _imex_kinetic(collision_op, L, disp, W0, eps, t_final, dt, box_length,
     return W, n_steps, total_newton
 
 
-def hydro_limit_study(collision_op, L, disp, summary, response, kappa,
-                      tau0, v0_fields, box_length,
+def hydro_limit_study(collision_op, L, disp, response, kappa, tau0, v0_fields,
+                      box_length,
                       eps_list=(0.4, 0.2, 0.1, 0.05), t_compare=1.0,
                       dt_base=0.02, dt_reference=1e-3, norm_spec=None):
     """Distance of the rescaled kinetic solutions from the heat reference.
@@ -855,25 +831,20 @@ def hydro_limit_study(collision_op, L, disp, summary, response, kappa,
     coefficients plus the shifted-background slaved fast part.  Distances
     are weighted-envelope mode norms at t_compare.
     """
-    from .hydrodynamics import DiffusivityModel
-
     if norm_spec is None:
         norm_spec = WeightedNormSpec(d=disp.grid.d)
     collision_op = fourier_evaluator(collision_op)
     tau0 = np.asarray(tau0, dtype=float)
     v0_fields = np.asarray(v0_fields, dtype=float)
     n_x = tau0.shape[0]
-    basis = kappa.basis
-    U = basis.u
-    to_coef = basis.to_coef
+    U = kappa.basis.u
+    to_coef = kappa.basis.to_coef
     p_values = box_modes(n_x, box_length)
     p_abs = np.abs(p_values)
     ik = 1j * p_values
 
     model = DiffusivityModel(response)
-    tau_ref = _heat_reference(
-        model, basis, disp, tau0, box_length, t_compare, dt_reference
-    )
+    tau_ref = _heat_reference(model, tau0, box_length, t_compare, dt_reference)
     T_ref = tau_ref @ U.T  # (n_x, N)
 
     grad_ref = np.fft.ifft(ik[:, None] * np.fft.fft(tau_ref, axis=0), axis=0).real

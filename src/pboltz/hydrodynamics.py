@@ -1,11 +1,12 @@
 """Slow/fast decomposition, conductivity, currents, and the Fourier law.
 
 The two conserved directions omega^-1 and omega^-2 span the slow subspace E.
-This module provides the weighted-orthogonal projections onto E and its
-complement, the diffusion matrix obtained from deflated inverse applications
-of the linearized collision operator, conserved-field observables and their
-currents, the per-mode Fourier-law residual, and the state-dependent
-diffusivity obtained by inverting the collision Jacobian at a shifted
+The one slow frame is `SlowBasis` (the H-orthogonal projection onto E) and
+the one deflated inverse is `DeflatedInverse` (L^-1 on the complement of the
+two lowest eigenvectors).  On them this module builds the slaving map
+-(i/2pi) L^-1 (p . grad omega) of a slow mode, the diffusion matrix
+(2 pi)^-2 <g_a, L^-1 g_b>_H, observables and currents, the per-mode
+Fourier-law residual, and the state-dependent diffusivity at a shifted
 background.
 """
 
@@ -20,6 +21,14 @@ from .collision import fourier_evaluator
 from .linearized import OperatorMatrix, SpectralSummary, spectrum_L
 
 TWO_PI = 2.0 * np.pi
+
+# The dropped low pair; the collision-Jacobian step relative to the sup norm
+# of the direction; the shifted-background solves' tolerance and caps.
+LOW_MODES = 2
+FD_STEP = 1e-3
+RESPONSE_TOL = 1e-10
+GMRES_MAXITER = 200
+MAX_SWEEPS = 60
 
 
 # ----------------------------------------------------------------------
@@ -73,25 +82,25 @@ class SlowBasis:
 
     def project_P(self, f):
         """Weighted-orthogonal projection onto the slow pair (batched)."""
-        coef = np.stack([self.inner.inner(self.u[:, j], f) for j in (0, 1)], axis=-1)
-        return coef @ self.u.T
+        return (np.asarray(f) @ self.to_coef.T) @ self.u.T
 
     def project_Q(self, f):
         """Projection onto the complement of the slow pair."""
         return np.asarray(f) - self.project_P(f)
 
     def state_from_field(self, w):
-        """Coefficients of the slow part of ``w`` (solves the 2x2 Gram system)."""
-        b1 = self.inner.inner(self.e[:, 0], w)
-        b2 = self.inner.inner(self.e[:, 1], w)
-        det = self.gram[0, 0] * self.gram[1, 1] - self.gram[0, 1] ** 2
-        t1 = (self.gram[1, 1] * b1 - self.gram[0, 1] * b2) / det
-        t2 = (self.gram[0, 0] * b2 - self.gram[0, 1] * b1) / det
-        return SlowState(t1, t2)
+        """Coefficients of the slow part of ``w`` (batched)."""
+        t = (np.asarray(w) @ self.to_coef.T) @ self.coeff_map.T
+        return SlowState(t[..., 0], t[..., 1])
 
 
 # ----------------------------------------------------------------------
 # observables and currents
+
+
+def axis_parity(d, axis):
+    """Parity of d_axis omega times an even field: odd in ``axis`` only."""
+    return tuple(-1 if j == axis else +1 for j in range(d))
 
 
 def enforce_parity(grid, f, parity):
@@ -152,7 +161,7 @@ class DeflatedInverse:
     eigendecomposition, and the result is mapped back to node fields.
     """
 
-    def __init__(self, L, disp, summary=None, drop=2):
+    def __init__(self, L, disp, summary=None):
         if isinstance(L, OperatorMatrix):
             self.matrix = L.matrix
         else:
@@ -160,11 +169,9 @@ class DeflatedInverse:
         self.disp = disp
         if summary is None:
             summary = spectrum_L(OperatorMatrix(self.matrix, "H-self-adjoint"), disp)
-        self.summary = summary
-        self.drop = drop
-        self._V_low = summary.eigenvectors_sym[:, :drop]
-        self._V_rest = summary.eigenvectors_sym[:, drop:]
-        self._lam_rest = summary.eigenvalues[drop:]
+        self._V_low = summary.eigenvectors_sym[:, :LOW_MODES]
+        self._V_rest = summary.eigenvectors_sym[:, LOW_MODES:]
+        self._lam_rest = summary.eigenvalues[LOW_MODES:]
 
     def low_mode_overlap(self, g):
         """Relative overlap of ``g`` with the dropped low modes."""
@@ -193,20 +200,34 @@ class DeflatedInverse:
         ip = self.disp.weighted_inner()
         return ip.norm(self.matrix @ x - np.asarray(g)) / ip.norm(g)
 
-
-def deflated_inverse_matrix(disp, summary):
-    """Dense node-space matrix of the deflated inverse: L^-1 on the
-    complement of the two lowest eigenvectors, zero on them."""
-    ev = summary.eigenvalues
-    V = summary.eigenvectors_sym / disp.w[:, None]
-    rest = V[:, 2:]
-    # the symmetric-problem eigenvectors are orthonormal in plain l2, so
-    # the dual coefficients carry w^2 with no 1/N mean normalization
-    return (rest / ev[2:]) @ (rest * disp.w_sq[:, None]).T
+    def project_out_low(self, f):
+        """Projection onto the complement of the dropped low modes."""
+        fs = np.asarray(f) * self.disp.w
+        fs = fs - (fs @ self._V_low) @ self._V_low.T
+        return fs / self.disp.w
 
 
 # ----------------------------------------------------------------------
 # conductivity
+
+
+def axis_response(solver, basis, axis):
+    """Right-hand sides g_b = d_axis omega * e_b and deflated solves
+    X_b = L^-1 g_b of the slow pair, as (N, 2) columns; each g_b has the
+    parity `axis_parity(d, axis)`, which the solve enforces."""
+    disp = solver.disp
+    g = disp.grad[:, axis][:, None] * basis.e
+    parity = axis_parity(disp.grid.d, axis)
+    X = np.stack([solver.apply(g[:, b], parity=parity) for b in (0, 1)], axis=1)
+    return g, X
+
+
+def pairing(basis, g, X):
+    """kappa_ab = (2 pi)^-2 <g_a, X_b>_H for (N, 2) columns g and X."""
+    ip = basis.inner
+    return np.array(
+        [[ip.inner(g[:, a], X[:, b]).real for b in (0, 1)] for a in (0, 1)]
+    ) / TWO_PI**2
 
 
 @dataclass(frozen=True)
@@ -216,8 +237,9 @@ class ConductivityMatrix:
     ``kappa_op`` is the matrix of the diffusion operator on the slow
     subspace in the orthonormal basis; ``kappa_ab`` the same object paired
     against {omega^-1, omega^-2}.  ``mu`` are the eigenvalues of
-    ``kappa_op``; ``response_fields`` caches the deflated solves (one
-    column per slow direction) for reuse by the Fourier-law check.
+    ``kappa_op``; ``response_fields`` caches the deflated solves along
+    ``axis`` (one column per slow direction, see `axis_response`), so
+    ``response_fields @ basis.coeff_map`` is L^-1 (d_axis omega * u).
     """
 
     kappa_op: np.ndarray
@@ -240,46 +262,35 @@ def compute_kappa(L, disp, summary=None, axis=0, rhs_tol=1e-8):
 
     For each slow direction e, forms g = d_axis omega * e (odd, hence in the
     complement), solves the linearized operator on the deflated complement,
-    and pairs back: kappa_ab[a, b] = (2 pi)^-2 inner_H(g_a, x_b).  Raises if
-    the right-hand side leaks into the dropped modes or the solve residual
-    exceeds ``rhs_tol``.
+    and pairs back: kappa_ab[a, b] = (2 pi)^-2 inner_H(g_a, x_b).  The same
+    pairing against the other gradient axes gives ``cross_direction_sup``.
+    Raises if the right-hand side leaks into the dropped modes or the solve
+    residual exceeds ``rhs_tol``.
     """
     basis = SlowBasis(disp)
     solver = DeflatedInverse(L, disp, summary)
-    dwa = disp.grad[:, axis]
-    g = dwa[:, None] * basis.e
+    g, X = axis_response(solver, basis, axis)
     overlap = solver.low_mode_overlap(g.T)
     if overlap.max() > rhs_tol:
         raise RuntimeError(
             f"gradient-weighted slow direction overlaps the conserved modes "
             f"by {overlap.max():.2e} (tolerance {rhs_tol:.0e})"
         )
-    parity = tuple(-1 if j == axis else +1 for j in range(disp.grid.d))
-    X = np.stack([solver.apply(g[:, b], parity=parity) for b in (0, 1)], axis=1)
     resid = max(solver.residual(X[:, b], g[:, b]) for b in (0, 1))
     if resid > rhs_tol:
         raise RuntimeError(
             f"deflated solve residual {resid:.2e} exceeds {rhs_tol:.0e}"
         )
-    ip = basis.inner
-    kappa_ab = np.array(
-        [[ip.inner(g[:, a], X[:, b]).real for b in (0, 1)] for a in (0, 1)]
-    ) / TWO_PI**2
+    kappa_ab = pairing(basis, g, X)
     S = basis.coeff_map
     kappa_op = S.T @ kappa_ab @ S
     kappa_op = 0.5 * (kappa_op + kappa_op.T)
     mu = np.linalg.eigvalsh(kappa_op)
-    cross = 0.0
-    for j in range(disp.grid.d):
-        if j == axis:
-            continue
-        dwj = disp.grad[:, j]
-        for a in (0, 1):
-            for b in (0, 1):
-                cross = max(
-                    cross, abs(float(ip.inner(dwj * basis.e[:, a], X[:, b]).real))
-                )
-    cross /= TWO_PI**2
+    cross = max(
+        (float(np.abs(pairing(basis, disp.grad[:, j][:, None] * basis.e, X)).max())
+         for j in range(disp.grid.d) if j != axis),
+        default=0.0,
+    )
     return ConductivityMatrix(
         kappa_op=kappa_op,
         kappa_ab=kappa_ab,
@@ -311,8 +322,8 @@ def slaved_state(solver, state, p):
     for i in range(d):
         if p[i] == 0.0:
             continue
-        parity = tuple(-1 if j == i else +1 for j in range(d))
-        x = x + p[i] * solver.apply(disp.grad[:, i] * Tfield, parity=parity)
+        x = x + p[i] * solver.apply(disp.grad[:, i] * Tfield,
+                                    parity=axis_parity(d, i))
     return -1j / TWO_PI * x
 
 
@@ -344,30 +355,19 @@ def fourier_law_check(kappa, state, p, v, solver=None, tol_scale=1e-6,
     roundoff floor instead of amplifying that defect through the bound.
     """
     disp = kappa.basis.disp
-    d = disp.grid.d
     p = np.atleast_1d(np.asarray(p, dtype=float))
     j1, j2 = currents(disp, v)
     j = np.stack([j1, j2], axis=0)
     tvec = np.array([state.t1, state.t2])
-    ip = kappa.basis.inner
-    e = kappa.basis.e
     kappa_scale = float(np.max(np.abs(kappa.kappa_ab)))
     predicted = np.zeros(j.shape, dtype=complex)
-    for i in range(d):
+    for i in range(disp.grid.d):
         if p[i] == 0.0:
             continue
         if solver is None or i == kappa.axis:
             K_i = kappa.kappa_ab
         else:
-            parity = tuple(-1 if jax == i else +1 for jax in range(d))
-            g = disp.grad[:, i][:, None] * e
-            X = np.stack(
-                [solver.apply(g[:, b], parity=parity) for b in (0, 1)], axis=1
-            )
-            K_i = np.array(
-                [[ip.inner(g[:, a], X[:, b]).real for b in (0, 1)]
-                 for a in (0, 1)]
-            ) / TWO_PI**2
+            K_i = pairing(kappa.basis, *axis_response(solver, kappa.basis, i))
             defect = float(np.max(np.abs(K_i - kappa.kappa_ab))) / kappa_scale
             if defect > isotropy_tol:
                 raise RuntimeError(
@@ -398,26 +398,12 @@ class CollisionResponse:
     fixed-point iteration, which contracts at rate O(||T||).
     """
 
-    def __init__(self, collision_op, L, disp, summary=None, fast=True,
-                 fd_step=1e-3, rtol=1e-10, maxiter=200):
+    def __init__(self, collision_op, L, disp, summary=None):
         self.disp = disp
-        if isinstance(L, OperatorMatrix):
-            self.matrix = L.matrix
-        else:
-            self.matrix = np.asarray(L)
-        self.solver = DeflatedInverse(self.matrix, disp, summary)
-        self.evaluator = fourier_evaluator(collision_op) if fast else collision_op
-        self.fd_step = float(fd_step)
-        self.rtol = float(rtol)
-        self.maxiter = int(maxiter)
+        self.solver = DeflatedInverse(L, disp, summary)
+        self.matrix = self.solver.matrix
+        self.evaluator = fourier_evaluator(collision_op)
         self._W0 = disp.winv
-
-    def _apply_any(self, W):
-        if np.ndim(W) > 1 and hasattr(self.evaluator, "apply_batch"):
-            return self.evaluator.apply_batch(W)
-        if np.ndim(W) > 1:
-            return np.stack([self.evaluator.apply(Wi) for Wi in W])
-        return self.evaluator.apply(W)
 
     def _jacobian_fd(self, W, v):
         """Directional derivative of the collision operator at background W.
@@ -430,9 +416,10 @@ class CollisionResponse:
         """
         scale = np.max(np.abs(v), axis=-1, keepdims=True)
         scale = np.where(scale == 0.0, 1.0, scale)
-        eps = self.fd_step / scale
-        c1 = self._apply_any(W + eps * v) - self._apply_any(W - eps * v)
-        c2 = self._apply_any(W + 2.0 * eps * v) - self._apply_any(W - 2.0 * eps * v)
+        eps = FD_STEP / scale
+        C = self.evaluator.apply_batch
+        c1 = C(W + eps * v) - C(W - eps * v)
+        c2 = C(W + 2.0 * eps * v) - C(W - 2.0 * eps * v)
         return (8.0 * c1 - c2) / (12.0 * eps)
 
     def shift_term(self, Tfield, v):
@@ -443,27 +430,22 @@ class CollisionResponse:
         base = np.broadcast_to(self._W0, np.shape(W)) if np.ndim(W) > 1 else self._W0
         return self._jacobian_fd(W, v) - self._jacobian_fd(base, v)
 
-    def _project_out_low(self, f):
-        fs = np.asarray(f) * self.disp.w
-        fs = fs - (fs @ self.solver._V_low) @ self.solver._V_low.T
-        return fs / self.disp.w
-
     def solve(self, Tfield, rhs):
         """GMRES solve of (L - m(T, .)) x = rhs; returns (x, diagnostics)."""
         N = self.disp.grid.size
-        rhs = self._project_out_low(np.asarray(rhs, dtype=float))
+        project = self.solver.project_out_low
+        rhs = project(np.asarray(rhs, dtype=float))
         calls = {"n": 0}
 
         def matvec(v):
             calls["n"] += 1
-            av = self.matrix @ v - self.shift_term(Tfield, v)
-            return self._project_out_low(av)
+            return project(self.matrix @ v - self.shift_term(Tfield, v))
 
         A = LinearOperator((N, N), matvec=matvec, dtype=float)
         M = LinearOperator((N, N), matvec=self.solver.apply, dtype=float)
         bnorm = np.linalg.norm(rhs)
-        x, info = gmres(A, rhs, M=M, rtol=self.rtol, atol=self.rtol * bnorm,
-                        restart=60, maxiter=self.maxiter)
+        x, info = gmres(A, rhs, M=M, rtol=RESPONSE_TOL, atol=RESPONSE_TOL * bnorm,
+                        restart=60, maxiter=GMRES_MAXITER)
         if info != 0:
             raise RuntimeError(
                 f"collision-response GMRES did not converge (info={info})"
@@ -472,24 +454,25 @@ class CollisionResponse:
         resid = ip.norm(matvec(x) - rhs) / max(ip.norm(rhs), 1e-300)
         return x, {"matvec_calls": calls["n"], "residual": float(resid)}
 
-    def solve_batch(self, Tfields, rhs, tol=1e-10, max_sweeps=60):
+    def solve_batch(self, Tfields, rhs):
         """Fixed-point solve of (L - m(T, .)) x = rhs for a batch of cells.
 
         Iterates x <- x + L^-1 (rhs - (L - m) x) on the deflated complement;
         the preconditioned defect is O(||T||) so a few sweeps suffice.
         Raises when the iteration stalls (contraction lost).
         """
-        rhs = self._project_out_low(np.asarray(rhs, dtype=float))
+        project = self.solver.project_out_low
+        rhs = project(np.asarray(rhs, dtype=float))
         x = self.solver.apply(rhs)
         scale = float(np.max(np.sqrt(np.abs(
             self.disp.grid.integrate(np.abs(rhs) ** 2 * self.disp.w_sq)))))
         prev = np.inf
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             defect = rhs - (x @ self.matrix.T - self.shift_term(Tfields, x))
-            defect = self._project_out_low(defect)
+            defect = project(defect)
             err = float(np.max(np.sqrt(np.abs(
                 self.disp.grid.integrate(np.abs(defect) ** 2 * self.disp.w_sq)))))
-            if err <= tol * max(scale, 1e-300):
+            if err <= RESPONSE_TOL * max(scale, 1e-300):
                 return x
             if err >= 0.5 * prev:
                 raise RuntimeError(
@@ -545,7 +528,7 @@ def nonlinear_diffusivity(response, state, rhs_tol=1e-8):
     av = X @ response.matrix.T - response.shift_term(
         np.broadcast_to(Tfield, g.shape), X
     )
-    av = response._project_out_low(av)
+    av = response.solver.project_out_low(av)
     resid = max(
         float(ip.norm(av[b] - g[b])) / float(ip.norm(g[b])) for b in (0, 1)
     )
@@ -553,11 +536,7 @@ def nonlinear_diffusivity(response, state, rhs_tol=1e-8):
         raise RuntimeError(
             f"shifted-background solve residual {resid:.2e} exceeds {rhs_tol:.0e}"
         )
-    K_ab = np.empty((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            K_ab[a, b] = float(ip.inner(g[a], X[b]).real)
-    K_ab /= TWO_PI**2
+    K_ab = pairing(basis, g.T, X.T)
     S = basis.coeff_map
     K_op = S.T @ K_ab @ S
     return NonlinearDiffusivity(

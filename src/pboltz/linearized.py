@@ -55,6 +55,7 @@ __all__ = [
     "kernel_row_sup",
     "i1_exact",
     "i1_mollified",
+    "WIDTH_HALVING_MIN_RATIO",
 ]
 
 
@@ -486,6 +487,11 @@ def _i1_geometry(kpoint, kppoint, params):
         return 1.0 / (base(q1, q2) ** 2 * base(q1 + D[0], q2 + D[1]) ** 2) ** 2
 
     return G, dG, g
+
+
+# Halving the kernel width must divide the error of `i1_mollified` against
+# `i1_exact` by at least this factor (second order would divide it by ~4).
+WIDTH_HALVING_MIN_RATIO = 2.0
 
 
 def i1_exact(kpoint, kppoint, params, m=512, refine_tol=1e-6, max_doublings=4):

@@ -64,6 +64,7 @@ from pboltz.hydrodynamics import (
     slaved_state,
 )
 from pboltz.linearized import (
+    WIDTH_HALVING_MIN_RATIO,
     assemble_K,
     assemble_L,
     assemble_M,
@@ -322,7 +323,7 @@ def test_07_reduced_integral_convergence(params):
     report(
         7,
         "reduced-integral-convergence",
-        worst >= 2.0,
+        worst >= WIDTH_HALVING_MIN_RATIO,
         f"min error ratio per width halving = {worst:.2f}",
     )
 
@@ -376,7 +377,6 @@ def test_10_semigroup_block_bounds(L24, stack24, summary24, kappa24):
     sweep = semigroup_bound_sweep(
         L24,
         disp,
-        summary24,
         kappa24,
         p0 * np.array([0.25, 0.5, 1.0]),
         np.array([0.3, 1.0, 3.0]) / gap,
@@ -403,7 +403,7 @@ def test_10_semigroup_block_bounds(L24, stack24, summary24, kappa24):
 
 
 def test_11_box_decay_exponents(traj12, stack12, summary12, kappa12):
-    rep = decay_diagnostics(traj12, stack12[1], summary12, kappa12, t_min=10.0)
+    rep = decay_diagnostics(traj12, stack12[1], kappa12, t_min=10.0)
     # The box-validity horizon t_box ~ 1/(p_min^2 mu_min) is ~1e-5 here
     # (macroscopic diffusion is fast because the gap is tiny), so the
     # requested fit window [10, t_box] is empty and the slopes are NaN.
@@ -480,7 +480,6 @@ def test_13_hydrodynamic_limit(stack12, fourier12, operators12, summary12, kappa
         fourier12,
         L,
         disp,
-        summary12,
         response,
         kappa12,
         tau0,

@@ -128,12 +128,20 @@ class TestConfigHandling:
             raise AssertionError("CollisionResponse built before the check")
 
         monkeypatch.setattr(cli, "CollisionResponse", refuse)
-        code, _ = run(tmp_path, "o", "hydro-limit", *FAST, "--n-x", "8",
-                      "--tau-amplitude", "1.0")
+        code, out = run(tmp_path, "o", "hydro-limit", *FAST, "--n-x", "8",
+                        "--tau-amplitude", "1.0")
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["kind"] == "config"
         assert "positivity" in payload["error"]
+        # exit 2 writes nothing: the directory main made is gone again, and
+        # one that existed before is kept
+        assert not out.exists()
+        out.mkdir()
+        code, _ = run(tmp_path, "o", "hydro-limit", *FAST, "--n-x", "8",
+                      "--tau-amplitude", "1.0")
+        assert code == 2
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

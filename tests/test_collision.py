@@ -90,12 +90,17 @@ class TestEquilibrium:
 
 
 class TestCollisionOperator:
-    def test_equilibria_annihilated_to_tolerance(self, stack12, collision12):
-        _, disp, _ = stack12
-        tol = collision12.equilibrium_tolerance()
-        for T, A in EQUILIBRIUM_FAMILY:
-            c = collision12.apply(equilibrium(disp, T, A))
-            assert sup_norm(c) <= tol
+    def test_equilibria_annihilated_to_tolerance(self, stack12, collision12, rng):
+        # Only 1/omega is annihilated to roundoff (measured 0.0).  The
+        # mollified delta leaves the A != 0 members at ~0.94x the
+        # random-state scale on this grid; equilibrium_tolerance() is the
+        # sup of those residuals.
+        grid, disp, _ = stack12
+        scale = sup_norm(collision12.apply(0.1 + rng.random(grid.size)))
+        assert sup_norm(collision12.apply(disp.winv)) <= 1e-14 * scale
+        residuals = [sup_norm(collision12.apply(equilibrium(disp, T, A)))
+                     for T, A in EQUILIBRIUM_FAMILY]
+        assert collision12.equilibrium_tolerance() == max(residuals)
 
     def test_equilibrium_tolerance_decreases_with_n(self, params):
         tols = []

@@ -12,11 +12,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.evolution import (
-    BlockFrame,
     EvolutionTrajectory,
     ModeOperator,
     ModeSemigroup,
@@ -222,41 +222,6 @@ class TestModeSemigroup:
         assert dev < 1e-9  # measured 7.4e-12
 
 
-class TestBlockFrame:
-    def test_projectors_split_the_space(self, stack12, summary12, kappa12):
-        _, disp, _ = stack12
-        frame = BlockFrame(disp, summary12, kappa12, np.zeros(2))
-        scale = np.linalg.norm(frame.P)
-        assert np.linalg.norm(frame.P @ frame.P - frame.P) < 1e-12 * scale
-        assert np.linalg.norm(frame.P @ frame.Q) < 1e-12 * scale
-
-    def test_slow_propagator_at_time_zero_is_the_projection(
-        self, stack12, summary12, kappa12, p0_12
-    ):
-        _, disp, _ = stack12
-        frame = BlockFrame(disp, summary12, kappa12, np.array([p0_12, 0.0]))
-        dev = np.linalg.norm(frame.slow_propagator(0.0) - frame.P)
-        assert dev < 1e-12 * np.linalg.norm(frame.P)
-
-    def test_restricted_inverse_annihilates_the_exact_null_direction(
-        self, stack12, summary12, kappa12
-    ):
-        _, disp, _ = stack12
-        frame = BlockFrame(disp, summary12, kappa12, np.zeros(2))
-        out = frame.Linv @ disp.winv2
-        assert np.linalg.norm(out) < 1e-6 * np.linalg.norm(frame.Linv @ disp.winv)
-
-    def test_restricted_inverse_inverts_on_the_fast_directions(
-        self, stack12, summary12, kappa12, operators12
-    ):
-        _, disp, _ = stack12
-        L = operators12[2]
-        frame = BlockFrame(disp, summary12, kappa12, np.zeros(2))
-        v = summary12.eigenvectors_sym[:, 10] / disp.w
-        dev = np.linalg.norm(L.matrix @ (frame.Linv @ v) - v)
-        assert dev < 1e-8 * np.linalg.norm(v)
-
-
 class TestBlockDecomposition:
     def test_static_identity_at_zero_frequency(
         self, operators12, stack12, summary12, kappa12
@@ -311,7 +276,7 @@ def sweep(operators12, stack12, summary12, kappa12, p0_12):
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
     t_values = np.array([0.3, 1.0, 3.0]) / summary12.gap
     return semigroup_bound_sweep(
-        operators12[2], stack12[1], summary12, kappa12, p_values, t_values
+        operators12[2], stack12[1], kappa12, p_values, t_values
     )
 
 
@@ -352,7 +317,25 @@ class TestSemigroupSweep:
 
 # ----------------------------------------------------------------------
 # the dense oracle: the sweep and the block check from N x N sandwich
-# products, with Q~ formed densely
+# products, with P, Q, L^-1, A, B and Q~ formed densely
+
+
+def _dense_frame(disp, summary, kappa, p):
+    """(P, Q, A, B): the slow projection, its complement and the coupling
+    operators A = -(i/2pi) Linv diag(p . grad omega) and
+    B = -(i/2pi) P diag(p . grad omega) Linv, with Linv the node-space
+    matrix of L^-1 on the complement of the two lowest eigenvectors."""
+    basis = kappa.basis
+    P = basis.u @ basis.to_coef
+    Q = np.eye(disp.grid.size) - P
+    rest = summary.eigenvectors_sym[:, 2:] / disp.w[:, None]
+    # the symmetric-problem eigenvectors are orthonormal in plain l2, so
+    # the dual coefficients carry w^2 with no 1/N mean normalization
+    Linv = (rest / summary.eigenvalues[2:]) @ (rest * disp.w_sq[:, None]).T
+    phase = (disp.grad @ np.asarray(p, dtype=float))[None, :]
+    A = (-1j / TWO_PI) * (Linv * phase)
+    B = (-1j / TWO_PI) * ((P * phase) @ Linv)
+    return P, Q, A, B
 
 
 def _dense_qtilde(sg):
@@ -368,8 +351,8 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
         "qq_deflated_norm", "qtilde_norm")}
     for i, p_abs in enumerate(p_values):
         sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
-        frame = BlockFrame(disp, summary, kappa, p_abs * e)
-        P, Q, Qtil = frame.P, frame.Q, _dense_qtilde(sg)
+        P, Q, _, _ = _dense_frame(disp, summary, kappa, p_abs * e)
+        Qtil = _dense_qtilde(sg)
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
             QSQ = Q @ S @ Q
@@ -407,12 +390,13 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
 
 def _dense_block_check(L, disp, summary, kappa, p, times, cond_limit):
     sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
-    frame = BlockFrame(disp, summary, kappa, p)
-    P, Q, A, B, Qtil = frame.P, frame.Q, frame.A, frame.B, _dense_qtilde(sg)
+    P, Q, A, B = _dense_frame(disp, summary, kappa, p)
+    Qtil = _dense_qtilde(sg)
+    u, to_coef = kappa.basis.u, kappa.basis.to_coef
     rows = []
     for t in times:
         S = sg.propagator(t)
-        Kt = frame.slow_propagator(t)
+        Kt = u @ expm(-t * float(p @ p) * kappa.kappa_op) @ to_coef
         R = Q @ Qtil @ S @ Qtil @ Q
         rows.append(dict(
             t=float(t),
@@ -456,9 +440,8 @@ class TestDenseOracleAgreement:
 
     def test_sweep_matches_the_dense_products(self, oracle_case):
         L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
-        sweep = semigroup_bound_sweep(L, disp, summary, kappa, p_values,
-                                      t_values, direction=direction,
-                                      cond_limit=cond)
+        sweep = semigroup_bound_sweep(L, disp, kappa, p_values, t_values,
+                                      direction=direction, cond_limit=cond)
         oracle = _dense_sweep(L, disp, summary, kappa, p_values, t_values,
                               direction, cond)
         assert set(oracle) == {f.name for f in dataclasses.fields(sweep)}
@@ -670,10 +653,10 @@ class TestNonlinearEvolution:
 
 class TestDecayDiagnostics:
     def test_box_window_is_empty_at_unit_times(
-        self, perturbed_traj, stack12, summary12, kappa12
+        self, perturbed_traj, stack12, kappa12
     ):
         _, disp, _ = stack12
-        rep = decay_diagnostics(perturbed_traj, disp, summary12, kappa12)
+        rep = decay_diagnostics(perturbed_traj, disp, kappa12)
         p_min = TWO_PI / BOX
         mu_min = np.linalg.eigvalsh(kappa12.kappa_op).min()
         expected = -np.log1p(-0.1) / (p_min**2 * mu_min)
@@ -688,7 +671,7 @@ class TestDecayDiagnostics:
         assert np.all(np.isfinite(rep.norm_v))
 
     def test_slow_initial_data_matches_the_reference_at_time_zero(
-        self, operators12, stack12, summary12, kappa12, p0_12
+        self, operators12, stack12, kappa12, p0_12
     ):
         _, disp, _ = stack12
         u1 = kappa12.basis.u[:, 0].astype(complex)
@@ -696,9 +679,7 @@ class TestDecayDiagnostics:
         p_values = [0.5 * p0_12, p0_12]
         times = [10.0, 1e3, 1e5]
         traj = evolve_linear(operators12[2], disp, p_values, w0, [0.0] + times)
-        rep = decay_diagnostics(
-            traj, disp, summary12, kappa12, t_min=1.0
-        )
+        rep = decay_diagnostics(traj, disp, kappa12, t_min=1.0)
         # purely slow data: the heat-flow reference reproduces it exactly at
         # t = 0, while the fast reference predicts the gradient response the
         # actual state has not yet built up
@@ -707,10 +688,19 @@ class TestDecayDiagnostics:
         assert not rep.window_empty
         assert np.isfinite(rep.slope_T) and np.isfinite(rep.slope_v)
 
+    def test_needs_the_transport_axis_conductivity(
+        self, perturbed_traj, operators12, stack12, summary12
+    ):
+        # the fast reference is the conductivity's own solve along axis 0
+        _, disp, _ = stack12
+        kappa_y = compute_kappa(operators12[2], disp, summary12, axis=1)
+        with pytest.raises(ValueError, match="axis"):
+            decay_diagnostics(perturbed_traj, disp, kappa_y)
+
 
 class TestHydroLimitStudy:
     def test_zero_data_reproduces_the_reference_exactly(
-        self, fourier12, operators12, stack12, summary12, kappa12, response12
+        self, fourier12, operators12, stack12, kappa12, response12
     ):
         _, disp, _ = stack12
         n_x = 8
@@ -718,7 +708,6 @@ class TestHydroLimitStudy:
             fourier12,
             operators12[2],
             disp,
-            summary12,
             response12,
             kappa12,
             np.zeros((n_x, 2)),
@@ -736,7 +725,7 @@ class TestHydroLimitStudy:
         assert study.final_vs_first == 0.0
 
     def test_small_ripple_runs_and_reports(
-        self, fourier12, operators12, stack12, summary12, kappa12, response12
+        self, fourier12, operators12, stack12, kappa12, response12
     ):
         _, disp, _ = stack12
         n_x = 8
@@ -747,7 +736,6 @@ class TestHydroLimitStudy:
             fourier12,
             operators12[2],
             disp,
-            summary12,
             response12,
             kappa12,
             tau0,
@@ -768,7 +756,7 @@ class TestHydroLimitStudy:
         assert isinstance(study.monotone, bool)
 
     def test_initial_positivity_guard(
-        self, fourier12, operators12, stack12, summary12, kappa12, response12
+        self, fourier12, operators12, stack12, kappa12, response12
     ):
         _, disp, _ = stack12
         n_x = 8
@@ -778,7 +766,6 @@ class TestHydroLimitStudy:
                 fourier12,
                 operators12[2],
                 disp,
-                summary12,
                 response12,
                 kappa12,
                 np.zeros((n_x, 2)),

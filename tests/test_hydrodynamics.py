@@ -140,6 +140,21 @@ class TestObservables:
         assert np.array_equal(g[grid.axis_reflection(1)], g)
 
 
+class TestDeflatedInverse:
+    def test_annihilates_the_exact_null_direction(self, stack12, solver12):
+        _, disp, _ = stack12
+        out = solver12.apply(disp.winv2)
+        assert np.linalg.norm(out) < 1e-6 * np.linalg.norm(solver12.apply(disp.winv))
+
+    def test_inverts_on_the_fast_directions(
+        self, stack12, operators12, summary12, solver12
+    ):
+        _, disp, _ = stack12
+        v = summary12.eigenvectors_sym[:, 10] / disp.w
+        dev = np.linalg.norm(operators12[2].matrix @ solver12.apply(v) - v)
+        assert dev < 1e-8 * np.linalg.norm(v)
+
+
 class TestKappa:
     def test_symmetric_positive_definite(self, kappa12):
         K = kappa12.kappa_op
