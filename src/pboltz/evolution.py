@@ -15,11 +15,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
+from scipy.sparse.linalg import ArpackNoConvergence, eigs, svds
 
 from .collision import fourier_evaluator
 from .hydrodynamics import DeflatedInverse, DiffusivityModel, SlowState, slaved_state
 
 TWO_PI = 2.0 * np.pi
+
+# Shift-invert Arnoldi sizes `certified_slow_count` tries, in order; past
+# the last, `count_slow_eigenvalues` falls back to the dense spectrum.
+SLOW_COUNT_K = (6, 12)
+
+
+def _krylov_start(n, dtype):
+    """Fixed start vector for ARPACK, so runs repeat bit for bit.  It comes
+    from a seeded generator rather than being constant, so it shares no
+    lattice symmetry with the operator: a symmetric start would never see
+    the eigenvectors odd under that symmetry."""
+    return np.random.default_rng(0).standard_normal(n).astype(dtype)
+
+
+def _spectral_norm(X):
+    """Largest singular value by Lanczos on X^H X (`svds`, k = 1).
+
+    X is scaled by a power of two (exact) so that X^H X neither underflows
+    nor overflows.  An all-zero X, on which ARPACK stops with "starting
+    vector is zero", has norm 0.
+    """
+    amax = float(np.abs(X).max())
+    if amax == 0.0:
+        return 0.0
+    scale = 2.0 ** np.frexp(amax)[1]
+    s = svds(X / scale, k=1, tol=0, v0=_krylov_start(min(X.shape), X.dtype),
+             return_singular_vectors=False)
+    return float(s[0]) * scale
 
 
 # ----------------------------------------------------------------------
@@ -45,10 +74,14 @@ class ModeOperator:
 
     matrix = (collision linearization) + (i/2pi) diag(p . grad omega); the
     real part is the positive collision part, the imaginary part is diagonal.
+    `weight` is omega at the nodes; in the omega-similarity frame,
+    diag(weight) matrix diag(weight)^-1 = H + iK with H symmetric positive
+    semidefinite and K = diag(p . grad omega / 2pi).
     """
 
     p: np.ndarray
     matrix: np.ndarray
+    weight: np.ndarray
 
     @classmethod
     def build(cls, L, disp, p):
@@ -57,7 +90,7 @@ class ModeOperator:
             raise ValueError(f"expected a {disp.grid.d}-vector frequency")
         phase = (disp.grad @ p) / TWO_PI
         mat = L.matrix.astype(complex) + 1j * np.diag(phase)
-        return cls(p=p, matrix=mat)
+        return cls(p=p, matrix=mat, weight=disp.w)
 
     @property
     def p_abs(self):
@@ -86,10 +119,52 @@ def spectrum_D(mode):
     )
 
 
+def certified_slow_count(mode, threshold):
+    """Number of eigenvalues with real part below the threshold, certified
+    by shift-invert Arnoldi; None when the certificate fails.
+
+    In the omega-similarity frame the operator is A = H + iK with H
+    symmetric positive semidefinite and K diagonal, so by Bendixson's
+    theorem every eigenvalue with real part below the threshold lies in the
+    rectangle [0, threshold) x [-rho, rho], rho = max |K|.  The rectangle is
+    widened on every side by the asymmetry of the computed H plus
+    N * machine epsilon * ||H||_inf, for rounding, and lies inside the disc
+    of centre c on the real axis and radius r through its corners.  `eigs`
+    with shift c returns the k eigenvalues nearest c; once the farthest of
+    them lies outside the disc, no other eigenvalue is inside it, and the
+    count among those k is exact.  k runs through `SLOW_COUNT_K`.
+    """
+    w = mode.weight
+    A = (w[:, None] / w[None, :]) * mode.matrix
+    n = A.shape[0]
+    H = A.real
+    slack = (0.5 * np.abs(H - H.T).sum(axis=1).max()
+             + n * np.finfo(float).eps * np.abs(H).sum(axis=1).max())
+    rho = np.abs(A.imag.diagonal()).max() + slack
+    centre = 0.5 * (threshold - slack)
+    radius = np.hypot(0.5 * (threshold + slack), rho)
+    v0 = _krylov_start(n, A.dtype)
+    for k in SLOW_COUNT_K:
+        if k >= n - 1:
+            return None
+        try:
+            lam = eigs(A, k=k, sigma=centre, v0=v0, return_eigenvectors=False)
+        except ArpackNoConvergence:
+            return None
+        if np.abs(lam - centre).max() > radius:
+            return int(np.count_nonzero(lam.real < threshold))
+    return None
+
+
 def count_slow_eigenvalues(mode, threshold):
-    """Number of eigenvalues with real part below the threshold."""
-    ev = np.linalg.eigvals(mode.matrix)
-    return int(np.count_nonzero(ev.real < threshold))
+    """Number of eigenvalues with real part below the threshold: the
+    shift-invert count (`certified_slow_count`) where its Bendixson disc is
+    certified, else the count over the dense spectrum."""
+    count = certified_slow_count(mode, threshold)
+    if count is None:
+        ev = np.linalg.eigvals(mode.matrix)
+        count = int(np.count_nonzero(ev.real < threshold))
+    return count
 
 
 def find_p0(L, disp, gap, direction=None, p_max=1.0, rel_tol=1e-3):
@@ -127,7 +202,8 @@ class ModeSemigroup:
     """Propagator exp(-t D) via complex eigendecomposition.
 
     Falls back to the scaled-and-squared Pade exponential when the eigenbasis
-    condition number exceeds `cond_limit`.  The eigendecomposition (w, V,
+    condition number cond = ||V||_2 ||V^-1||_2, both 2-norms by Lanczos
+    (`svds`), exceeds `cond_limit`.  The eigendecomposition (w, V,
     V^-1) is kept either way; it also gives the spectral projector onto the
     two eigenvalues of smallest real part in rank-2 form, P~ = a b with
     a = V[:, sel] (N x 2) and b = V^-1[sel, :] (2 x N).  Its complement
@@ -138,7 +214,7 @@ class ModeSemigroup:
         self.mode = mode
         self.w, self.V = eig(mode.matrix)
         self.Vinv = np.linalg.inv(self.V)
-        self.cond = float(np.linalg.cond(self.V))
+        self.cond = _spectral_norm(self.V) * _spectral_norm(self.Vinv)
         self.method = "eig" if self.cond <= cond_limit else "expm"
 
     def propagator(self, t):
@@ -161,10 +237,10 @@ def semigroup(L, disp, p, t, cond_limit=1e8):
 
 
 def h_operator_norm(disp, mat):
-    """Operator norm in the omega^2-weighted inner product (spectral norm of
-    the omega-similarity transform)."""
+    """Operator norm in the omega^2-weighted inner product: the spectral
+    norm of the omega-similarity transform, by Lanczos (`_spectral_norm`)."""
     w = disp.w
-    return float(np.linalg.norm((w[:, None] / w[None, :]) * mat, 2))
+    return _spectral_norm((w[:, None] / w[None, :]) * mat)
 
 
 def h_low_rank_norm(disp, left, right):
@@ -339,7 +415,8 @@ def semigroup_bound_sweep(L, disp, kappa, p_values, t_values, direction=None,
     The blocks come from rank-2 factors (`SlowFastBlocks`): P S Q and
     Q S P have rank <= 2, the deflated block QSQ - Q Q~ S Q~ Q has rank
     <= 4, and Q S Q and S Q~ are rank-2 updates of S.  Per (p, t) the only
-    O(N^3) work is S itself and the full norms of S, Q S Q and S Q~.
+    O(N^3) work is S itself; the norms of S, Q S Q and S Q~ are Lanczos
+    iterations of O(N^2) matvecs each (`h_operator_norm`).
     """
     e = unit_direction(disp.grid.d, direction)
     basis = kappa.basis

@@ -14,15 +14,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pboltz import evolution
 from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.evolution import (
     EvolutionTrajectory,
     ModeOperator,
     ModeSemigroup,
+    SlowFastBlocks,
     WeightedNormSpec,
     block_decomposition_check,
     box_modes,
+    certified_slow_count,
     count_slow_eigenvalues,
     decay_diagnostics,
     dispersion_relation_sweep,
@@ -317,7 +320,13 @@ class TestSemigroupSweep:
 
 # ----------------------------------------------------------------------
 # the dense oracle: the sweep and the block check from N x N sandwich
-# products, with P, Q, L^-1, A, B and Q~ formed densely
+# products, with P, Q, L^-1, A, B and Q~ formed densely and every norm a
+# full SVD
+
+
+def _dense_h_norm(disp, mat):
+    w = disp.w
+    return float(np.linalg.norm((w[:, None] / w[None, :]) * mat, 2))
 
 
 def _dense_frame(disp, summary, kappa, p):
@@ -364,7 +373,7 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
                 ("qq_deflated_norm", QSQ - Q @ Qtil @ S @ Qtil @ Q),
                 ("qtilde_norm", S @ Qtil),
             ):
-                norms[name][i, j] = h_operator_norm(disp, mat)
+                norms[name][i, j] = _dense_h_norm(disp, mat)
             norms["full_norm_sup"][i, j] = np.abs(S).sum(axis=1).max()
 
     logq = np.log(np.maximum(norms["qtilde_norm"], 1e-300))
@@ -400,11 +409,11 @@ def _dense_block_check(L, disp, summary, kappa, p, times, cond_limit):
         R = Q @ Qtil @ S @ Qtil @ Q
         rows.append(dict(
             t=float(t),
-            pp=h_operator_norm(disp, P @ S @ P - Kt),
-            pq=h_operator_norm(disp, P @ S @ Q - Kt @ B),
-            qp=h_operator_norm(disp, Q @ S @ P - A @ Kt),
-            qq=h_operator_norm(disp, Q @ S @ Q - (A @ Kt @ B + R)),
-            slow_norm=h_operator_norm(disp, Kt),
+            pp=_dense_h_norm(disp, P @ S @ P - Kt),
+            pq=_dense_h_norm(disp, P @ S @ Q - Kt @ B),
+            qp=_dense_h_norm(disp, Q @ S @ P - A @ Kt),
+            qq=_dense_h_norm(disp, Q @ S @ Q - (A @ Kt @ B + R)),
+            slow_norm=_dense_h_norm(disp, Kt),
         ))
     return rows
 
@@ -460,6 +469,131 @@ class TestDenseOracleAgreement:
             for name, value in expect.items():
                 assert getattr(row, name) == pytest.approx(value, rel=1e-12,
                                                            abs=0.0), name
+
+
+# ----------------------------------------------------------------------
+# the iterative kernels (shift-invert slow count, Lanczos norms) against
+# dense references formed only here
+
+
+def _dense_slow_count(mode, threshold):
+    ev = np.linalg.eigvals(mode.matrix)
+    return int(np.count_nonzero(ev.real < threshold))
+
+
+@pytest.fixture(scope="module")
+def stack20():
+    grid = TorusGrid(2, 20)
+    disp = DispersionField(grid, DispersionParams(d=2, r=1.0))
+    L = assemble_L(grid, disp, DeltaKernel.auto(grid, disp))
+    return L, disp, spectrum_L(L, disp)
+
+
+@pytest.fixture(scope="module", params=[
+    "d2-n12-axis0", "d2-n12-axis1", "d2-n20-axis0", "d2-n20-axis1",
+    "d3-n8-oblique"])
+def p0_probes(request, operators12, stack12, summary12):
+    """(p0, p0 of the dense-count bisection, per probe of the latter
+    (dense count, count, certified count or None))."""
+    if request.param == "d3-n8-oblique":
+        L, disp, summary, _ = request.getfixturevalue("stack3d")
+        direction = [1.0, 2.0, 0.5]
+    else:
+        if "n20" in request.param:
+            L, disp, summary = request.getfixturevalue("stack20")
+        else:
+            L, disp, summary = operators12[2], stack12[1], summary12
+        direction = int(request.param[-1])
+    p0 = find_p0(L, disp, summary.gap, direction=direction)
+    probes = []
+
+    def dense_count(mode, threshold):
+        dense = _dense_slow_count(mode, threshold)
+        probes.append((dense, count_slow_eigenvalues(mode, threshold),
+                       certified_slow_count(mode, threshold)))
+        return dense
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "count_slow_eigenvalues", dense_count)
+        p0_dense = find_p0(L, disp, summary.gap, direction=direction)
+    return p0, p0_dense, probes
+
+
+class TestShiftInvertSlowCount:
+    def test_count_equals_the_dense_count_at_every_probe(self, p0_probes):
+        _, _, probes = p0_probes
+        assert [count for _, count, _ in probes] == [d for d, _, _ in probes]
+
+    def test_p0_is_bitwise_the_dense_bisection(self, p0_probes):
+        p0, p0_dense, _ = p0_probes
+        assert p0 == p0_dense
+
+    def test_certificate_and_dense_fallback_both_exercised(self, p0_probes):
+        # measured: at most 3 of 17 probes fall back, among them |p| = 1,
+        # where the disc around the tall Bendixson rectangle holds most of
+        # the spectrum
+        _, _, probes = p0_probes
+        certified = [c for _, _, c in probes if c is not None]
+        assert len(certified) >= len(probes) // 2
+        assert len(certified) < len(probes)
+        assert certified == [d for d, _, c in probes if c is not None]
+
+
+class TestLanczosNorm:
+    def test_sweep_blocks_match_the_dense_norm(
+        self, operators12, stack12, summary12, kappa12, p0_12
+    ):
+        _, disp, _ = stack12
+        for p_abs in (0.25 * p0_12, p0_12):
+            sg = ModeSemigroup(ModeOperator.build(operators12[2], disp,
+                                                  np.array([p_abs, 0.0])))
+            blocks = SlowFastBlocks(kappa12.basis, sg)
+            for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
+                S = sg.propagator(t)
+                for mat in (S, blocks.split(S)[2], blocks.fast(S)):
+                    assert h_operator_norm(disp, mat) == pytest.approx(
+                        _dense_h_norm(disp, mat), rel=1e-13, abs=0.0)
+
+    def test_random_complex_matrix(self, stack12):
+        _, disp, _ = stack12
+        gen = np.random.default_rng(5)
+        n = disp.grid.size
+        mat = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        assert h_operator_norm(disp, mat) == pytest.approx(
+            _dense_h_norm(disp, mat), rel=1e-13, abs=0.0)
+
+    def test_zero_matrix_has_norm_zero(self, stack12):
+        # ARPACK itself stops here: "starting vector is zero"
+        _, disp, _ = stack12
+        n = disp.grid.size
+        assert h_operator_norm(disp, np.zeros((n, n), dtype=complex)) == 0.0
+
+    def test_rank_one_and_tiny_matrices(self, stack12):
+        _, disp, _ = stack12
+        gen = np.random.default_rng(6)
+        n = disp.grid.size
+        rank1 = np.outer(gen.standard_normal(n) + 1j, gen.standard_normal(n))
+        for mat in (rank1, 1e-300 * rank1):
+            assert h_operator_norm(disp, mat) == pytest.approx(
+                _dense_h_norm(disp, mat), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["d2-n12", "d3-n8-oblique"])
+    def test_cond_picks_the_method_the_dense_cond_picks(
+        self, request, case, operators12, stack12, p0_12
+    ):
+        # cond agrees with the dense one to 1e-12 relative, so every
+        # cond_limit farther than that from it picks the same method
+        if case == "d3-n8-oblique":
+            L, disp, summary, kappa = request.getfixturevalue("stack3d")
+            e = unit_direction(3, [1.0, 2.0, 0.5])
+            p_unit = np.sqrt(summary.gap / np.max(kappa.mu))
+        else:
+            L, disp, e, p_unit = operators12[2], stack12[1], np.eye(2)[0], p0_12
+        for factor in (0.0, 0.5, 1.0, 2.0):
+            sg = ModeSemigroup(ModeOperator.build(L, disp, factor * p_unit * e))
+            dense = np.linalg.cond(sg.V)
+            assert sg.cond == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert sg.method == ("eig" if dense <= 1e8 else "expm")
 
 
 class TestDispersionRelationSweep:
