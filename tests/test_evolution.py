@@ -491,13 +491,15 @@ def stack20():
 
 @pytest.fixture(scope="module", params=[
     "d2-n12-axis0", "d2-n12-axis1", "d2-n20-axis0", "d2-n20-axis1",
-    "d3-n8-oblique"])
+    "d3-n8-axis0", "d3-n8-oblique"])
 def p0_probes(request, operators12, stack12, summary12):
     """(p0, p0 of the dense-count bisection, per probe of the latter
-    (dense count, count, certified count or None))."""
-    if request.param == "d3-n8-oblique":
+    (dense count, count, certified count or None)).  Along a lattice axis
+    of the d = 3 cubic grid the rotations and reflections about that axis
+    force repeated eigenvalues; the oblique direction breaks them."""
+    if request.param.startswith("d3"):
         L, disp, summary, _ = request.getfixturevalue("stack3d")
-        direction = [1.0, 2.0, 0.5]
+        direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
     else:
         if "n20" in request.param:
             L, disp, summary = request.getfixturevalue("stack20")
@@ -528,15 +530,23 @@ class TestShiftInvertSlowCount:
         p0, p0_dense, _ = p0_probes
         assert p0 == p0_dense
 
-    def test_certificate_and_dense_fallback_both_exercised(self, p0_probes):
-        # measured: at most 3 of 17 probes fall back, among them |p| = 1,
-        # where the disc around the tall Bendixson rectangle holds most of
-        # the spectrum
+    def test_most_probes_are_certified_and_agree(self, p0_probes):
         _, _, probes = p0_probes
         certified = [c for _, _, c in probes if c is not None]
         assert len(certified) >= len(probes) // 2
-        assert len(certified) < len(probes)
         assert certified == [d for d, _, c in probes if c is not None]
+
+    def test_dense_fallback_when_arnoldi_cannot_run(self, monkeypatch, stack12,
+                                                    operators12, summary12,
+                                                    p0_12):
+        # k >= N - 1 is out of ARPACK's reach, so every count goes dense
+        _, disp, _ = stack12
+        monkeypatch.setattr(evolution, "SLOW_COUNT_K", disp.grid.size - 1)
+        half = 0.5 * summary12.gap
+        for p_abs in (0.5 * p0_12, 2.0 * p0_12, 1.0):
+            mode = ModeOperator.build(operators12[2], disp, np.array([p_abs, 0.0]))
+            assert certified_slow_count(mode, half) is None
+            assert count_slow_eigenvalues(mode, half) == _dense_slow_count(mode, half)
 
 
 class TestLanczosNorm:
