@@ -382,7 +382,10 @@ def cmd_kappa(cfg, stack, out, clock):
 def cmd_collision_check(cfg, stack, out, clock):
     grid, disp, delta = stack
     with clock.stage("collision_tables"):
-        op = CollisionOperator(grid, disp, delta, workers=cfg.workers)
+        if delta.shape == "gaussian":
+            op = FourierCollision(grid, disp, delta)
+        else:
+            op = CollisionOperator(grid, disp, delta, workers=cfg.workers)
         rng = np.random.default_rng(cfg.seed)
         rows = []
         all_number = all_energy = all_entropy = True

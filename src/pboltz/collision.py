@@ -1,5 +1,5 @@
 """The four-phonon collision operator, equilibria, conservation residuals,
-and entropy production.
+and entropy production, by the direct sums and by their FFT factorization.
 
 For each output node k0 the integral sums over lattice nodes (k1, k2) with
 k3 = k0 + k1 - k2 resolved exactly mod 2pi (the grid is closed under that
@@ -118,12 +118,37 @@ def equilibrium(disp, T, A):
     return T / (disp.w + A)
 
 
-class CollisionOperator:
+class CollisionDiagnostics:
+    """The checks shared by both evaluators; they need only `apply`, `grid`
+    and `disp`."""
+
+    def conservation_residuals(self, W, C=None):
+        """(int C dk, int omega C dk) — both ~0 is the conservation check."""
+        if C is None:
+            C = self.apply(W)
+        g = self.grid
+        return float(g.integrate(C)), float(g.integrate(self.disp.w * C))
+
+    def equilibrium_tolerance(self, family=EQUILIBRIUM_FAMILY):
+        """tau_eq: sup of sup_norm(C(W_{T,A})) over the stationary family.
+
+        The floor for every downstream "approximately zero" assertion.
+        """
+        tau = 0.0
+        for T, A in family:
+            C = self.apply(equilibrium(self.disp, T, A))
+            tau = max(tau, float(np.abs(C).max()))
+        return tau
+
+
+class CollisionOperator(CollisionDiagnostics):
     """Direct O(n^{3d}) evaluator of the collision integral.
 
-    Parallelizes over output rows (disjoint writes, deterministic for any
-    worker count).  `workers=1` by default; the row loop is vectorized over
-    the (k1, k2) plane either way.
+    The oracle for `FourierCollision` in the tests, and the only evaluator
+    of the triangular kernel (which has no cosine series).  Parallelizes
+    over output rows (disjoint writes, deterministic for any worker count).
+    `workers=1` by default; the row loop is vectorized over the (k1, k2)
+    plane either way.
     """
 
     def __init__(self, grid, disp, delta, workers=1):
@@ -160,20 +185,11 @@ class CollisionOperator:
 
     def apply(self, W):
         """collision_C: the collision integral of a real field W."""
-        W = np.asarray(W, dtype=float)
-        if W.shape != (self.grid.size,):
-            raise ValueError("field length does not match grid")
+        W = _field(self.grid, W)
         N = self.grid.size
         out = np.empty(N)
         _chunked(lambda rows: self._rows(W, rows, out), N, self.workers)
         return PREFACTOR * out / N**2
-
-    def conservation_residuals(self, W, C=None):
-        """(int C dk, int omega C dk) — both ~0 is the conservation check."""
-        if C is None:
-            C = self.apply(W)
-        g = self.grid
-        return float(g.integrate(C)), float(g.integrate(self.disp.w * C))
 
     def entropy_production(self, W):
         """The nonnegative quadratic form
@@ -182,11 +198,7 @@ class CollisionOperator:
 
         zero exactly when 1/W is a collisional invariant; requires W > 0.
         """
-        W = np.asarray(W, dtype=float)
-        if W.shape != (self.grid.size,):
-            raise ValueError("field length does not match grid")
-        if W.min() <= 0:
-            raise ValueError("entropy production needs a strictly positive field")
+        W = _field(self.grid, W, positive=True)
         w = self.disp.w
         winv = self.disp.winv
         R = 1.0 / W
@@ -202,20 +214,10 @@ class CollisionOperator:
             acc += np.sum(P * dlt * J * J)
         return float(acc / self.grid.size**3)
 
-    def equilibrium_tolerance(self, family=EQUILIBRIUM_FAMILY):
-        """tau_eq: sup of sup_norm(C(W_{T,A})) over the stationary family.
 
-        The floor for every downstream "approximately zero" assertion.
-        """
-        tau = 0.0
-        for T, A in family:
-            C = self.apply(equilibrium(self.disp, T, A))
-            tau = max(tau, float(np.abs(C).max()))
-        return tau
-
-
-class FourierCollision:
-    """FFT fast path for the same collision integral.
+class FourierCollision(CollisionDiagnostics):
+    """FFT fast path for the same collision integral and its entropy
+    production.
 
     The gaussian energy kernel is written as a cosine series
     delta_eta(u) ~= sum_j c_j cos(u t_j) (trapezoid in t with a tail cut and
@@ -224,8 +226,9 @@ class FourierCollision:
     into per-leg node fields, and the (k1, k2) sum with k3 = k0 + k1 - k2
     becomes circular convolutions evaluated by d-dimensional FFTs:
     O(n_t n^d log n) per field instead of O(n^{3d}) (Mouhot & Pareschi,
-    Math. Comp. 75, 2006).  Used by the x-space evolution sweeps; agreement
-    with the direct evaluator is a test.
+    Math. Comp. 75, 2006).  Used by `evolve`, `hydro-limit` and
+    `collision-check` (gaussian kernel); `CollisionOperator` is its oracle
+    in the tests.
 
     Per node t_j the legs are a = W E / omega, b = E / omega and c = W E
     with E = exp(i t_j omega).  W and 1/omega are real, so the legs at -t_j
@@ -234,9 +237,23 @@ class FourierCollision:
     from R = rev F[a] and D = rev F[b] - rev F[c] (rev F is the
     unnormalized inverse transform); rev F[b] does not depend on W and is
     computed once here.  That leaves 2 forward FFTs (rev F[a], rev F[c]) and
-    2 inverse ones per node and field.  The nodes are stacked into few transform calls and summed
-    one at a time in node order, so each output row is bitwise the same
-    whatever batch it is evaluated in.
+    2 inverse ones per node and field.  The nodes are stacked into few
+    transform calls and summed one at a time in node order, so each output
+    row is bitwise the same whatever batch it is evaluated in.
+
+    The entropy production factorizes the same way.  With R = 1/W the
+    squared bracket J = R0 + R1 - R2 - R3 is summed against a measure that
+    is symmetric under k0 <-> k1, k2 <-> k3 and the pair swap (the kernel
+    is even), so J^2 may be replaced by 4 R0^2 + 4 R0 R1 - 8 R0 R2.  A sum
+    over k0 + k1 = k2 + k3 of four leg fields is N^{-1} times the sum over
+    xi of the product of their transforms (in either direction), two of
+    them conjugated; with X = rev F[W E / omega], Y = rev F[E / (omega W)]
+    and the cached Z = rev F[b],
+
+        sigma = 4 N^{-4} sum_j c_j sum_xi [Re(conj(X) (Y |X|^2 + Z^2 conj(X)))
+                                           - 2 |Z|^2 |X|^2],
+
+    which is 2 transforms per node and field and none back.
     """
 
     def __init__(self, grid, disp, delta, rtol=1e-12):
@@ -292,6 +309,29 @@ class FourierCollision:
     def apply(self, W):
         return self.apply_batch(np.asarray(W)[None, :])[0]
 
+    def entropy_production(self, W):
+        """The quadratic form of `CollisionOperator.entropy_production` by
+        the cosine-series factorization; requires W > 0."""
+        W = _field(self.grid, W, positive=True)
+        axes = self._axes
+        x = (self.disp.winv * W).reshape(self._shape)
+        y = (self.disp.winv / W).reshape(self._shape)
+        sigma = 0.0
+        step = max(1, _CHUNK_VALUES // W.size)
+        for j0 in range(0, len(self.t_nodes), step):
+            nodes = slice(j0, j0 + step)
+            E = self._phase[nodes]
+            X = _rev_fft(x * E, axes)
+            Y = _rev_fft(y * E, axes)
+            Z = self._rev_Fb[nodes]
+            Xc = np.conj(X)
+            X2 = X.real * X.real + X.imag * X.imag
+            Z2 = Z.real * Z.real + Z.imag * Z.imag
+            terms = np.real(Xc * (Y * X2 + Z * Z * Xc)) - 2.0 * Z2 * X2
+            for weight, term in zip(self.t_weights[nodes], terms.sum(axis=axes)):
+                sigma += weight * term
+        return float(4.0 * sigma / W.size**4)
+
 
 def _cosine_series(disp, delta, rtol=1e-12):
     """Nodes t_j and weights c_j of delta_eta(u) ~= sum_j c_j cos(t_j u) for
@@ -315,6 +355,17 @@ def _cosine_series(disp, delta, rtol=1e-12):
     cw[0] *= 0.5
     cw[-1] *= 0.5
     return t, cw
+
+
+def _field(grid, W, positive=False):
+    """W as a float array, checked to be one value per grid node (and
+    strictly positive when `positive`)."""
+    W = np.asarray(W, dtype=float)
+    if W.shape != (grid.size,):
+        raise ValueError("field length does not match grid")
+    if positive and W.min() <= 0:
+        raise ValueError("entropy production needs a strictly positive field")
+    return W
 
 
 def _chunked(loop_body, count, workers):

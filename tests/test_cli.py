@@ -21,7 +21,7 @@ from pboltz.cli import (
     parse_config_file,
     resolve_config,
 )
-from pboltz.collision import DeltaKernel
+from pboltz.collision import CollisionOperator, DeltaKernel
 
 FAST = ["--n", "8"]
 
@@ -338,7 +338,7 @@ class TestArtifacts:
             "pass_number [bool]", "pass_energy [bool]", "pass_entropy [bool]"
         ]
         for row in rows:
-            assert row[5] == "true"  # number exchange cancels exactly
+            assert row[5] == "true"  # number exchange cancels (~1e-17 sup|C|)
             assert row[7] == "true"  # entropy production nonnegative
         manifest = read_manifest(out)
         assert manifest["checks"]["number_conserved"] is True
@@ -419,6 +419,75 @@ class TestArtifacts:
         manifest = read_manifest(out)
         assert manifest["status"] == "numerical-failure"
         assert "positivity" in manifest["diagnostic"]
+
+
+def direct_collision_table(out):
+    """collision-check's cells and equilibrium tolerance recomputed with the
+    direct O(N^3) evaluator from the run's own manifest config."""
+    manifest = read_manifest(out)
+    cfg = manifest["config"]
+    grid, disp, delta = cli.build_stack(cfg, cli.StageClock())
+    op = CollisionOperator(grid, disp, delta)
+    rng = np.random.default_rng(int(cfg["seed"]))
+    rows = []
+    for sample in range(int(cfg["samples"])):
+        W = 0.2 + 1.3 * rng.random(grid.size)
+        C = op.apply(W)
+        sup = float(np.abs(C).max())
+        number, energy = op.conservation_residuals(W, C)
+        sigma = op.entropy_production(W)
+        passes = (abs(number) <= 1e-10 * sup, abs(energy) <= 1e-10 * sup,
+                  sigma >= -1e-15)
+        rows.append((sample, sup, number, energy, sigma,
+                     *("true" if ok else "false" for ok in passes)))
+    return rows, op.equilibrium_tolerance(), manifest
+
+
+class TestCollisionCheckOracle:
+    """collision-check runs the FFT evaluator for the gaussian kernel and the
+    direct one for the triangular kernel; both are checked against the
+    direct sums here, independently of the benchmark's own check."""
+
+    ARGS = ["collision-check", *FAST, "--samples", "2", "--seed", "3"]
+
+    def test_gaussian_table_matches_the_direct_sums(self, tmp_path):
+        code, out = run(tmp_path, "fft", *self.ARGS)
+        assert code == 0
+        _, rows = read_csv(out / "collision_checks.csv")
+        expect, tau, manifest = direct_collision_table(out)
+        assert len(rows) == len(expect) == 2
+        for row, ref in zip(rows, expect):
+            sample, sup, number, energy, sigma = (float(c) for c in row[:5])
+            assert sample == ref[0]
+            assert abs(sup - ref[1]) <= 1e-12 * ref[1]
+            assert abs(number - ref[2]) <= 1e-12 * ref[1]
+            assert abs(energy - ref[3]) <= 1e-12 * ref[1]
+            assert abs(sigma - ref[4]) <= 1e-12 * ref[4]
+            assert tuple(row[5:]) == ref[5:]
+        got_tau = manifest["fitted_constants"]["equilibrium_tolerance"]
+        assert abs(got_tau - tau) <= 1e-12 * tau
+
+    def test_triangular_table_is_the_direct_one(self, tmp_path):
+        code, out = run(tmp_path, "tri", *self.ARGS, "--delta-shape", "triangular")
+        assert code == 0
+        _, rows = read_csv(out / "collision_checks.csv")
+        expect, tau, manifest = direct_collision_table(out)
+        assert [[float(c) for c in row[:5]] + row[5:] for row in rows] == [
+            list(ref) for ref in expect
+        ]
+        assert manifest["fitted_constants"]["equilibrium_tolerance"] == tau
+
+    def test_runs_in_three_dimensions(self, tmp_path):
+        code, out = run(
+            tmp_path, "d3", "collision-check", "--d", "3", "--n", "8",
+            "--samples", "2",
+        )
+        assert code == 0
+        _, rows = read_csv(out / "collision_checks.csv")
+        assert len(rows) == 2
+        checks = read_manifest(out)["checks"]
+        assert checks["number_conserved"] is True
+        assert checks["entropy_nonnegative"] is True
 
 
 class TestDeterminism:

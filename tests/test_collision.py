@@ -237,10 +237,14 @@ class TestFourierPath:
             FourierCollision(grid, disp, tri)
 
 
+def _stack(d, n):
+    grid = TorusGrid(d, n)
+    disp = DispersionField(grid, DispersionParams(d=d, r=1.0))
+    return grid, disp, DeltaKernel.auto(grid, disp)
+
+
 def _fourier3(n):
-    grid = TorusGrid(3, n)
-    disp = DispersionField(grid, DispersionParams(d=3, r=1.0))
-    delta = DeltaKernel.auto(grid, disp)
+    grid, disp, delta = _stack(3, n)
     return grid, disp, delta, FourierCollision(grid, disp, delta)
 
 
@@ -279,3 +283,75 @@ class TestInvariantsInThreeDimensions:
         W = 0.1 + np.random.default_rng(6).random((5, grid.size))
         c = fourier.apply_batch(W)
         assert np.all(np.abs(c.mean(axis=1)) <= 1e-14 * sup_norm(c))
+
+
+def _relative(fast, direct):
+    return abs(fast - direct) / abs(direct)
+
+
+class TestFourierEntropy:
+    """FourierCollision.entropy_production against the direct sum."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_direct_sum_on_random_states(self, n):
+        grid, disp, delta = _stack(2, n)
+        direct = CollisionOperator(grid, disp, delta)
+        fourier = FourierCollision(grid, disp, delta)
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            W = 0.2 + 1.3 * rng.random(grid.size)
+            rel = _relative(fourier.entropy_production(W), direct.entropy_production(W))
+            assert rel <= 1e-12
+
+    def test_matches_direct_sum_on_the_equilibria(self, stack12, collision12, fourier12):
+        _, disp, _ = stack12
+        for T, A in EQUILIBRIUM_FAMILY:
+            W = equilibrium(disp, T, A)
+            rel = _relative(fourier12.entropy_production(W),
+                            collision12.entropy_production(W))
+            assert rel <= 1e-12
+
+    def test_matches_direct_sum_on_the_ripple_probe(self, stack12, collision12, fourier12):
+        # acceptance 03's probe: a 10% ripple on 1/omega, where the
+        # 4 R0^2 + 4 R0 R1 - 8 R0 R2 combination cancels the most
+        grid, disp, _ = stack12
+        W = equilibrium(disp, 1.0, 0.0) * (1.0 + 0.1 * np.cos(grid.coords[:, 0]))
+        fast = fourier12.entropy_production(W)
+        assert _relative(fast, collision12.entropy_production(W)) <= 1e-12
+        assert fast > 0.0
+
+    def test_matches_direct_sum_in_three_dimensions(self):
+        grid, disp, delta = _stack(3, 8)
+        W = 0.2 + 1.3 * np.random.default_rng(7).random(grid.size)
+        fast = FourierCollision(grid, disp, delta).entropy_production(W)
+        direct = CollisionOperator(grid, disp, delta).entropy_production(W)
+        assert _relative(fast, direct) <= 1e-12
+
+    def test_repeated_calls_are_bitwise_equal(self, stack12, fourier12, rng):
+        grid, _, _ = stack12
+        W = 0.2 + 1.3 * rng.random(grid.size)
+        assert fourier12.entropy_production(W) == fourier12.entropy_production(W.copy())
+
+    def test_rejects_wrong_length_and_nonpositive_states(self, stack12, fourier12):
+        grid, _, _ = stack12
+        with pytest.raises(ValueError):
+            fourier12.entropy_production(np.ones(grid.size + 1))
+        for bad in (0.0, -1.0):
+            W = np.ones(grid.size)
+            W[3] = bad
+            with pytest.raises(ValueError):
+                fourier12.entropy_production(W)
+
+    def test_shares_the_diagnostics_of_the_direct_operator(
+        self, stack12, collision12, fourier12, rng
+    ):
+        grid, _, _ = stack12
+        W = 0.2 + 1.3 * rng.random(grid.size)
+        C = fourier12.apply(W)
+        number, energy = fourier12.conservation_residuals(W)
+        assert (number, energy) == fourier12.conservation_residuals(W, C)
+        _, energy_direct = collision12.conservation_residuals(W)
+        assert abs(number) <= 1e-14 * sup_norm(C)
+        assert abs(energy - energy_direct) <= 1e-12 * sup_norm(C)
+        tau = fourier12.equilibrium_tolerance()
+        assert _relative(tau, collision12.equilibrium_tolerance()) <= 1e-12
