@@ -144,8 +144,9 @@ class CollisionDiagnostics:
 class CollisionOperator(CollisionDiagnostics):
     """Direct O(n^{3d}) evaluator of the collision integral.
 
-    The oracle for `FourierCollision` in the tests, and the only evaluator
-    of the triangular kernel (which has no cosine series).  Parallelizes
+    The oracle for `FourierCollision` (in the tests, and in
+    `collision-check`, which checks one FFT evaluation against it), and the
+    only evaluator of the triangular kernel (which has no cosine series).  Parallelizes
     over output rows (disjoint writes, deterministic for any worker count).
     `workers=1` by default; the row loop is vectorized over the (k1, k2)
     plane either way.
@@ -228,7 +229,7 @@ class FourierCollision(CollisionDiagnostics):
     O(n_t n^d log n) per field instead of O(n^{3d}) (Mouhot & Pareschi,
     Math. Comp. 75, 2006).  Used by `evolve`, `hydro-limit` and
     `collision-check` (gaussian kernel); `CollisionOperator` is its oracle
-    in the tests.
+    in the tests and on `collision-check`'s first sample.
 
     Per node t_j the legs are a = W E / omega, b = E / omega and c = W E
     with E = exp(i t_j omega).  W and 1/omega are real, so the legs at -t_j

@@ -21,7 +21,7 @@ from pboltz.cli import (
     parse_config_file,
     resolve_config,
 )
-from pboltz.collision import CollisionOperator, DeltaKernel
+from pboltz.collision import CollisionOperator, DeltaKernel, FourierCollision
 
 FAST = ["--n", "8"]
 
@@ -476,6 +476,17 @@ class TestCollisionCheckOracle:
             list(ref) for ref in expect
         ]
         assert manifest["fitted_constants"]["equilibrium_tolerance"] == tau
+
+    def test_disagreement_with_the_direct_sum_exits_3(self, tmp_path, monkeypatch):
+        fft_apply = FourierCollision.apply
+        monkeypatch.setattr(
+            FourierCollision, "apply", lambda self, W: (1 + 1e-9) * fft_apply(self, W)
+        )
+        code, out = run(tmp_path, "off", *self.ARGS)
+        assert code == 3
+        manifest = read_manifest(out)
+        assert manifest["status"] == "numerical-failure"
+        assert "direct sum" in manifest["diagnostic"]
 
     def test_runs_in_three_dimensions(self, tmp_path):
         code, out = run(
