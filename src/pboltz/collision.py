@@ -146,8 +146,9 @@ class CollisionOperator(CollisionDiagnostics):
 
     The oracle for `FourierCollision` (in the tests, and in
     `collision-check`, which checks one FFT evaluation against it), and the
-    only evaluator of the triangular kernel (which has no cosine series).  Parallelizes
-    over output rows (disjoint writes, deterministic for any worker count).
+    only evaluator of the triangular kernel (which has no cosine series).
+    Parallelizes over output rows (disjoint writes, deterministic for any
+    worker count).
     `workers=1` by default; the row loop is vectorized over the (k1, k2)
     plane either way.
     """
