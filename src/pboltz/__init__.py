@@ -19,7 +19,6 @@ from .collision import (
 )
 from .dispersion import DispersionField, DispersionParams
 from .evolution import (
-    ModeOperator,
     ModeSemigroup,
     WeightedNormSpec,
     decay_diagnostics,
@@ -28,6 +27,7 @@ from .evolution import (
     evolve_nonlinear,
     find_p0,
     hydro_limit_study,
+    mode_matrix,
     semigroup_bound_sweep,
     spectrum_D,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "DispersionField",
     "DispersionParams",
     "FourierCollision",
-    "ModeOperator",
     "ModeSemigroup",
     "SlowBasis",
     "SlowState",
@@ -83,6 +82,7 @@ __all__ = [
     "find_p0",
     "fourier_law_check",
     "hydro_limit_study",
+    "mode_matrix",
     "semigroup_bound_sweep",
     "slaved_state",
     "spectrum_D",

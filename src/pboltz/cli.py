@@ -39,13 +39,13 @@ import scipy
 from .collision import CollisionOperator, DeltaKernel, FourierCollision
 from .dispersion import DispersionField, DispersionParams
 from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it here
-    ModeOperator,
     count_slow_eigenvalues,
     decay_diagnostics,
     dispersion_relation_sweep,
     evolve_nonlinear,
     find_p0,
     hydro_limit_study,
+    mode_matrix,
     semigroup_bound_sweep,
     spectrum_D,
     stable_step,
@@ -504,8 +504,7 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     direction = unit_direction(disp.grid.d, cfg.axis)
     with clock.stage("two_mode_boundary"):
         p0 = find_p0(L, disp, summary.gap, direction=direction)
-        floor_mode = ModeOperator.build(L, disp, 2.0 * p0 * direction)
-        floor = spectrum_D(floor_mode).eigenvalues.real
+        floor = spectrum_D(mode_matrix(L, disp, 2.0 * p0 * direction)).real
         b = float(floor.min())
         n_slow = int(np.count_nonzero(floor < 0.5 * summary.gap))
     p_values = np.array(cfg.p_factors) * p0
@@ -594,10 +593,11 @@ def cmd_evolve(cfg, stack, out, clock):
     ripple = cfg.ripple * np.sin(TWO_PI * x)
     W0 = disp.winv[None, :] * (1.0 + ripple[:, None])
     with clock.stage("integrate"):
+        dt = cfg.dt
+        if dt is None:
+            dt = stable_step(L, disp, cfg.n_x, cfg.box_length)
         evaluator = FourierCollision(grid, disp, delta)
-        traj = evolve_nonlinear(
-            evaluator, L, disp, W0, times, cfg.box_length, dt=cfg.dt
-        )
+        traj = evolve_nonlinear(evaluator, L, W0, times, cfg.box_length, dt=dt)
     with clock.stage("decay_report"):
         report = decay_diagnostics(
             traj,
@@ -638,8 +638,7 @@ def cmd_evolve(cfg, stack, out, clock):
         "t_box": report.t_box,
         "slope_T": report.slope_T,
         "slope_v": report.slope_v,
-        "step_dt": cfg.dt if cfg.dt is not None
-        else stable_step(L, disp, cfg.n_x, cfg.box_length),
+        "step_dt": dt,
     }
     checks = {
         "fit_window_nonempty": bool(not report.window_empty),
@@ -665,14 +664,10 @@ def cmd_hydro_limit(cfg, stack, out, clock):
         # the bound depends on the grid, so the schema cannot check it
         raise ValueError("initial data breaks positivity: lower tau_amplitude")
     with clock.stage("response_solver"):
-        evaluator = FourierCollision(grid, disp, delta)
-        response = CollisionResponse(evaluator, L, disp, summary)
+        response = CollisionResponse(FourierCollision(grid, disp, delta), L, summary)
     v0 = np.zeros((cfg.n_x, grid.size))
     with clock.stage("scaling_study"):
         study = hydro_limit_study(
-            evaluator,
-            L,
-            disp,
             response,
             kappa,
             tau0,

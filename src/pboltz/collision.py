@@ -36,7 +36,6 @@ __all__ = [
     "EQUILIBRIUM_FAMILY",
     "CollisionOperator",
     "FourierCollision",
-    "fourier_evaluator",
 ]
 
 PREFACTOR = 9.0 * np.pi / 4.0
@@ -46,6 +45,10 @@ PREFACTOR = 9.0 * np.pi / 4.0
 # per-call overhead a few times instead of once per node, and large batches
 # keep their temporaries small.
 _CHUNK_VALUES = 8192
+
+# Truncation and aliasing level of the cosine series of the gaussian kernel,
+# relative to its peak (`_cosine_series`).
+SERIES_RTOL = 1e-12
 
 # Width coefficient for DeltaKernel.auto.  Calibrated on the measured
 # behavior of the scheme (d=2, r=1): the equilibrium bias decays like
@@ -94,13 +97,6 @@ class DeltaKernel:
     def auto(cls, grid, disp, coefficient=AUTO_WIDTH_COEF):
         """Production width rule: coefficient * max|grad omega| * sqrt(n)."""
         return cls("gaussian", coefficient * disp.max_grad * np.sqrt(grid.n))
-
-    @classmethod
-    def from_spacing(cls, grid, disp, factor=4.0):
-        """Grid-spacing heuristic width factor*h*max|grad omega| (overridable
-        alternative; note it fails the refinement acceptance checks, see
-        README)."""
-        return cls("gaussian", factor * grid.h * disp.max_grad)
 
 
 # The stationary two-parameter family W_{T,A} = T/(omega + A).
@@ -224,7 +220,7 @@ class FourierCollision(CollisionDiagnostics):
     The gaussian energy kernel is written as a cosine series
     delta_eta(u) ~= sum_j c_j cos(u t_j) (trapezoid in t with a tail cut and
     node spacing chosen so both truncation and aliasing errors are below
-    `rtol` times the kernel peak).  Each bracket monomial then factorizes
+    `SERIES_RTOL` times the kernel peak).  Each bracket monomial then factorizes
     into per-leg node fields, and the (k1, k2) sum with k3 = k0 + k1 - k2
     becomes circular convolutions evaluated by d-dimensional FFTs:
     O(n_t n^d log n) per field instead of O(n^{3d}) (Mouhot & Pareschi,
@@ -258,13 +254,13 @@ class FourierCollision(CollisionDiagnostics):
     which is 2 transforms per node and field and none back.
     """
 
-    def __init__(self, grid, disp, delta, rtol=1e-12):
+    def __init__(self, grid, disp, delta):
         if delta.shape != "gaussian":
             raise ValueError("fast path implemented for the gaussian kernel only")
         self.grid = grid
         self.disp = disp
         self.delta = delta
-        self.t_nodes, self.t_weights = _cosine_series(disp, delta, rtol)
+        self.t_nodes, self.t_weights = _cosine_series(disp, delta)
 
         shape = (grid.n,) * grid.d
         self._shape = shape
@@ -277,7 +273,7 @@ class FourierCollision(CollisionDiagnostics):
 
     def kernel_values(self, u):
         """The cosine-series kernel at energies u (matches delta.weights to
-        rtol * peak; exposed for the agreement tests)."""
+        SERIES_RTOL * peak; exposed for the agreement tests)."""
         u = np.asarray(u, dtype=float)
         return np.tensordot(
             self.t_weights, np.cos(np.multiply.outer(self.t_nodes, u)), axes=(0, 0)
@@ -335,20 +331,20 @@ class FourierCollision(CollisionDiagnostics):
         return float(4.0 * sigma / W.size**4)
 
 
-def _cosine_series(disp, delta, rtol=1e-12):
+def _cosine_series(disp, delta):
     """Nodes t_j and weights c_j of delta_eta(u) ~= sum_j c_j cos(t_j u) for
     the gaussian kernel, valid for every energy sum |u| <= 2 (max w - min w)
     of four legs.
 
     Trapezoid rule on the Fourier integral of the gaussian, cut where its
-    transform falls below `rtol` of its peak, with a node spacing fine
+    transform falls below `SERIES_RTOL` of its peak, with a node spacing fine
     enough that the periodic images of the kernel stay below the same
     level on that energy range.
     """
     eta = delta.width
     w = disp.w
     umax = 2.0 * float(w.max() - w.min())
-    z = np.sqrt(-2.0 * np.log(rtol))
+    z = np.sqrt(-2.0 * np.log(SERIES_RTOL))
     t_end = z / eta
     n_t = int(np.ceil(t_end * (umax + z * eta) / (2.0 * np.pi))) + 2
     t = np.linspace(0.0, t_end, n_t)
@@ -389,11 +385,3 @@ def _rev_fft(x, axes):
     """rev F[x]: the forward transform at -xi, i.e. the unnormalized inverse."""
     return scipy.fft.ifftn(x, axes=axes, norm="forward")
 
-
-def fourier_evaluator(collision_op):
-    """A batched FFT evaluator of `collision_op`'s integral: the operator
-    itself when it already has `apply_batch`, else a FourierCollision on its
-    grid, dispersion and kernel."""
-    if hasattr(collision_op, "apply_batch"):
-        return collision_op
-    return FourierCollision(collision_op.grid, collision_op.disp, collision_op.delta)

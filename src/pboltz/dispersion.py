@@ -84,3 +84,7 @@ class DispersionField:
         from .torus_grid import WeightedInnerProduct
 
         return WeightedInnerProduct(self.grid, self.w_sq)
+
+    def similarity(self, A):
+        """diag(omega) A diag(omega)^-1: symmetric iff A is H-self-adjoint."""
+        return (self.w[:, None] / self.w[None, :]) * A

@@ -1,14 +1,17 @@
 """Per-mode dynamics and time integration.
 
 A spatial Fourier mode p turns the transport term into a diagonal phase and
-the linear dynamics into a dense complex operator: collision part plus
-(i/2pi) diag(p . grad omega).  This module builds that operator, computes its
-spectrum and semigroup, checks the slow/fast block structure of the
+the linear dynamics into the dense complex array D(p) = L + (i/2pi)
+diag(p . grad omega) (`mode_matrix`, L a plain array).  This module computes
+its spectrum and semigroup, checks the slow/fast block structure of the
 propagator, integrates the full nonlinear equation on a 1-D periodic box
 (method of lines, spectral transport), produces the diffusive-decay
 diagnostics, and runs the diffusive-scaling study against a nonlinear heat
-reference.  The slow/fast frame is that of `hydrodynamics` (`SlowBasis`,
-`DeflatedInverse`, `slaved_state`); no N x N projector or inverse is formed.
+reference; the box drivers read the dispersion field from the collision
+evaluator, and `hydro_limit_study` the evaluator and L from its
+`CollisionResponse`.  The slow/fast frame is that of `hydrodynamics`
+(`SlowBasis`, `DeflatedInverse`, `slaved_state`); no N x N projector or
+inverse is formed.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +20,6 @@ import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, svds
 
-from .collision import fourier_evaluator
 from .hydrodynamics import DeflatedInverse, DiffusivityModel, SlowState, slaved_state
 
 TWO_PI = 2.0 * np.pi
@@ -26,6 +28,16 @@ TWO_PI = 2.0 * np.pi
 # for.  Doubling it certified no further probe of `find_p0` on any tested
 # grid, so a failed certificate goes straight to the dense spectrum.
 SLOW_COUNT_K = 6
+
+# `find_p0` bisects |p| in (1e-14, FIND_P0_MAX] to FIND_P0_REL_TOL relative
+# width; an explicit step is STEP_SAFETY over the fastest rate (`stable_step`);
+# NEWTON_TOL and MAX_NEWTON stop the Newton solve of each backward-Euler
+# collision step (`_imex_kinetic`).
+FIND_P0_MAX = 1.0
+FIND_P0_REL_TOL = 1e-3
+STEP_SAFETY = 0.4
+NEWTON_TOL = 1e-11
+MAX_NEWTON = 12
 
 
 def _krylov_start(n, dtype):
@@ -53,7 +65,7 @@ def _spectral_norm(X):
 
 
 # ----------------------------------------------------------------------
-# mode operator and spectrum
+# mode matrix and spectrum
 
 
 def unit_direction(d, direction=None):
@@ -69,58 +81,25 @@ def unit_direction(d, direction=None):
     return e / np.linalg.norm(e)
 
 
-@dataclass(frozen=True)
-class ModeOperator:
-    """Dense complex operator for one spatial frequency p.
-
-    matrix = (collision linearization) + (i/2pi) diag(p . grad omega); the
-    real part is the positive collision part, the imaginary part is diagonal.
-    `weight` is omega at the nodes; in the omega-similarity frame,
-    diag(weight) matrix diag(weight)^-1 = H + iK with H symmetric positive
-    semidefinite and K = diag(p . grad omega / 2pi).
-    """
-
-    p: np.ndarray
-    matrix: np.ndarray
-    weight: np.ndarray
-
-    @classmethod
-    def build(cls, L, disp, p):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        if p.shape != (disp.grid.d,):
-            raise ValueError(f"expected a {disp.grid.d}-vector frequency")
-        phase = (disp.grad @ p) / TWO_PI
-        mat = L.matrix.astype(complex) + 1j * np.diag(phase)
-        return cls(p=p, matrix=mat, weight=disp.w)
-
-    @property
-    def p_abs(self):
-        return float(np.linalg.norm(self.p))
+def mode_matrix(L, disp, p):
+    """D(p) = L + (i/2pi) diag(p . grad omega), the complex array of one
+    spatial frequency p (a d-vector).  In the omega-similarity frame
+    (`DispersionField.similarity`) it is H + iK with H symmetric positive
+    semidefinite and K = diag(p . grad omega / 2pi)."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if p.shape != (disp.grid.d,):
+        raise ValueError(f"expected a {disp.grid.d}-vector frequency")
+    phase = (disp.grad @ p) / TWO_PI
+    return L.astype(complex) + 1j * np.diag(phase)
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Eigenvalues sorted by real part; the two lowest tracked separately."""
-
-    lam1: complex
-    lam2: complex
-    gap_rest: float
-    eigenvalues: np.ndarray
+def spectrum_D(D):
+    """Eigenvalues of a mode matrix, sorted by increasing real part."""
+    ev = np.linalg.eigvals(D)
+    return ev[np.argsort(ev.real, kind="stable")]
 
 
-def spectrum_D(mode):
-    """Eigenvalues of the mode operator, sorted by increasing real part."""
-    ev = np.linalg.eigvals(mode.matrix)
-    ev = ev[np.argsort(ev.real, kind="stable")]
-    return ModeSpectrum(
-        lam1=complex(ev[0]),
-        lam2=complex(ev[1]),
-        gap_rest=float(ev[2].real) if ev.size > 2 else np.inf,
-        eigenvalues=ev,
-    )
-
-
-def certified_slow_count(mode, threshold):
+def certified_slow_count(D, disp, threshold):
     """Number of eigenvalues with real part below the threshold, by
     shift-invert Arnoldi; None when its Bendixson-disc test fails.
 
@@ -144,8 +123,7 @@ def certified_slow_count(mode, threshold):
     none does, and the count equals the dense one at every probe of
     `find_p0`.
     """
-    w = mode.weight
-    A = (w[:, None] / w[None, :]) * mode.matrix
+    A = disp.similarity(D)
     n = A.shape[0]
     if SLOW_COUNT_K >= n - 1:
         return None
@@ -165,19 +143,19 @@ def certified_slow_count(mode, threshold):
     return int(np.count_nonzero(lam.real < threshold))
 
 
-def count_slow_eigenvalues(mode, threshold):
+def count_slow_eigenvalues(D, disp, threshold):
     """Number of eigenvalues with real part below the threshold: the
     shift-invert count (`certified_slow_count`) where the farthest of its
     Ritz values lies outside its Bendixson disc, else the count over the
     dense spectrum (`eigvals`)."""
-    count = certified_slow_count(mode, threshold)
+    count = certified_slow_count(D, disp, threshold)
     if count is None:
-        ev = np.linalg.eigvals(mode.matrix)
+        ev = np.linalg.eigvals(D)
         count = int(np.count_nonzero(ev.real < threshold))
     return count
 
 
-def find_p0(L, disp, gap, direction=None, p_max=1.0, rel_tol=1e-3):
+def find_p0(L, disp, gap, direction=None):
     """Largest |p| at which exactly two eigenvalues sit below half the gap.
 
     Log-space bisection along the given direction (default first axis); the
@@ -188,14 +166,14 @@ def find_p0(L, disp, gap, direction=None, p_max=1.0, rel_tol=1e-3):
     half = 0.5 * gap
 
     def count(p_abs):
-        return count_slow_eigenvalues(ModeOperator.build(L, disp, p_abs * e), half)
+        return count_slow_eigenvalues(mode_matrix(L, disp, p_abs * e), disp, half)
 
-    if count(p_max) == 2:
-        return p_max
-    lo, hi = 1e-14, p_max
+    if count(FIND_P0_MAX) == 2:
+        return FIND_P0_MAX
+    lo, hi = 1e-14, FIND_P0_MAX
     if count(lo) != 2:
         raise RuntimeError("no two-mode regime found even at |p| = 1e-14")
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + FIND_P0_REL_TOL:
         mid = np.sqrt(lo * hi)
         if count(mid) == 2:
             lo = mid
@@ -220,9 +198,9 @@ class ModeSemigroup:
     Q~ = I - P~ is never formed: S Q~ = S - (S a) b.
     """
 
-    def __init__(self, mode, cond_limit=1e8):
-        self.mode = mode
-        self.w, self.V = eig(mode.matrix)
+    def __init__(self, D, cond_limit=1e8):
+        self.D = D
+        self.w, self.V = eig(D)
         self.Vinv = np.linalg.inv(self.V)
         self.cond = _spectral_norm(self.V) * _spectral_norm(self.Vinv)
         self.method = "eig" if self.cond <= cond_limit else "expm"
@@ -232,7 +210,7 @@ class ModeSemigroup:
             raise ValueError("propagator requires t >= 0")
         if self.method == "eig":
             return (self.V * np.exp(-t * self.w)) @ self.Vinv
-        return expm(-t * self.mode.matrix)
+        return expm(-t * self.D)
 
     def slow_factors(self):
         """(a, b) with P~ = a @ b, the spectral projector onto the
@@ -243,14 +221,13 @@ class ModeSemigroup:
 
 def semigroup(L, disp, p, t, cond_limit=1e8):
     """One-shot propagator exp(-t D(p))."""
-    return ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit).propagator(t)
+    return ModeSemigroup(mode_matrix(L, disp, p), cond_limit).propagator(t)
 
 
 def h_operator_norm(disp, mat):
     """Operator norm in the omega^2-weighted inner product: the spectral
     norm of the omega-similarity transform, by Lanczos (`_spectral_norm`)."""
-    w = disp.w
-    return _spectral_norm((w[:, None] / w[None, :]) * mat)
+    return _spectral_norm(disp.similarity(mat))
 
 
 def h_low_rank_norm(disp, left, right):
@@ -354,7 +331,7 @@ def block_decomposition_check(L, disp, summary, kappa, p, times, cond_limit=1e8)
     """
     p = np.asarray(p, dtype=float)
     p2 = float(p @ p)
-    sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
+    sg = ModeSemigroup(mode_matrix(L, disp, p), cond_limit)
     basis = kappa.basis
     blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
@@ -444,7 +421,7 @@ def semigroup_bound_sweep(L, disp, kappa, p_values, t_values, direction=None,
     qtil = np.zeros(shape)
 
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
+        sg = ModeSemigroup(mode_matrix(L, disp, p_abs * e), cond_limit)
         blocks = SlowFastBlocks(basis, sg)
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
@@ -517,9 +494,7 @@ def dispersion_relation_sweep(L, disp, kappa, p_values, direction=None):
     lam1 = np.zeros(p_values.size, dtype=complex)
     lam2 = np.zeros(p_values.size, dtype=complex)
     for i, p_abs in enumerate(p_values):
-        sp = spectrum_D(ModeOperator.build(L, disp, p_abs * e))
-        lam1[i] = sp.lam1
-        lam2[i] = sp.lam2
+        lam1[i], lam2[i] = spectrum_D(mode_matrix(L, disp, p_abs * e))[:2]
     p2 = p_values**2
     coef = np.array(
         [
@@ -601,7 +576,7 @@ def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
     times = np.asarray(times, dtype=float)
     states = np.zeros((times.size, p_values.size, disp.grid.size), dtype=complex)
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
+        sg = ModeSemigroup(mode_matrix(L, disp, p_abs * e), cond_limit)
         for j, t in enumerate(times):
             states[j, i] = sg.propagator(t) @ w0[i]
     return EvolutionTrajectory(
@@ -613,13 +588,14 @@ def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
 # nonlinear box evolution (method of lines, spectral transport, RK4)
 
 
-def stable_step(L, disp, n_x, box_length, safety=0.4):
-    """Step heuristic: safety / (collision diagonal rate + transport rate)."""
-    rate_coll = float(np.diag(L.matrix).real.max())
+def stable_step(L, disp, n_x, box_length):
+    """Step heuristic: STEP_SAFETY / (collision diagonal rate + transport
+    rate)."""
+    rate_coll = float(np.diag(L).real.max())
     rate_trans = (
         np.abs(disp.grad[:, 0]).max() / TWO_PI * np.pi * n_x / box_length
     )
-    return safety / (rate_coll + rate_trans)
+    return STEP_SAFETY / (rate_coll + rate_trans)
 
 
 def _transport_rhs(disp, W, ik):
@@ -627,14 +603,15 @@ def _transport_rhs(disp, W, ik):
     return -(disp.grad[:, 0][None, :] / TWO_PI) * dW
 
 
-def evolve_nonlinear(collision_op, L, disp, W0, times, box_length,
-                     dt=None, safety=0.4):
+def evolve_nonlinear(evaluator, L, W0, times, box_length, dt=None):
     """Method-of-lines RK4 for the full equation on a 1-D periodic box.
 
     Transport acts along the first axis only, differentiated spectrally;
-    collisions act per cell through `collision_op.apply_batch`.  Positivity
-    loss aborts with the failing time in the message.
+    collisions act per cell through `evaluator.apply_batch`.  The step is
+    `dt`, or `stable_step` of L when dt is None.  Positivity loss aborts with
+    the failing time in the message.
     """
+    disp = evaluator.disp
     W = np.array(W0, dtype=float)
     if W.ndim != 2 or W.shape[1] != disp.grid.size:
         raise ValueError("initial state must be (n_cells, n_k)")
@@ -645,12 +622,11 @@ def evolve_nonlinear(collision_op, L, disp, W0, times, box_length,
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0")
     if dt is None:
-        dt = stable_step(L, disp, n_x, box_length, safety)
-    collision_op = fourier_evaluator(collision_op)
+        dt = stable_step(L, disp, n_x, box_length)
     ik = 1j * TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
 
     def rhs(W):
-        return _transport_rhs(disp, W, ik) + collision_op.apply_batch(W)
+        return _transport_rhs(disp, W, ik) + evaluator.apply_batch(W)
 
     slow = np.stack([disp.winv, disp.winv2], axis=1)
     pair = slow * disp.w_sq[:, None] / disp.grid.size  # (N, 2): field -> (T1, T2)
@@ -668,7 +644,7 @@ def evolve_nonlinear(collision_op, L, disp, W0, times, box_length,
         T = W @ pair  # (n_x, 2)
         diag["T_mean"][j] = T.mean(axis=0)
         diag["T_sup"][j] = np.abs(T - T.mean(axis=0)).max(axis=0)
-        C = collision_op.apply_batch(W)
+        C = evaluator.apply_batch(W)
         r0 = np.abs(C.mean(axis=1)).max()
         r1 = np.abs(C @ disp.w).max() / disp.grid.size
         diag["conservation_sup"][j] = (r0, r1)
@@ -743,8 +719,7 @@ def _to_modes(traj):
     return traj.p_values, modes
 
 
-def decay_diagnostics(traj, disp, kappa, norm_spec=None, t_min=10.0,
-                      contamination=0.1):
+def decay_diagnostics(traj, disp, kappa, t_min=10.0, contamination=0.1):
     """Per-time distances from the explicit leading-order evolution.
 
     The slow part is compared against the conductivity heat flow of the
@@ -757,18 +732,16 @@ def decay_diagnostics(traj, disp, kappa, norm_spec=None, t_min=10.0,
     """
     if kappa.axis != 0:
         raise ValueError(f"kappa must be taken along axis 0, not {kappa.axis}")
-    if norm_spec is None:
-        norm_spec = WeightedNormSpec(d=disp.grid.d)
+    norm_spec = WeightedNormSpec(d=disp.grid.d)
     p_values, modes = _to_modes(traj)
     p_abs = np.abs(p_values)
     n_t = traj.times.size
 
     U = kappa.basis.u
-    to_coef = kappa.basis.to_coef
 
     # slow heat flow of the initial data, in orthonormal coordinates
     muv, O = np.linalg.eigh(kappa.kappa_op)
-    coef0 = modes[0] @ to_coef.T  # (n_p, 2)
+    coef0 = modes[0] @ kappa.basis.to_coef.T  # (n_p, 2)
     cut = (p_abs <= 1.0).astype(float)
     coef0 = coef0 * cut[:, None]
 
@@ -777,8 +750,7 @@ def decay_diagnostics(traj, disp, kappa, norm_spec=None, t_min=10.0,
     norm_T = np.zeros(n_t)
     norm_v = np.zeros(n_t)
     for j, t in enumerate(traj.times):
-        coef = modes[j] @ to_coef.T
-        Tfields = coef @ U.T
+        Tfields = kappa.basis.project_P(modes[j])
         vfields = modes[j] - Tfields
         decay = np.exp(-t * p_abs[:, None] ** 2 * muv[None, :])
         coef_ref = ((coef0 @ O) * decay) @ O.T
@@ -869,10 +841,10 @@ def _heat_reference(model, tau0, box_length, t_final, dt):
     return tau
 
 
-def _imex_kinetic(collision_op, L, disp, W0, eps, t_final, dt, box_length,
-                  newton_tol=1e-11, max_newton=12):
+def _imex_kinetic(evaluator, L, W0, eps, t_final, dt, box_length):
     """Rescaled kinetic solve: exact spectral transport at rate 1/eps,
     backward-Euler collisions at rate 1/eps^2 via frozen-Jacobian Newton."""
+    disp = evaluator.disp
     W = np.array(W0, dtype=float)
     n_x = W.shape[0]
     n_steps = max(1, int(np.ceil(t_final / dt)))
@@ -885,15 +857,15 @@ def _imex_kinetic(collision_op, L, disp, W0, eps, t_final, dt, box_length,
         -1j * h * p_half[:, None] * disp.grad[:, 0][None, :] / (TWO_PI * eps)
     )
 
-    lu = lu_factor(np.eye(disp.grid.size) + scale * L.matrix)
+    lu = lu_factor(np.eye(disp.grid.size) + scale * L)
     total_newton = 0
     for _ in range(n_steps):
         W = np.fft.irfft(phase * np.fft.rfft(W, axis=0), n=n_x, axis=0)
         target = W
-        for it in range(max_newton):
-            F = W - target - scale * collision_op.apply_batch(W)
+        for it in range(MAX_NEWTON):
+            F = W - target - scale * evaluator.apply_batch(W)
             err = np.abs(F).max()
-            if err <= newton_tol:
+            if err <= NEWTON_TOL:
                 break
             W = W - lu_solve(lu, F.T).T
             total_newton += 1
@@ -906,26 +878,24 @@ def _imex_kinetic(collision_op, L, disp, W0, eps, t_final, dt, box_length,
     return W, n_steps, total_newton
 
 
-def hydro_limit_study(collision_op, L, disp, response, kappa, tau0, v0_fields,
-                      box_length,
+def hydro_limit_study(response, kappa, tau0, v0_fields, box_length,
                       eps_list=(0.4, 0.2, 0.1, 0.05), t_compare=1.0,
-                      dt_base=0.02, dt_reference=1e-3, norm_spec=None):
+                      dt_base=0.02, dt_reference=1e-3):
     """Distance of the rescaled kinetic solutions from the heat reference.
 
     For each eps the kinetic equation is solved with transport scaled by
     1/eps and collisions by 1/eps^2 (exact spectral transport, implicit
     collisions); the reference is the nonlinear heat flow of the slow
     coefficients plus the shifted-background slaved fast part.  Distances
-    are weighted-envelope mode norms at t_compare.
+    are weighted-envelope mode norms at t_compare.  The collision evaluator,
+    L and the dispersion field are those of ``response``.
     """
-    if norm_spec is None:
-        norm_spec = WeightedNormSpec(d=disp.grid.d)
-    collision_op = fourier_evaluator(collision_op)
+    disp = response.disp
+    norm_spec = WeightedNormSpec(d=disp.grid.d)
     tau0 = np.asarray(tau0, dtype=float)
     v0_fields = np.asarray(v0_fields, dtype=float)
     n_x = tau0.shape[0]
     U = kappa.basis.u
-    to_coef = kappa.basis.to_coef
     p_values = box_modes(n_x, box_length)
     p_abs = np.abs(p_values)
     ik = 1j * p_values
@@ -948,11 +918,11 @@ def hydro_limit_study(collision_op, L, disp, response, kappa, tau0, v0_fields,
         if W0.min() <= 0:
             raise ValueError("initial data breaks positivity")
         W, n_steps, n_newton = _imex_kinetic(
-            collision_op, L, disp, W0, eps, t_compare, dt_base * eps, box_length
+            response.evaluator, response.L, W0, eps, t_compare, dt_base * eps,
+            box_length,
         )
         w = W - disp.winv[None, :]
-        coef = w @ to_coef.T
-        T_eps = coef @ U.T
+        T_eps = kappa.basis.project_P(w)
         v_eps = (w - T_eps) / eps
         dT = norm_spec.norm_t(
             p_abs, np.fft.fft(T_eps, axis=0) / n_x - ref_T_modes, t_compare

@@ -7,7 +7,9 @@ two lowest eigenvectors).  On them this module builds the slaving map
 -(i/2pi) L^-1 (p . grad omega) of a slow mode, the diffusion matrix
 (2 pi)^-2 <g_a, L^-1 g_b>_H, observables and currents, the per-mode
 Fourier-law residual, and the state-dependent diffusivity at a shifted
-background.
+background.  L is a plain (N, N) array, used only through products
+``L @ x``; `CollisionResponse` takes the batched collision evaluator and L,
+and reads the dispersion field from the evaluator.
 """
 
 from __future__ import annotations
@@ -17,18 +19,24 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .collision import fourier_evaluator
-from .linearized import OperatorMatrix, SpectralSummary, spectrum_L
+from .linearized import spectrum_L
 
 TWO_PI = 2.0 * np.pi
 
 # The dropped low pair; the collision-Jacobian step relative to the sup norm
-# of the direction; the shifted-background solves' tolerance and caps.
+# of the direction; the shifted-background solves' tolerance and caps; the
+# largest low-mode overlap and residual of the conductivity solves; the
+# Fourier-law bound per unit |p| ||T||; the largest relative deviation of a
+# per-axis conductivity; the stencil half-width of `DiffusivityModel`.
 LOW_MODES = 2
 FD_STEP = 1e-3
 RESPONSE_TOL = 1e-10
 GMRES_MAXITER = 200
 MAX_SWEEPS = 60
+RHS_TOL = 1e-8
+FOURIER_TOL_SCALE = 1e-6
+ISOTROPY_TOL = 1e-8
+CALIBRATION_STEP = 5e-3
 
 
 # ----------------------------------------------------------------------
@@ -162,13 +170,10 @@ class DeflatedInverse:
     """
 
     def __init__(self, L, disp, summary=None):
-        if isinstance(L, OperatorMatrix):
-            self.matrix = L.matrix
-        else:
-            self.matrix = np.asarray(L)
+        self.L = L
         self.disp = disp
         if summary is None:
-            summary = spectrum_L(OperatorMatrix(self.matrix, "H-self-adjoint"), disp)
+            summary = spectrum_L(L, disp)
         self._V_low = summary.eigenvectors_sym[:, :LOW_MODES]
         self._V_rest = summary.eigenvectors_sym[:, LOW_MODES:]
         self._lam_rest = summary.eigenvalues[LOW_MODES:]
@@ -198,7 +203,7 @@ class DeflatedInverse:
     def residual(self, x, g):
         """Weighted relative residual of the solve."""
         ip = self.disp.weighted_inner()
-        return ip.norm(self.matrix @ x - np.asarray(g)) / ip.norm(g)
+        return ip.norm(self.L @ x - np.asarray(g)) / ip.norm(g)
 
     def project_out_low(self, f):
         """Projection onto the complement of the dropped low modes."""
@@ -257,7 +262,7 @@ class ConductivityMatrix:
         return S.T @ self.kappa_ab @ S
 
 
-def compute_kappa(L, disp, summary=None, axis=0, rhs_tol=1e-8):
+def compute_kappa(L, disp, summary=None, axis=0):
     """Diffusion matrix by deflated solves against the gradient-weighted pair.
 
     For each slow direction e, forms g = d_axis omega * e (odd, hence in the
@@ -265,21 +270,21 @@ def compute_kappa(L, disp, summary=None, axis=0, rhs_tol=1e-8):
     and pairs back: kappa_ab[a, b] = (2 pi)^-2 inner_H(g_a, x_b).  The same
     pairing against the other gradient axes gives ``cross_direction_sup``.
     Raises if the right-hand side leaks into the dropped modes or the solve
-    residual exceeds ``rhs_tol``.
+    residual exceeds `RHS_TOL`.
     """
     basis = SlowBasis(disp)
     solver = DeflatedInverse(L, disp, summary)
     g, X = axis_response(solver, basis, axis)
     overlap = solver.low_mode_overlap(g.T)
-    if overlap.max() > rhs_tol:
+    if overlap.max() > RHS_TOL:
         raise RuntimeError(
             f"gradient-weighted slow direction overlaps the conserved modes "
-            f"by {overlap.max():.2e} (tolerance {rhs_tol:.0e})"
+            f"by {overlap.max():.2e} (tolerance {RHS_TOL:.0e})"
         )
     resid = max(solver.residual(X[:, b], g[:, b]) for b in (0, 1))
-    if resid > rhs_tol:
+    if resid > RHS_TOL:
         raise RuntimeError(
-            f"deflated solve residual {resid:.2e} exceeds {rhs_tol:.0e}"
+            f"deflated solve residual {resid:.2e} exceeds {RHS_TOL:.0e}"
         )
     kappa_ab = pairing(basis, g, X)
     S = basis.coeff_map
@@ -339,19 +344,18 @@ class FourierLawReport:
         return self.residual <= self.bound
 
 
-def fourier_law_check(kappa, state, p, v, solver=None, tol_scale=1e-6,
-                      isotropy_tol=1e-8):
+def fourier_law_check(kappa, state, p, v, solver=None):
     """Residual of the currents of ``v`` against the conductivity prediction.
 
     ``v`` must be the slaved fast state for the slow coefficients in
     ``state`` at spatial mode ``p``; the prediction is
     j_a = sum_b kappa_ab[a, b] * (i p_i) * t_b, checked componentwise against
-    the bound ``tol_scale * |p| * ||T||``.
+    the bound ``FOURIER_TOL_SCALE * |p| * ||T||``.
 
     When ``solver`` is given, the prediction for component i is evaluated
     with the response solves of gradient axis i.  The per-axis matrices agree
     with ``kappa.kappa_ab`` up to the isotropy defect (checked against
-    ``isotropy_tol``); re-pairing per axis keeps the comparison at the
+    `ISOTROPY_TOL`); re-pairing per axis keeps the comparison at the
     roundoff floor instead of amplifying that defect through the bound.
     """
     disp = kappa.basis.disp
@@ -369,15 +373,15 @@ def fourier_law_check(kappa, state, p, v, solver=None, tol_scale=1e-6,
         else:
             K_i = pairing(kappa.basis, *axis_response(solver, kappa.basis, i))
             defect = float(np.max(np.abs(K_i - kappa.kappa_ab))) / kappa_scale
-            if defect > isotropy_tol:
+            if defect > ISOTROPY_TOL:
                 raise RuntimeError(
                     f"axis-{i} conductivity deviates from the reported matrix "
-                    f"by {defect:.2e} relative (tolerance {isotropy_tol:.0e})"
+                    f"by {defect:.2e} relative (tolerance {ISOTROPY_TOL:.0e})"
                 )
         predicted[:, i] = 1j * p[i] * (K_i @ tvec)
     residual = float(np.max(np.abs(j - predicted)))
     tnorm = kappa.basis.inner.norm(state.as_field(disp))
-    bound = tol_scale * float(np.linalg.norm(p)) * tnorm
+    bound = FOURIER_TOL_SCALE * float(np.linalg.norm(p)) * tnorm
     return FourierLawReport(residual, bound, j, predicted)
 
 
@@ -395,15 +399,16 @@ class CollisionResponse:
     reduces to the assembled linearized matrix; the four-point rule makes
     each quotient the exact Jacobian action, see ``_jacobian_fd``).  Single
     solves use preconditioned GMRES; batches use the preconditioned
-    fixed-point iteration, which contracts at rate O(||T||).
+    fixed-point iteration, which contracts at rate O(||T||).  The batched
+    ``evaluator`` (`FourierCollision`) carries the dispersion field.
     """
 
-    def __init__(self, collision_op, L, disp, summary=None):
-        self.disp = disp
-        self.solver = DeflatedInverse(L, disp, summary)
-        self.matrix = self.solver.matrix
-        self.evaluator = fourier_evaluator(collision_op)
-        self._W0 = disp.winv
+    def __init__(self, evaluator, L, summary=None):
+        self.evaluator = evaluator
+        self.L = L
+        self.disp = evaluator.disp
+        self.solver = DeflatedInverse(L, self.disp, summary)
+        self._W0 = self.disp.winv
 
     def _jacobian_fd(self, W, v):
         """Directional derivative of the collision operator at background W.
@@ -439,7 +444,7 @@ class CollisionResponse:
 
         def matvec(v):
             calls["n"] += 1
-            return project(self.matrix @ v - self.shift_term(Tfield, v))
+            return project(self.L @ v - self.shift_term(Tfield, v))
 
         A = LinearOperator((N, N), matvec=matvec, dtype=float)
         M = LinearOperator((N, N), matvec=self.solver.apply, dtype=float)
@@ -468,7 +473,7 @@ class CollisionResponse:
             self.disp.grid.integrate(np.abs(rhs) ** 2 * self.disp.w_sq)))))
         prev = np.inf
         for _ in range(MAX_SWEEPS):
-            defect = rhs - (x @ self.matrix.T - self.shift_term(Tfields, x))
+            defect = rhs - (x @ self.L.T - self.shift_term(Tfields, x))
             defect = project(defect)
             err = float(np.max(np.sqrt(np.abs(
                 self.disp.grid.integrate(np.abs(defect) ** 2 * self.disp.w_sq)))))
@@ -499,7 +504,7 @@ class NonlinearDiffusivity:
     background_min: float
 
 
-def nonlinear_diffusivity(response, state, rhs_tol=1e-8):
+def nonlinear_diffusivity(response, state):
     """Diffusion matrix at background omega^-1 + (slow field of ``state``).
 
     Solves (L - m(T, .)) x_b = d_1 omega * e_b on the deflated complement —
@@ -525,16 +530,16 @@ def nonlinear_diffusivity(response, state, rhs_tol=1e-8):
             X[b], diag = response.solve(Tfield, g[b])
             calls += diag["matvec_calls"]
     ip = basis.inner
-    av = X @ response.matrix.T - response.shift_term(
+    av = X @ response.L.T - response.shift_term(
         np.broadcast_to(Tfield, g.shape), X
     )
     av = response.solver.project_out_low(av)
     resid = max(
         float(ip.norm(av[b] - g[b])) / float(ip.norm(g[b])) for b in (0, 1)
     )
-    if resid > rhs_tol:
+    if resid > RHS_TOL:
         raise RuntimeError(
-            f"shifted-background solve residual {resid:.2e} exceeds {rhs_tol:.0e}"
+            f"shifted-background solve residual {resid:.2e} exceeds {RHS_TOL:.0e}"
         )
     K_ab = pairing(basis, g.T, X.T)
     S = basis.coeff_map
@@ -551,14 +556,14 @@ def nonlinear_diffusivity(response, state, rhs_tol=1e-8):
 class DiffusivityModel:
     """First-order response surface for the state-dependent diffusivity.
 
-    Calibrated by full shifted-background solves at +-h along each slow
-    coefficient; evaluation is then a matrix-valued affine map, suitable
+    Calibrated by full shifted-background solves at +-`CALIBRATION_STEP`
+    along each slow coefficient; evaluation is then a matrix-valued affine map, suitable
     for inner loops of the heat-equation reference solver.  The quadratic
     calibration residual is recorded for error budgeting.
     """
 
-    def __init__(self, response, h=5e-3):
-        self.h = float(h)
+    def __init__(self, response):
+        h = CALIBRATION_STEP
         self.K0 = nonlinear_diffusivity(response, SlowState(0.0, 0.0)).matrix_op
         self.dK = []
         self.curvature = 0.0

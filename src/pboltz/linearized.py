@@ -10,6 +10,9 @@ where I1 and I2 are one-lattice-sum integrals over the interaction set (see
 `assemble_K`).  L is self-adjoint and positive semidefinite in the
 omega^2-weighted inner product, annihilates span{1/omega, 1/omega^2} up to
 the mollification bias, and has a spectral gap above that pair.
+`assemble_K` and `assemble_L` return plain (N, N) arrays in the node basis;
+`spectrum_L` checks that its argument is H-self-adjoint before it
+diagonalizes the omega-similarity transform (`DispersionField.similarity`).
 
 For the gaussian kernel, M, I1 and I2 are assembled from the cosine series
 of `FourierCollision`: every sum over k1 is a lattice convolution of one node
@@ -41,7 +44,6 @@ from .collision import PREFACTOR, _chunked, _cosine_series
 from .dispersion import omega
 
 __all__ = [
-    "OperatorMatrix",
     "SpectralSummary",
     "assemble_M",
     "assemble_I1",
@@ -57,34 +59,6 @@ __all__ = [
     "i1_mollified",
     "WIDTH_HALVING_MIN_RATIO",
 ]
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense operator in the node basis with a symmetry marker.
-
-    When `symmetry` is "H-self-adjoint", D_w A D_w^{-1} (D_w = multiplication
-    by omega) is symmetric to ~1e-8 relative — the similarity that turns the
-    weighted inner product into the plain one.
-    """
-
-    matrix: np.ndarray
-    symmetry: str = "none"
-
-    def apply(self, f):
-        return self.matrix @ f
-
-    def symmetrized(self, disp, tol=1e-8):
-        """Return the omega-similarity transform, checking its symmetry."""
-        w = disp.w
-        B = (w[:, None] / w[None, :]) * self.matrix
-        if self.symmetry == "H-self-adjoint":
-            defect = np.linalg.norm(B - B.T) / max(np.linalg.norm(B), 1e-300)
-            if defect > tol:
-                raise ValueError(
-                    f"symmetrization residual {defect:.2e} exceeds {tol:.0e}"
-                )
-        return B
 
 
 @dataclass
@@ -261,31 +235,41 @@ def assemble_K(grid, disp, delta, workers=1):
     I1 = assemble_I1(grid, disp, delta, workers)
     I2 = assemble_I2(grid, disp, delta, workers)
     winv2 = disp.winv2
-    K = -PREFACTOR * (winv2[:, None] * winv2[None, :]) * (I1 + I2)
-    return OperatorMatrix(K, symmetry="none")
+    return -PREFACTOR * (winv2[:, None] * winv2[None, :]) * (I1 + I2)
 
 
 def assemble_L(grid, disp, delta, workers=1):
     """L = diag(M) + K with the kernel's omega^2 n^{-d} measure folded in."""
     M = assemble_M(grid, disp, delta, workers)
     K = assemble_K(grid, disp, delta, workers)
-    L = K.matrix * (disp.w_sq[None, :] / grid.size)
+    L = K * (disp.w_sq[None, :] / grid.size)
     L[np.diag_indices_from(L)] += M
-    return OperatorMatrix(L, symmetry="H-self-adjoint")
+    return L
 
 
 # ----------------------------------------------------------------------
 # spectra and identities
 
 
-def spectrum_L(L, disp, sym_tol=1e-8):
-    """Eigen-decomposition of the symmetrized L plus zero-mode residuals."""
-    B = L.symmetrized(disp, tol=sym_tol)
+# Largest relative asymmetry of the omega-similarity transform of L that
+# `spectrum_L` accepts as H-self-adjoint.
+SYM_TOL = 1e-8
+
+
+def spectrum_L(L, disp):
+    """Eigen-decomposition of the symmetrized L plus zero-mode residuals.
+    Raises ValueError when L is not H-self-adjoint to `SYM_TOL` relative."""
+    B = disp.similarity(L)
+    defect = np.linalg.norm(B - B.T) / max(np.linalg.norm(B), 1e-300)
+    if defect > SYM_TOL:
+        raise ValueError(
+            f"symmetrization residual {defect:.2e} exceeds {SYM_TOL:.0e}"
+        )
     ev, U = eigh(0.5 * (B + B.T))
     hs = disp.weighted_inner()
     res = []
     for mode in (disp.winv, disp.winv2):
-        res.append(hs.norm(L.apply(mode)) / hs.norm(mode))
+        res.append(hs.norm(L @ mode) / hs.norm(mode))
     return SpectralSummary(
         eigenvalues=ev,
         zero_mode_residuals=(res[0], res[1]),
@@ -315,27 +299,27 @@ def fd_linearization_check(collision_op, L, directions=10, eps=1e-5, seed=1234):
         fd = (collision_op.apply(W0 + eps * f) - collision_op.apply(W0 - eps * f)) / (
             2.0 * eps
         )
-        Lf = L.apply(f)
+        Lf = L @ f
         worst = max(worst, float(np.abs(fd + Lf).max() / np.abs(Lf).max()))
     return worst
 
 
 def row_identity_residual(M, K, grid, disp):
     """Relative residual of the row identity M(k) = sum_{k'} K(k,k') w(k')^2 n^{-d}."""
-    rows = K.matrix @ disp.w_sq / grid.size
+    rows = K @ disp.w_sq / grid.size
     return float(np.abs(rows - M).max() / np.abs(M).max())
 
 
 def conjugate_row_identity_residual(M, K, grid, disp):
     """Relative residual of the discrete-zero-mode row identity
     M(k) = -w(k)^2 sum_{k'} K(k,k') n^{-d} (equivalent to L w^-2 = 0)."""
-    rows = -disp.w_sq * (K.matrix.sum(axis=1) / grid.size)
+    rows = -disp.w_sq * (K.sum(axis=1) / grid.size)
     return float(np.abs(rows - M).max() / np.abs(M).max())
 
 
 def kernel_row_sup(K, grid):
     """sup_k of the row integral sum_{k'} |K(k,k')| n^{-d}."""
-    return float(np.abs(K.matrix).sum(axis=1).max() / grid.size)
+    return float(np.abs(K).sum(axis=1).max() / grid.size)
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +364,6 @@ def _project_to_level(Gfun, dG, x, tol=1e-13):
         if norm_sq == 0.0:
             return None
         x -= val * np.array([g1, g2]) / norm_sq
-        if abs(val) < tol * (1.0 + abs(val)):
-            pass
         if abs(Gfun(*x)) < tol * max(1.0, np.sqrt(norm_sq)):
             return x
     return x if abs(Gfun(*x)) < 1e-9 else None

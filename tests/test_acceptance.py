@@ -186,7 +186,7 @@ def traj12(stack12, fourier12, operators12):
     bump = 1e-2 * np.exp(-0.5 * ((x - BOX_LENGTH / 2) / (BOX_LENGTH / 16.0)) ** 2)
     W0 = disp.winv[None, :] * (1.0 + bump[:, None])
     times = np.linspace(0.0, 30.0, 9)
-    return evolve_nonlinear(fourier12, operators12[2], disp, W0, times, BOX_LENGTH)
+    return evolve_nonlinear(fourier12, operators12[2], W0, times, BOX_LENGTH)
 
 
 # ----------------------------------------------------------------------
@@ -469,17 +469,13 @@ def test_12_fourier_law(stack24, kappa24, solver24, traj12, stack12, kappa12):
 
 def test_13_hydrodynamic_limit(stack12, fourier12, operators12, summary12, kappa12):
     _, disp, _ = stack12
-    L = operators12[2]
-    response = CollisionResponse(fourier12, L, disp, summary12)
+    response = CollisionResponse(fourier12, operators12[2], summary12)
     n_x = 16
     x = np.arange(n_x) * (BOX_LENGTH / n_x)
     tau0 = np.zeros((n_x, 2))
     tau0[:, 0] = 1e-3 * np.sin(2.0 * np.pi * x / BOX_LENGTH)
     v0 = np.zeros((n_x, disp.grid.size))
     study = hydro_limit_study(
-        fourier12,
-        L,
-        disp,
         response,
         kappa12,
         tau0,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pboltz import cli
+from pboltz import cli, evolution
 from pboltz.cli import (
     COMMANDS,
     SCHEMA,
@@ -22,6 +22,8 @@ from pboltz.cli import (
     resolve_config,
 )
 from pboltz.collision import CollisionOperator, DeltaKernel, FourierCollision
+from pboltz.evolution import stable_step
+from pboltz.linearized import assemble_L
 
 FAST = ["--n", "8"]
 
@@ -383,6 +385,31 @@ class TestArtifacts:
         assert manifest["fitted_constants"]["t_box"] > 0
         # unit-time fits on a 200-box are outside the diffusive window
         assert manifest["checks"]["fit_window_nonempty"] is False
+
+    @pytest.mark.parametrize("dt", ["auto", "0.01"])
+    def test_evolve_reports_the_step_it_took(self, tmp_path, monkeypatch, stack8, dt):
+        grid, disp, delta = stack8
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stable_step(*args)
+
+        monkeypatch.setattr(cli, "stable_step", counted)
+        monkeypatch.setattr(evolution, "stable_step", counted)
+        code, out = run(
+            tmp_path, "ev", "evolve", *FAST,
+            "--n-x", "8", "--t-max", "0.5", "--n-times", "2", "--dt", dt,
+        )
+        assert code == 0
+        step_dt = read_manifest(out)["fitted_constants"]["step_dt"]
+        if dt == "auto":
+            L = assemble_L(grid, disp, delta)
+            assert step_dt == stable_step(L, disp, 8, 200.0)
+            assert len(calls) == 1  # the step is computed once
+        else:
+            assert step_dt == 0.01
+            assert calls == []
 
     def test_hydro_limit_table(self, tmp_path):
         code, out = run(

@@ -44,11 +44,6 @@ class TestDeltaKernel:
         expect = AUTO_WIDTH_COEF * disp.max_grad * np.sqrt(grid.n)
         assert np.isclose(delta.width, expect)
 
-    def test_from_spacing_rule(self, stack8):
-        grid, disp, _ = stack8
-        k = DeltaKernel.from_spacing(grid, disp)
-        assert np.isclose(k.width, 4.0 * grid.h * disp.max_grad)
-
     def test_width_grows_slower_than_spacing_shrinks(self, params):
         widths = []
         for n in (8, 16, 32):

@@ -19,7 +19,6 @@ from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.evolution import (
     EvolutionTrajectory,
-    ModeOperator,
     ModeSemigroup,
     SlowFastBlocks,
     WeightedNormSpec,
@@ -34,6 +33,7 @@ from pboltz.evolution import (
     find_p0,
     h_operator_norm,
     hydro_limit_study,
+    mode_matrix,
     semigroup,
     semigroup_bound_sweep,
     spectrum_D,
@@ -63,40 +63,33 @@ def p0_12(operators12, stack12, summary12):
 @pytest.fixture(scope="module")
 def response12(fourier12, operators12, stack12, summary12):
     _, disp, _ = stack12
-    return CollisionResponse(fourier12, operators12[2], disp, summary12)
+    return CollisionResponse(fourier12, operators12[2], summary12)
 
 
 class TestModeOperator:
     def test_zero_frequency_matches_collision_matrix(self, operators12, stack12):
         _, disp, _ = stack12
         L = operators12[2]
-        mode = ModeOperator.build(L, disp, np.zeros(2))
-        assert np.array_equal(mode.matrix, L.matrix.astype(complex))
+        D = mode_matrix(L, disp, np.zeros(2))
+        assert np.array_equal(D, L.astype(complex))
 
     def test_imaginary_part_is_the_transport_diagonal(self, operators12, stack12):
         _, disp, _ = stack12
         L = operators12[2]
         p = np.array([0.3, -0.2])
-        mode = ModeOperator.build(L, disp, p)
-        assert np.array_equal(mode.matrix.real, L.matrix)
-        assert np.array_equal(
-            np.diag(mode.matrix.imag), (disp.grad @ p) / TWO_PI
-        )
-        off = mode.matrix.imag - np.diag(np.diag(mode.matrix.imag))
+        D = mode_matrix(L, disp, p)
+        assert np.array_equal(D.real, L)
+        assert np.array_equal(np.diag(D.imag), (disp.grad @ p) / TWO_PI)
+        off = D.imag - np.diag(np.diag(D.imag))
         assert np.all(off == 0.0)
 
     def test_rejects_wrong_frequency_dimension(self, operators12, stack12):
         _, disp, _ = stack12
         L = operators12[2]
         with pytest.raises(ValueError):
-            ModeOperator.build(L, disp, np.array([0.1, 0.2, 0.3]))
+            mode_matrix(L, disp, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError):
-            ModeOperator.build(L, disp, 0.1)
-
-    def test_frequency_magnitude(self, operators12, stack12):
-        _, disp, _ = stack12
-        mode = ModeOperator.build(operators12[2], disp, np.array([3.0, 4.0]))
-        assert mode.p_abs == 5.0
+            mode_matrix(L, disp, 0.1)
 
 
 class TestModeSpectrum:
@@ -104,11 +97,10 @@ class TestModeSpectrum:
         self, operators12, stack12, summary12
     ):
         _, disp, _ = stack12
-        sp = spectrum_D(ModeOperator.build(operators12[2], disp, np.zeros(2)))
-        assert abs(sp.lam1) < 1e-14
-        assert np.isclose(sp.gap_rest, summary12.gap, rtol=1e-9)
-        re = sp.eigenvalues.real
-        assert np.all(np.diff(re) >= 0)
+        ev = spectrum_D(mode_matrix(operators12[2], disp, np.zeros(2)))
+        assert abs(ev[0]) < 1e-14
+        assert np.isclose(ev[2].real, summary12.gap, rtol=1e-9)
+        assert np.all(np.diff(ev.real) >= 0)
 
     def test_second_eigenvalue_sits_below_the_gap_at_zero(
         self, operators12, stack12, summary12
@@ -118,19 +110,19 @@ class TestModeSpectrum:
         # refinement and drives the frequency-independent channel noted in
         # the module docstring.
         _, disp, _ = stack12
-        sp = spectrum_D(ModeOperator.build(operators12[2], disp, np.zeros(2)))
-        assert 0.0 < sp.lam2.real < summary12.gap
+        ev = spectrum_D(mode_matrix(operators12[2], disp, np.zeros(2)))
+        assert 0.0 < ev[1].real < summary12.gap
 
     def test_slow_pair_imaginary_parts_are_negligible(
         self, operators12, stack12, p0_12
     ):
         _, disp, _ = stack12
         p0 = p0_12
-        sp = spectrum_D(ModeOperator.build(operators12[2], disp, np.array([p0, 0.0])))
+        ev = spectrum_D(mode_matrix(operators12[2], disp, np.array([p0, 0.0])))
         # 1e-18 absorbs the eigensolver roundoff floor at these tiny scales.
         tol = 1e-6 * p0**2 + 1e-18
-        assert abs(sp.lam1.imag) < tol
-        assert abs(sp.lam2.imag) < tol
+        assert abs(ev[0].imag) < tol
+        assert abs(ev[1].imag) < tol
 
     def test_slow_pair_varies_continuously_in_frequency(
         self, operators12, stack12, summary12, p0_12
@@ -140,8 +132,7 @@ class TestModeSpectrum:
         prev = None
         max_step = 0.0
         for p_abs in np.linspace(0.0, 2.0 * p0_12, 9):
-            sp = spectrum_D(ModeOperator.build(L, disp, np.array([p_abs, 0.0])))
-            pair = np.array([sp.lam1, sp.lam2])
+            pair = spectrum_D(mode_matrix(L, disp, np.array([p_abs, 0.0])))[:2]
             if prev is not None:
                 max_step = max(max_step, float(np.abs(pair - prev).max()))
             prev = pair
@@ -152,10 +143,9 @@ class TestModeSpectrum:
         self, operators12, stack12, summary12, p0_12
     ):
         _, disp, _ = stack12
-        mode = ModeOperator.build(operators12[2], disp, np.array([2.0 * p0_12, 0.0]))
-        sp = spectrum_D(mode)
-        assert sp.eigenvalues.real.min() > 0.0
-        assert count_slow_eigenvalues(mode, 0.5 * summary12.gap) < 2
+        D = mode_matrix(operators12[2], disp, np.array([2.0 * p0_12, 0.0]))
+        assert spectrum_D(D).real.min() > 0.0
+        assert count_slow_eigenvalues(D, disp, 0.5 * summary12.gap) < 2
 
 
 class TestFindP0:
@@ -164,10 +154,10 @@ class TestFindP0:
         L = operators12[2]
         half = 0.5 * summary12.gap
         assert 0.0 < p0_12 < 1e-6
-        below = ModeOperator.build(L, disp, np.array([p0_12, 0.0]))
-        above = ModeOperator.build(L, disp, np.array([1.05 * p0_12, 0.0]))
-        assert count_slow_eigenvalues(below, half) == 2
-        assert count_slow_eigenvalues(above, half) != 2
+        below = mode_matrix(L, disp, np.array([p0_12, 0.0]))
+        above = mode_matrix(L, disp, np.array([1.05 * p0_12, 0.0]))
+        assert count_slow_eigenvalues(below, disp, half) == 2
+        assert count_slow_eigenvalues(above, disp, half) != 2
 
     def test_unreachable_threshold_raises(self, operators12, stack12):
         _, disp, _ = stack12
@@ -186,8 +176,8 @@ class TestModeSemigroup:
         self, operators12, stack12, summary12, p0_12
     ):
         _, disp, _ = stack12
-        mode = ModeOperator.build(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        sg = ModeSemigroup(mode)
+        D = mode_matrix(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
+        sg = ModeSemigroup(D)
         t1, t2 = 0.3 / summary12.gap, 1.0 / summary12.gap
         lhs = sg.propagator(t1) @ sg.propagator(t2)
         rhs = sg.propagator(t1 + t2)
@@ -200,14 +190,14 @@ class TestModeSemigroup:
         # The symmetric part of the mode operator is positive semidefinite in
         # the omega^2-weighted inner product, so the semigroup contracts.
         _, disp, _ = stack12
-        mode = ModeOperator.build(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        sg = ModeSemigroup(mode)
+        D = mode_matrix(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
+        sg = ModeSemigroup(D)
         for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
             assert h_operator_norm(disp, sg.propagator(t)) <= 1.0 + 1e-10
 
     def test_negative_time_rejected(self, operators12, stack12):
         _, disp, _ = stack12
-        sg = ModeSemigroup(ModeOperator.build(operators12[2], disp, np.zeros(2)))
+        sg = ModeSemigroup(mode_matrix(operators12[2], disp, np.zeros(2)))
         with pytest.raises(ValueError):
             sg.propagator(-1.0)
 
@@ -215,9 +205,9 @@ class TestModeSemigroup:
         self, operators12, stack12, summary12, p0_12
     ):
         _, disp, _ = stack12
-        mode = ModeOperator.build(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        sg_eig = ModeSemigroup(mode)
-        sg_pade = ModeSemigroup(mode, cond_limit=0.0)
+        D = mode_matrix(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
+        sg_eig = ModeSemigroup(D)
+        sg_pade = ModeSemigroup(D, cond_limit=0.0)
         assert sg_eig.method == "eig"
         assert sg_pade.method == "expm"
         t = 1.0 / summary12.gap
@@ -359,7 +349,7 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
         "full_norm", "full_norm_sup", "pq_norm", "qp_norm", "qq_norm",
         "qq_deflated_norm", "qtilde_norm")}
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(ModeOperator.build(L, disp, p_abs * e), cond_limit)
+        sg = ModeSemigroup(mode_matrix(L, disp, p_abs * e), cond_limit)
         P, Q, _, _ = _dense_frame(disp, summary, kappa, p_abs * e)
         Qtil = _dense_qtilde(sg)
         for j, t in enumerate(t_values):
@@ -398,7 +388,7 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
 
 
 def _dense_block_check(L, disp, summary, kappa, p, times, cond_limit):
-    sg = ModeSemigroup(ModeOperator.build(L, disp, p), cond_limit)
+    sg = ModeSemigroup(mode_matrix(L, disp, p), cond_limit)
     P, Q, A, B = _dense_frame(disp, summary, kappa, p)
     Qtil = _dense_qtilde(sg)
     u, to_coef = kappa.basis.u, kappa.basis.to_coef
@@ -476,8 +466,8 @@ class TestDenseOracleAgreement:
 # dense references formed only here
 
 
-def _dense_slow_count(mode, threshold):
-    ev = np.linalg.eigvals(mode.matrix)
+def _dense_slow_count(D, threshold):
+    ev = np.linalg.eigvals(D)
     return int(np.count_nonzero(ev.real < threshold))
 
 
@@ -509,10 +499,10 @@ def p0_probes(request, operators12, stack12, summary12):
     p0 = find_p0(L, disp, summary.gap, direction=direction)
     probes = []
 
-    def dense_count(mode, threshold):
-        dense = _dense_slow_count(mode, threshold)
-        probes.append((dense, count_slow_eigenvalues(mode, threshold),
-                       certified_slow_count(mode, threshold)))
+    def dense_count(D, disp, threshold):
+        dense = _dense_slow_count(D, threshold)
+        probes.append((dense, count_slow_eigenvalues(D, disp, threshold),
+                       certified_slow_count(D, disp, threshold)))
         return dense
 
     with pytest.MonkeyPatch.context() as patch:
@@ -544,9 +534,9 @@ class TestShiftInvertSlowCount:
         monkeypatch.setattr(evolution, "SLOW_COUNT_K", disp.grid.size - 1)
         half = 0.5 * summary12.gap
         for p_abs in (0.5 * p0_12, 2.0 * p0_12, 1.0):
-            mode = ModeOperator.build(operators12[2], disp, np.array([p_abs, 0.0]))
-            assert certified_slow_count(mode, half) is None
-            assert count_slow_eigenvalues(mode, half) == _dense_slow_count(mode, half)
+            D = mode_matrix(operators12[2], disp, np.array([p_abs, 0.0]))
+            assert certified_slow_count(D, disp, half) is None
+            assert count_slow_eigenvalues(D, disp, half) == _dense_slow_count(D, half)
 
 
 class TestLanczosNorm:
@@ -555,8 +545,8 @@ class TestLanczosNorm:
     ):
         _, disp, _ = stack12
         for p_abs in (0.25 * p0_12, p0_12):
-            sg = ModeSemigroup(ModeOperator.build(operators12[2], disp,
-                                                  np.array([p_abs, 0.0])))
+            D = mode_matrix(operators12[2], disp, np.array([p_abs, 0.0]))
+            sg = ModeSemigroup(D)
             blocks = SlowFastBlocks(kappa12.basis, sg)
             for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
                 S = sg.propagator(t)
@@ -600,7 +590,7 @@ class TestLanczosNorm:
         else:
             L, disp, e, p_unit = operators12[2], stack12[1], np.eye(2)[0], p0_12
         for factor in (0.0, 0.5, 1.0, 2.0):
-            sg = ModeSemigroup(ModeOperator.build(L, disp, factor * p_unit * e))
+            sg = ModeSemigroup(mode_matrix(L, disp, factor * p_unit * e))
             dense = np.linalg.cond(sg.V)
             assert sg.cond == pytest.approx(dense, rel=1e-12, abs=0.0)
             assert sg.method == ("eig" if dense <= 1e8 else "expm")
@@ -724,7 +714,7 @@ def perturbed_traj(fourier12, operators12, stack12):
     ripple = 0.01 * np.sin(TWO_PI * x)
     W0 = disp.winv[None, :] * (1.0 + ripple[:, None])
     times = np.array([0.0, 0.5, 1.0])
-    return evolve_nonlinear(fourier12, operators12[2], disp, W0, times, BOX)
+    return evolve_nonlinear(fourier12, operators12[2], W0, times, BOX)
 
 
 class TestNonlinearEvolution:
@@ -732,7 +722,7 @@ class TestNonlinearEvolution:
         _, disp, _ = stack12
         L = operators12[2]
         expected = 0.4 / (
-            np.diag(L.matrix).real.max()
+            np.diag(L).real.max()
             + np.abs(disp.grad[:, 0]).max() / TWO_PI * np.pi * 16 / BOX
         )
         assert stable_step(L, disp, 16, BOX) == pytest.approx(expected, rel=1e-12)
@@ -743,9 +733,7 @@ class TestNonlinearEvolution:
         # beyond 3e-4 over t = 1 would signal an integrator bug.
         _, disp, _ = stack12
         W0 = np.tile(disp.winv, (8, 1))
-        traj = evolve_nonlinear(
-            fourier12, operators12[2], disp, W0, [0.0, 1.0], BOX
-        )
+        traj = evolve_nonlinear(fourier12, operators12[2], W0, [0.0, 1.0], BOX)
         drift = np.abs(traj.states[-1] - disp.winv[None, :]).max()
         assert drift < 3e-4
 
@@ -772,11 +760,9 @@ class TestNonlinearEvolution:
         x = np.arange(n_x) / n_x
         W0 = disp.winv[None, :] * (1.0 + 0.01 * np.sin(TWO_PI * x)[:, None])
         dt = stable_step(operators12[2], disp, n_x, BOX)
-        coarse = evolve_nonlinear(
-            fourier12, operators12[2], disp, W0, [0.0, 0.5], BOX, dt=dt
-        )
+        coarse = evolve_nonlinear(fourier12, operators12[2], W0, [0.0, 0.5], BOX, dt=dt)
         fine = evolve_nonlinear(
-            fourier12, operators12[2], disp, W0, [0.0, 0.5], BOX, dt=0.5 * dt
+            fourier12, operators12[2], W0, [0.0, 0.5], BOX, dt=0.5 * dt
         )
         dev = np.abs(coarse.states[-1] - fine.states[-1]).max()
         assert dev < 1e-4 * np.abs(fine.states[-1]).max()  # measured 3e-13
@@ -788,11 +774,11 @@ class TestNonlinearEvolution:
         bad_zero = good.copy()
         bad_zero[1, 3] = 0.0
         with pytest.raises(ValueError):
-            evolve_nonlinear(fourier12, L, disp, bad_zero, [0.0, 1.0], BOX)
+            evolve_nonlinear(fourier12, L, bad_zero, [0.0, 1.0], BOX)
         with pytest.raises(ValueError):
-            evolve_nonlinear(fourier12, L, disp, disp.winv, [0.0, 1.0], BOX)
+            evolve_nonlinear(fourier12, L, disp.winv, [0.0, 1.0], BOX)
         with pytest.raises(ValueError):
-            evolve_nonlinear(fourier12, L, disp, good, [0.5, 1.0], BOX)
+            evolve_nonlinear(fourier12, L, good, [0.5, 1.0], BOX)
 
 
 class TestDecayDiagnostics:
@@ -849,9 +835,6 @@ class TestHydroLimitStudy:
         _, disp, _ = stack12
         n_x = 8
         study = hydro_limit_study(
-            fourier12,
-            operators12[2],
-            disp,
             response12,
             kappa12,
             np.zeros((n_x, 2)),
@@ -877,9 +860,6 @@ class TestHydroLimitStudy:
         tau0 = np.zeros((n_x, 2))
         tau0[:, 0] = 1e-3 * np.sin(TWO_PI * x)
         study = hydro_limit_study(
-            fourier12,
-            operators12[2],
-            disp,
             response12,
             kappa12,
             tau0,
@@ -907,9 +887,6 @@ class TestHydroLimitStudy:
         v0 = -np.ones((n_x, disp.grid.size))
         with pytest.raises(ValueError):
             hydro_limit_study(
-                fourier12,
-                operators12[2],
-                disp,
                 response12,
                 kappa12,
                 np.zeros((n_x, 2)),

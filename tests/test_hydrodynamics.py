@@ -38,9 +38,8 @@ def solver12(stack12, operators12, summary12):
 
 
 @pytest.fixture(scope="module")
-def response12(stack12, collision12, operators12, summary12):
-    _, disp, _ = stack12
-    return CollisionResponse(collision12, operators12[2], disp, summary12)
+def response12(fourier12, operators12, summary12):
+    return CollisionResponse(fourier12, operators12[2], summary12)
 
 
 class TestSlowBasis:
@@ -151,7 +150,7 @@ class TestDeflatedInverse:
     ):
         _, disp, _ = stack12
         v = summary12.eigenvectors_sym[:, 10] / disp.w
-        dev = np.linalg.norm(operators12[2].matrix @ solver12.apply(v) - v)
+        dev = np.linalg.norm(operators12[2] @ solver12.apply(v) - v)
         assert dev < 1e-8 * np.linalg.norm(v)
 
 
