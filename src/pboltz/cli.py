@@ -51,12 +51,10 @@ from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it her
     stable_step,
     unit_direction,
 )
-from .hydrodynamics import CollisionResponse, compute_kappa
+from .hydrodynamics import TWO_PI, CollisionResponse, compute_kappa
 from .linearized import WIDTH_HALVING_MIN_RATIO, assemble_L, spectrum_L
 from .linearized import i1_exact, i1_mollified
 from .torus_grid import TorusGrid
-
-TWO_PI = 2.0 * np.pi
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -462,9 +460,7 @@ def cmd_dispersion_relation(cfg, stack, out, clock):
         kappa = compute_kappa(L, disp, summary)
     p_values = np.linspace(cfg.p_min, cfg.p_max, cfg.p_count)
     with clock.stage("eigenvalue_sweep"):
-        sweep = dispersion_relation_sweep(
-            L, disp, kappa, p_values, direction=cfg.axis
-        )
+        sweep = dispersion_relation_sweep(L, kappa, p_values, direction=cfg.axis)
     rows = [
         (p, l1.real, l1.imag, l2.real, l2.imag)
         for p, l1, l2 in zip(sweep.p_values, sweep.lam1, sweep.lam2)
@@ -510,9 +506,7 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     p_values = np.array(cfg.p_factors) * p0
     t_values = np.array(cfg.t_factors) / summary.gap
     with clock.stage("norm_sweep"):
-        sweep = semigroup_bound_sweep(
-            L, disp, kappa, p_values, t_values, direction=direction
-        )
+        sweep = semigroup_bound_sweep(L, kappa, p_values, t_values, direction=direction)
     rows = []
     for i, p in enumerate(sweep.p_values):
         for j, t in enumerate(sweep.t_values):
@@ -600,11 +594,7 @@ def cmd_evolve(cfg, stack, out, clock):
         traj = evolve_nonlinear(evaluator, L, W0, times, cfg.box_length, dt=dt)
     with clock.stage("decay_report"):
         report = decay_diagnostics(
-            traj,
-            disp,
-            kappa,
-            t_min=cfg.t_min,
-            contamination=cfg.contamination,
+            traj, kappa, t_min=cfg.t_min, contamination=cfg.contamination
         )
     diag = traj.diagnostics
     rows = [

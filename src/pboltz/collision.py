@@ -82,9 +82,16 @@ class DeltaKernel:
     def weights(self, u):
         u = np.asarray(u, dtype=float)
         if self.shape == "gaussian":
-            z = u / self.width
-            vals = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * self.width)
-            return np.where(np.abs(z) <= self.TRUNCATION, vals, 0.0)
+            # exp(-z z / 2) / (sqrt(2 pi) width) where |z| <= TRUNCATION,
+            # else 0, with z = u / width; evaluated in place, one operation
+            # at a time in that order
+            z = np.divide(u, self.width, out=np.empty(u.shape))
+            vals = np.multiply(-0.5, z, out=np.empty(u.shape))
+            vals *= z
+            np.exp(vals, out=vals)
+            vals /= np.sqrt(2.0 * np.pi) * self.width
+            vals[~(np.abs(z, out=z) <= self.TRUNCATION)] = 0.0
+            return vals
         return np.maximum(1.0 - np.abs(u) / self.width, 0.0) / self.width
 
     def mass(self, resolution=200001):
@@ -147,6 +154,15 @@ class CollisionOperator(CollisionDiagnostics):
     worker count).
     `workers=1` by default; the row loop is vectorized over the (k1, k2)
     plane either way.
+
+    Rows are indexed by gathers, not by per-axis arithmetic: the operator
+    holds one (N, N) table, the flat index of k1 - k2 (`TorusGrid.pair_index`,
+    N = n^d), and translation by k0 is the index permutation
+    `grid.shift(k0)`, so the leg-3 values of row k0 are x[shift][table] for
+    every per-node field x.  Each row evaluates the bracket with the same
+    operations in the same order and sums the (k1, k2) plane in one
+    `np.sum`; only products that do not depend on k0 are taken out of the
+    loop.
     """
 
     def __init__(self, grid, disp, delta, workers=1):
@@ -156,30 +172,53 @@ class CollisionOperator(CollisionDiagnostics):
         self.disp = disp
         self.delta = delta
         self.workers = max(1, int(workers))
-        mi = grid.multi_index
-        # per-axis difference table (k1 - k2), shared by all rows
-        self._dmi = mi[:, None, :] - mi[None, :, :]
-
-    def _leg3_index(self, i0):
-        m = self.grid.multi_index[i0] + self._dmi
-        return (m % self.grid.n) @ self.grid.strides
+        self._diff = grid.pair_index(-1)
 
     def _rows(self, W, i0_list, out):
         w = self.disp.w
         winv = self.disp.winv
         W1 = W[:, None]
         W2 = W[None, :]
+        # W1 * W2 * W3 is (W1 * W2) * W3, so W1 * W2 is shared by all rows;
+        # W0 * W1 * W2 * W3 is ((W0 * W1) * W2) * W3 and stays in the loop
+        W12 = W1 * W2
         bw12 = winv[:, None] * winv[None, :]
+        w1 = w[:, None]
+        w2 = w[None, :]
+        # leg-3 planes and scratch of this call only, so threaded chunks
+        # never share them
+        W3, w3, winv3, u, F, T = (np.empty(self._diff.shape) for _ in range(6))
         for i0 in i0_list:
-            i3 = self._leg3_index(i0)
-            w3 = w[i3]
-            u = (w[i0] + w[:, None]) - (w[None, :] + w3)
-            dlt = self.delta.weights(u)
-            W3 = W[i3]
+            # x[k0 + k1 - k2] = x[shift by k0][k1 - k2]; every index is in
+            # range, so mode="wrap" only skips numpy's buffered bounds check
+            shift = self.grid.shift(self.grid.multi_index[i0])
+            np.take(W[shift], self._diff, out=W3, mode="wrap")
+            np.take(w[shift], self._diff, out=w3, mode="wrap")
+            np.take(winv[shift], self._diff, out=winv3, mode="wrap")
             W0 = W[i0]
-            F = W1 * W2 * W3 - W0 * (W1 * W2 + W1 * W3 - W2 * W3)
-            G = F - (W0 * W1 * W2 * W3) * u
-            out[i0] = np.sum((winv[i0] * bw12 * winv[i3]) * dlt * G)
+            # u = (w0 + w1) - (w2 + w3)
+            np.add(w2, w3, out=u)
+            np.subtract(w[i0] + w1, u, out=u)
+            dlt = self.delta.weights(u)
+            # F = W1 W2 W3 - W0 (W1 W2 + W1 W3 - W2 W3)
+            np.multiply(W1, W3, out=T)
+            np.add(W12, T, out=T)
+            np.multiply(W2, W3, out=F)
+            np.subtract(T, F, out=T)
+            np.multiply(W0, T, out=T)
+            np.multiply(W12, W3, out=F)
+            np.subtract(F, T, out=F)
+            # G = F - (W0 W1 W2 W3) u, in F
+            np.multiply(W0 * W1, W2, out=T)
+            np.multiply(T, W3, out=T)
+            np.multiply(T, u, out=T)
+            np.subtract(F, T, out=F)
+            # (winv0 winv1 winv2 winv3) dlt G
+            np.multiply(winv[i0], bw12, out=T)
+            np.multiply(T, winv3, out=T)
+            np.multiply(T, dlt, out=T)
+            np.multiply(T, F, out=T)
+            out[i0] = np.sum(T)
 
     def apply(self, W):
         """collision_C: the collision integral of a real field W."""
@@ -200,15 +239,16 @@ class CollisionOperator(CollisionDiagnostics):
         w = self.disp.w
         winv = self.disp.winv
         R = 1.0 / W
-        P12 = (winv * W)[:, None] * (winv * W)[None, :]
+        x = winv * W
+        P12 = x[:, None] * x[None, :]
         J12 = R[:, None] - R[None, :]
         acc = 0.0
         for i0 in range(self.grid.size):
-            i3 = self._leg3_index(i0)
-            u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
+            shift = self.grid.shift(self.grid.multi_index[i0])
+            u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][self._diff])
             dlt = self.delta.weights(u)
-            J = (R[i0] + J12) - R[i3]
-            P = (winv[i0] * W[i0]) * P12 * (winv[i3] * W[i3])
+            J = (R[i0] + J12) - R[shift][self._diff]
+            P = x[i0] * P12 * x[shift][self._diff]
             acc += np.sum(P * dlt * J * J)
         return float(acc / self.grid.size**3)
 

@@ -20,9 +20,13 @@ import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
 from scipy.sparse.linalg import ArpackNoConvergence, eigs, svds
 
-from .hydrodynamics import DeflatedInverse, DiffusivityModel, SlowState, slaved_state
-
-TWO_PI = 2.0 * np.pi
+from .hydrodynamics import (
+    TWO_PI,
+    DeflatedInverse,
+    DiffusivityModel,
+    SlowState,
+    slaved_state,
+)
 
 # Number of eigenvalues `certified_slow_count` asks shift-invert Arnoldi
 # for.  Doubling it certified no further probe of `find_p0` on any tested
@@ -314,7 +318,7 @@ class BlockResiduals:
     slow_norm: float
 
 
-def block_decomposition_check(L, disp, summary, kappa, p, times, cond_limit=1e8):
+def block_decomposition_check(L, summary, kappa, p, times, cond_limit=1e8):
     """Residuals of the four propagator blocks against their leading terms.
 
     The slow-slow block is compared to K_t = u k_t to_coef with
@@ -329,10 +333,11 @@ def block_decomposition_check(L, disp, summary, kappa, p, times, cond_limit=1e8)
     Q (P~ S + S P~ - P~ S P~) Q - (A u) k_t (to_coef B) rank <= 6; all are
     weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).
     """
+    basis = kappa.basis
+    disp = basis.disp
     p = np.asarray(p, dtype=float)
     p2 = float(p @ p)
     sg = ModeSemigroup(mode_matrix(L, disp, p), cond_limit)
-    basis = kappa.basis
     blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
     solver = DeflatedInverse(L, disp, summary)
@@ -389,7 +394,7 @@ class SemigroupSweep:
     qq_halving_ratios: np.ndarray
 
 
-def semigroup_bound_sweep(L, disp, kappa, p_values, t_values, direction=None,
+def semigroup_bound_sweep(L, kappa, p_values, t_values, direction=None,
                           cond_limit=1e8):
     """Measure the propagator block norms over a (p, t) grid.
 
@@ -405,8 +410,9 @@ def semigroup_bound_sweep(L, disp, kappa, p_values, t_values, direction=None,
     O(N^3) work is S itself; the norms of S, Q S Q and S Q~ are Lanczos
     iterations of O(N^2) matvecs each (`h_operator_norm`).
     """
-    e = unit_direction(disp.grid.d, direction)
     basis = kappa.basis
+    disp = basis.disp
+    e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     n_p, n_t = p_values.size, t_values.size
@@ -486,9 +492,10 @@ class DispersionRelationSweep:
     rel_err: np.ndarray
 
 
-def dispersion_relation_sweep(L, disp, kappa, p_values, direction=None):
+def dispersion_relation_sweep(L, kappa, p_values, direction=None):
     """Fit the two lowest eigenvalues of the mode operator to c * p^2 and
     compare the coefficients with the conductivity eigenvalues."""
+    disp = kappa.basis.disp
     e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     lam1 = np.zeros(p_values.size, dtype=complex)
@@ -719,7 +726,7 @@ def _to_modes(traj):
     return traj.p_values, modes
 
 
-def decay_diagnostics(traj, disp, kappa, t_min=10.0, contamination=0.1):
+def decay_diagnostics(traj, kappa, t_min=10.0, contamination=0.1):
     """Per-time distances from the explicit leading-order evolution.
 
     The slow part is compared against the conductivity heat flow of the
@@ -732,7 +739,7 @@ def decay_diagnostics(traj, disp, kappa, t_min=10.0, contamination=0.1):
     """
     if kappa.axis != 0:
         raise ValueError(f"kappa must be taken along axis 0, not {kappa.axis}")
-    norm_spec = WeightedNormSpec(d=disp.grid.d)
+    norm_spec = WeightedNormSpec(d=kappa.basis.disp.grid.d)
     p_values, modes = _to_modes(traj)
     p_abs = np.abs(p_values)
     n_t = traj.times.size

@@ -121,15 +121,6 @@ def _pair_sum(c, left, right, F, index):
     return out
 
 
-def _pair_index(grid, sign):
-    """Flat index of k + sign k' (per axis mod n) for every pair (k, k')."""
-    index = np.zeros((grid.size, grid.size), dtype=np.intp)
-    for axis, stride in enumerate(grid.strides):
-        m = grid.multi_index[:, axis]
-        index += (m[:, None] + sign * m[None, :]) % grid.n * stride
-    return index
-
-
 def assemble_M(grid, disp, delta, workers=1):
     """The multiplier: M(k) = (9pi/4) n^{-2d} sum_{k1,k2} (w1 w2 w3)^{-2}
     delta_eta(w+w1-w2-w3), k3 = k+k1-k2.  Strictly positive."""
@@ -150,7 +141,7 @@ def assemble_I1(grid, disp, delta, workers=1):
         return _assemble_I1_direct(grid, disp, delta, workers)
     c, E, B = _node_spectra(grid, disp, delta)
     G = _node_fields(B.real * B.real + B.imag * B.imag)
-    return 2.0 * _pair_sum(c, E, np.conj(E), G, _pair_index(grid, -1)) / grid.size
+    return 2.0 * _pair_sum(c, E, np.conj(E), G, grid.pair_index(-1)) / grid.size
 
 
 def assemble_I2(grid, disp, delta, workers=1):
@@ -160,7 +151,7 @@ def assemble_I2(grid, disp, delta, workers=1):
         return _assemble_I2_direct(grid, disp, delta, workers)
     c, E, B = _node_spectra(grid, disp, delta)
     H = _node_fields(B * B)
-    return -_pair_sum(c, E, E, H, _pair_index(grid, 1)) / grid.size
+    return -_pair_sum(c, E, E, H, grid.pair_index(1)) / grid.size
 
 
 def _assemble_M_direct(grid, disp, delta, workers=1):
@@ -175,13 +166,13 @@ def _M_direct_rows(grid, disp, delta, out, rows):
     N = grid.size
     w = disp.w
     winv2 = disp.winv2
-    mi = grid.multi_index
-    dmi = mi[:, None, :] - mi[None, :, :]
+    diff = grid.pair_index(-1)  # k1 - k2
     pref12 = winv2[:, None] * winv2[None, :]
     for i0 in rows:
-        i3 = ((mi[i0] + dmi) % grid.n) @ grid.strides
-        u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
-        out[i0] = PREFACTOR * np.sum(pref12 * winv2[i3] * delta.weights(u)) / N**2
+        shift = grid.shift(grid.multi_index[i0])  # x[shift][diff] = x[k0 + k1 - k2]
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
+        winv2_3 = winv2[shift][diff]
+        out[i0] = PREFACTOR * np.sum(pref12 * winv2_3 * delta.weights(u)) / N**2
 
 
 def _assemble_I1_direct(grid, disp, delta, workers=1):

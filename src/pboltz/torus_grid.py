@@ -98,6 +98,15 @@ class TorusGrid:
         """Index permutation realizing k -> k + delta for a lattice vector."""
         return self.flatten(self.multi_index + np.asarray(delta_multi))
 
+    def pair_index(self, sign):
+        """(size, size) table: flat index of k + sign k' (per axis mod n)
+        for every pair (k, k')."""
+        index = np.zeros((self.size, self.size), dtype=np.intp)
+        for axis, stride in enumerate(self.strides):
+            m = self.multi_index[:, axis]
+            index += (m[:, None] + sign * m[None, :]) % self.n * stride
+        return index
+
 
 class WeightedInnerProduct:
     """The inner product of L^2(T^d, omega^2 dk).

@@ -349,10 +349,8 @@ def test_08_conductivity_matrix(L24, stack24, summary24, kappa24):
     )
 
 
-def test_09_mode_curvature_matches_conductivity(L24, stack24, kappa24):
-    sweep = dispersion_relation_sweep(
-        L24, stack24[1], kappa24, np.linspace(0.02, 0.1, 9)
-    )
+def test_09_mode_curvature_matches_conductivity(L24, kappa24):
+    sweep = dispersion_relation_sweep(L24, kappa24, np.linspace(0.02, 0.1, 9))
     # The two slow eigenvalue branches saturate at the relaxation scale well
     # below |p| ~ 0.02, so their fitted curvature is orders of magnitude
     # smaller than the conductivity eigenvalues (helper-level tests cover the
@@ -376,7 +374,6 @@ def test_10_semigroup_block_bounds(L24, stack24, summary24, kappa24):
     p0 = find_p0(L24, disp, gap)
     sweep = semigroup_bound_sweep(
         L24,
-        disp,
         kappa24,
         p0 * np.array([0.25, 0.5, 1.0]),
         np.array([0.3, 1.0, 3.0]) / gap,
@@ -402,8 +399,8 @@ def test_10_semigroup_block_bounds(L24, stack24, summary24, kappa24):
 # 11-12: finite box
 
 
-def test_11_box_decay_exponents(traj12, stack12, summary12, kappa12):
-    rep = decay_diagnostics(traj12, stack12[1], kappa12, t_min=10.0)
+def test_11_box_decay_exponents(traj12, summary12, kappa12):
+    rep = decay_diagnostics(traj12, kappa12, t_min=10.0)
     # The box-validity horizon t_box ~ 1/(p_min^2 mu_min) is ~1e-5 here
     # (macroscopic diffusion is fast because the gap is tiny), so the
     # requested fit window [10, t_box] is empty and the slopes are NaN.

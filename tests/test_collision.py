@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pboltz import linearized
 from pboltz.collision import (
     _CHUNK_VALUES,
     AUTO_WIDTH_COEF,
@@ -350,3 +351,110 @@ class TestFourierEntropy:
         assert abs(energy - energy_direct) <= 1e-12 * sup_norm(C)
         tau = fourier12.equilibrium_tolerance()
         assert _relative(tau, collision12.equilibrium_tolerance()) <= 1e-12
+
+
+def _arithmetic_leg3(grid, i0):
+    """The flat index of k3 = k0 + k1 - k2 by per-axis integer arithmetic,
+    the way the direct sums computed it before they gathered it."""
+    mi = grid.multi_index
+    return ((mi[i0] + (mi[:, None, :] - mi[None, :, :])) % grid.n) @ grid.strides
+
+
+def _arithmetic_rows(op, W, rows, out):
+    """`CollisionOperator._rows` with the arithmetic leg-3 index."""
+    w, winv = op.disp.w, op.disp.winv
+    W1 = W[:, None]
+    W2 = W[None, :]
+    bw12 = winv[:, None] * winv[None, :]
+    for i0 in rows:
+        i3 = _arithmetic_leg3(op.grid, i0)
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
+        dlt = op.delta.weights(u)
+        W3 = W[i3]
+        W0 = W[i0]
+        F = W1 * W2 * W3 - W0 * (W1 * W2 + W1 * W3 - W2 * W3)
+        G = F - (W0 * W1 * W2 * W3) * u
+        out[i0] = np.sum((winv[i0] * bw12 * winv[i3]) * dlt * G)
+
+
+def _arithmetic_entropy(op, W):
+    """`CollisionOperator.entropy_production` with the arithmetic index."""
+    w, winv = op.disp.w, op.disp.winv
+    R = 1.0 / W
+    P12 = (winv * W)[:, None] * (winv * W)[None, :]
+    J12 = R[:, None] - R[None, :]
+    acc = 0.0
+    for i0 in range(op.grid.size):
+        i3 = _arithmetic_leg3(op.grid, i0)
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
+        dlt = op.delta.weights(u)
+        J = (R[i0] + J12) - R[i3]
+        P = (winv[i0] * W[i0]) * P12 * (winv[i3] * W[i3])
+        acc += np.sum(P * dlt * J * J)
+    return float(acc / op.grid.size**3)
+
+
+def _arithmetic_M_rows(grid, disp, delta, out, rows):
+    """`linearized._M_direct_rows` with the arithmetic index."""
+    N = grid.size
+    w, winv2 = disp.w, disp.winv2
+    pref12 = winv2[:, None] * winv2[None, :]
+    for i0 in rows:
+        i3 = _arithmetic_leg3(grid, i0)
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[i3])
+        out[i0] = PREFACTOR * np.sum(pref12 * winv2[i3] * delta.weights(u)) / N**2
+
+
+class TestGatheredLegThree:
+    """The direct sums gather k3 from an index table; each result is bitwise
+    the one of the per-axis arithmetic index with the same operations."""
+
+    def test_gaussian_weights_are_the_closed_form(self):
+        k = DeltaKernel("gaussian", 0.7)
+        u = np.concatenate([
+            np.random.default_rng(6).standard_normal(4096) * 3.0,
+            [0.0, -0.0, 5.6, -5.6, 5.6000001, 1e-300, -1e300, np.inf, -np.inf, np.nan],
+        ])
+        with np.errstate(over="ignore"):  # z * z at |u| = 1e300
+            z = u / k.width
+            vals = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * k.width)
+            expect = np.where(np.abs(z) <= k.TRUNCATION, vals, 0.0)
+            got = k.weights(u)
+        assert np.array_equal(got, expect)
+        assert k.weights(u[0]).shape == ()
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("shape", ["gaussian", "triangular"])
+    def test_apply_and_entropy_match_the_arithmetic_index(self, n, shape):
+        grid, disp, delta = _stack(2, n)
+        if shape == "triangular":
+            delta = DeltaKernel("triangular", 2.0)
+        op = CollisionOperator(grid, disp, delta)
+        W = 0.1 + np.random.default_rng(n).random(grid.size)
+        out = np.empty(grid.size)
+        _arithmetic_rows(op, W, np.arange(grid.size), out)
+        assert np.array_equal(op.apply(W), PREFACTOR * out / grid.size**2)
+        assert op.entropy_production(W) == _arithmetic_entropy(op, W)
+
+    def test_sampled_rows_match_the_arithmetic_index_in_three_dimensions(self):
+        grid, disp, delta = _stack(3, 8)
+        op = CollisionOperator(grid, disp, delta)
+        rng = np.random.default_rng(8)
+        W = 0.1 + rng.random(grid.size)
+        rows = rng.choice(grid.size, size=8, replace=False)
+        got, expect = np.zeros(grid.size), np.zeros(grid.size)
+        op._rows(W, rows, got)
+        _arithmetic_rows(op, W, rows, expect)
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("d, n, count", [(2, 8, None), (2, 12, None), (3, 8, 8)])
+    def test_direct_M_rows_match_the_arithmetic_index(self, d, n, count):
+        grid, disp, _ = _stack(d, n)
+        tri = DeltaKernel("triangular", 2.0)
+        rows = np.arange(grid.size)
+        if count is not None:
+            rows = np.random.default_rng(9).choice(grid.size, size=count, replace=False)
+        got, expect = np.zeros(grid.size), np.zeros(grid.size)
+        linearized._M_direct_rows(grid, disp, tri, got, rows)
+        _arithmetic_M_rows(grid, disp, tri, expect, rows)
+        assert np.array_equal(got, expect)

@@ -40,11 +40,10 @@ from pboltz.evolution import (
     stable_step,
     unit_direction,
 )
-from pboltz.hydrodynamics import CollisionResponse, compute_kappa
+from pboltz.hydrodynamics import TWO_PI, CollisionResponse, compute_kappa
 from pboltz.linearized import assemble_L, spectrum_L
 from pboltz.torus_grid import TorusGrid
 
-TWO_PI = 2.0 * np.pi
 BOX = 200.0
 
 
@@ -216,11 +215,9 @@ class TestModeSemigroup:
 
 
 class TestBlockDecomposition:
-    def test_static_identity_at_zero_frequency(
-        self, operators12, stack12, summary12, kappa12
-    ):
+    def test_static_identity_at_zero_frequency(self, operators12, summary12, kappa12):
         rows = block_decomposition_check(
-            operators12[2], stack12[1], summary12, kappa12, np.zeros(2), [0.0]
+            operators12[2], summary12, kappa12, np.zeros(2), [0.0]
         )
         r = rows[0]
         assert r.pp < 1e-12
@@ -232,26 +229,23 @@ class TestBlockDecomposition:
         # component (measured 0.77) before any dynamics happen.
         assert 0.5 < r.qq < 1.0
 
-    def test_relaxation_at_zero_frequency(
-        self, operators12, stack12, summary12, kappa12
-    ):
+    def test_relaxation_at_zero_frequency(self, operators12, summary12, kappa12):
         # The near-null kernel-width mode decays at ~0.3 of the gap while the
         # closed-form slow block does not decay at p = 0; by one gap time the
         # slow-slow residual has grown to order one (measured 0.79).  This is
         # the frequency-independent channel: it does not shrink with |p|.
         t = 1.0 / summary12.gap
         rows = block_decomposition_check(
-            operators12[2], stack12[1], summary12, kappa12, np.zeros(2), [t]
+            operators12[2], summary12, kappa12, np.zeros(2), [t]
         )
         assert 0.3 < rows[0].pp < 1.2
 
     def test_rows_record_times_and_bounded_slow_norms(
-        self, operators12, stack12, summary12, kappa12, p0_12
+        self, operators12, summary12, kappa12, p0_12
     ):
         times = np.array([0.3, 1.0, 3.0]) / summary12.gap
         rows = block_decomposition_check(
             operators12[2],
-            stack12[1],
             summary12,
             kappa12,
             np.array([p0_12, 0.0]),
@@ -265,12 +259,10 @@ class TestBlockDecomposition:
 
 
 @pytest.fixture(scope="module")
-def sweep(operators12, stack12, summary12, kappa12, p0_12):
+def sweep(operators12, summary12, kappa12, p0_12):
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
     t_values = np.array([0.3, 1.0, 3.0]) / summary12.gap
-    return semigroup_bound_sweep(
-        operators12[2], stack12[1], kappa12, p_values, t_values
-    )
+    return semigroup_bound_sweep(operators12[2], kappa12, p_values, t_values)
 
 
 class TestSemigroupSweep:
@@ -439,7 +431,7 @@ class TestDenseOracleAgreement:
 
     def test_sweep_matches_the_dense_products(self, oracle_case):
         L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
-        sweep = semigroup_bound_sweep(L, disp, kappa, p_values, t_values,
+        sweep = semigroup_bound_sweep(L, kappa, p_values, t_values,
                                       direction=direction, cond_limit=cond)
         oracle = _dense_sweep(L, disp, summary, kappa, p_values, t_values,
                               direction, cond)
@@ -451,7 +443,7 @@ class TestDenseOracleAgreement:
     def test_block_check_matches_the_dense_products(self, oracle_case):
         L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
         p = p_values[-1] * unit_direction(disp.grid.d, direction)
-        rows = block_decomposition_check(L, disp, summary, kappa, p, t_values,
+        rows = block_decomposition_check(L, summary, kappa, p, t_values,
                                          cond_limit=cond)
         oracle = _dense_block_check(L, disp, summary, kappa, p, t_values, cond)
         for row, expect in zip(rows, oracle, strict=True):
@@ -597,37 +589,30 @@ class TestLanczosNorm:
 
 
 class TestDispersionRelationSweep:
-    def test_quadratic_coefficients_are_axis_isotropic(
-        self, operators12, stack12, kappa12
-    ):
-        _, disp, _ = stack12
+    def test_quadratic_coefficients_are_axis_isotropic(self, operators12, kappa12):
         p_values = np.linspace(0.02, 0.1, 5)
-        along_x = dispersion_relation_sweep(operators12[2], disp, kappa12, p_values)
+        along_x = dispersion_relation_sweep(operators12[2], kappa12, p_values)
         along_y = dispersion_relation_sweep(
-            operators12[2], disp, kappa12, p_values, direction=[0.0, 1.0]
+            operators12[2], kappa12, p_values, direction=[0.0, 1.0]
         )
         assert np.allclose(along_x.quad_coef, along_y.quad_coef, rtol=1e-6)
 
-    def test_box_scale_fit_reports_the_scale_mismatch(
-        self, operators12, stack12, kappa12
-    ):
+    def test_box_scale_fit_reports_the_scale_mismatch(self, operators12, kappa12):
         # At box-scale frequencies the spectrum is transport-dominated: the
         # fitted quadratic coefficients come out ~5e-6 against conductivity
         # eigenvalues ~1e7, so the relative error saturates at 1.  Recorded
         # as measured; the small-frequency regime is exercised elsewhere.
-        _, disp, _ = stack12
         sweep = dispersion_relation_sweep(
-            operators12[2], disp, kappa12, np.linspace(0.02, 0.1, 5)
+            operators12[2], kappa12, np.linspace(0.02, 0.1, 5)
         )
         assert np.all(sweep.quad_coef > 0.0)
         assert np.all(np.diff(sweep.quad_coef) >= 0)
         assert np.all(np.diff(sweep.mu) >= 0)
         assert np.all(sweep.rel_err > 0.9)
 
-    def test_records_the_raw_eigenvalue_tracks(self, operators12, stack12, kappa12):
-        _, disp, _ = stack12
+    def test_records_the_raw_eigenvalue_tracks(self, operators12, kappa12):
         p_values = np.linspace(0.02, 0.1, 5)
-        sweep = dispersion_relation_sweep(operators12[2], disp, kappa12, p_values)
+        sweep = dispersion_relation_sweep(operators12[2], kappa12, p_values)
         assert sweep.lam1.shape == p_values.shape
         assert sweep.lam2.shape == p_values.shape
         assert np.all(sweep.lam1.real > 0.0)
@@ -782,11 +767,8 @@ class TestNonlinearEvolution:
 
 
 class TestDecayDiagnostics:
-    def test_box_window_is_empty_at_unit_times(
-        self, perturbed_traj, stack12, kappa12
-    ):
-        _, disp, _ = stack12
-        rep = decay_diagnostics(perturbed_traj, disp, kappa12)
+    def test_box_window_is_empty_at_unit_times(self, perturbed_traj, kappa12):
+        rep = decay_diagnostics(perturbed_traj, kappa12)
         p_min = TWO_PI / BOX
         mu_min = np.linalg.eigvalsh(kappa12.kappa_op).min()
         expected = -np.log1p(-0.1) / (p_min**2 * mu_min)
@@ -809,7 +791,7 @@ class TestDecayDiagnostics:
         p_values = [0.5 * p0_12, p0_12]
         times = [10.0, 1e3, 1e5]
         traj = evolve_linear(operators12[2], disp, p_values, w0, [0.0] + times)
-        rep = decay_diagnostics(traj, disp, kappa12, t_min=1.0)
+        rep = decay_diagnostics(traj, kappa12, t_min=1.0)
         # purely slow data: the heat-flow reference reproduces it exactly at
         # t = 0, while the fast reference predicts the gradient response the
         # actual state has not yet built up
@@ -825,7 +807,7 @@ class TestDecayDiagnostics:
         _, disp, _ = stack12
         kappa_y = compute_kappa(operators12[2], disp, summary12, axis=1)
         with pytest.raises(ValueError, match="axis"):
-            decay_diagnostics(perturbed_traj, disp, kappa_y)
+            decay_diagnostics(perturbed_traj, kappa_y)
 
 
 class TestHydroLimitStudy:

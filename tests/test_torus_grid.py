@@ -137,6 +137,16 @@ class TestPermutations:
         mi = grid.multi_index
         assert np.array_equal(grid.flatten(mi + 8), np.arange(grid.size))
 
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 10), (3, 8)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pair_index_is_the_flat_index_of_the_sum(self, d, n, sign):
+        grid = TorusGrid(d, n)
+        mi = grid.multi_index
+        expect = grid.flatten(mi[:, None, :] + sign * mi[None, :, :])
+        index = grid.pair_index(sign)
+        assert index.shape == (grid.size, grid.size)
+        assert np.array_equal(index, expect)
+
 
 class TestWeightedInnerProduct:
     def test_weight_must_be_positive(self):
