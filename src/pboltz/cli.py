@@ -45,7 +45,6 @@ from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it her
     evolve_nonlinear,
     find_p0,
     hydro_limit_study,
-    mode_matrix,
     semigroup_bound_sweep,
     spectrum_D,
     stable_step,
@@ -500,7 +499,7 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     direction = unit_direction(disp.grid.d, cfg.axis)
     with clock.stage("two_mode_boundary"):
         p0 = find_p0(L, disp, summary.gap, direction=direction)
-        floor = spectrum_D(mode_matrix(L, disp, 2.0 * p0 * direction)).real
+        floor = spectrum_D(L, disp, 2.0 * p0 * direction).real
         b = float(floor.min())
         n_slow = int(np.count_nonzero(floor < 0.5 * summary.gap))
     p_values = np.array(cfg.p_factors) * p0

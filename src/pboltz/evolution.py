@@ -2,23 +2,31 @@
 
 A spatial Fourier mode p turns the transport term into a diagonal phase and
 the linear dynamics into the dense complex array D(p) = L + (i/2pi)
-diag(p . grad omega) (`mode_matrix`, L a plain array).  This module computes
-its spectrum and semigroup, checks the slow/fast block structure of the
-propagator, integrates the full nonlinear equation on a 1-D periodic box
-(method of lines, spectral transport), produces the diffusive-decay
-diagnostics, and runs the diffusive-scaling study against a nonlinear heat
-reference; the box drivers read the dispersion field from the collision
-evaluator, and `hydro_limit_study` the evaluator and L from its
-`CollisionResponse`.  The slow/fast frame is that of `hydrodynamics`
+diag(p . grad omega) (`mode_matrix`, L a plain array).  D(p) commutes with
+the sign flips of the axes where p vanishes and, because omega is even and
+grad omega odd, with inversion k -> -k composed with complex conjugation.
+So in the symmetry frame of p (`TorusGrid.symmetry_frame`) it splits into
+real blocks, one per character of the flips (`mode_blocks`, which checks
+that split against `SYM_TOL`), and its spectrum, slow-eigenvalue count and
+semigroup are taken block by block (`spectrum_D`, `count_slow_eigenvalues`,
+`ModeSemigroup`); the complex eigendecomposition of the full D(p) is only
+the tests' oracle.  This module also checks the slow/fast block structure
+of the propagator, integrates the full nonlinear equation on a 1-D
+periodic box (method of lines, spectral transport), produces the
+diffusive-decay diagnostics, and runs the diffusive-scaling study against
+a nonlinear heat reference; the box integrators read the dispersion field
+from the collision evaluator, and `hydro_limit_study` the evaluator and L
+from its `CollisionResponse`.  The slow/fast frame is that of `hydrodynamics`
 (`SlowBasis`, `DeflatedInverse`, `slaved_state`); no N x N projector or
 inverse is formed.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
-from scipy.sparse.linalg import ArpackNoConvergence, eigs, svds
+from scipy.sparse.linalg import svds
 
 from .hydrodynamics import (
     TWO_PI,
@@ -27,11 +35,7 @@ from .hydrodynamics import (
     SlowState,
     slaved_state,
 )
-
-# Number of eigenvalues `certified_slow_count` asks shift-invert Arnoldi
-# for.  Doubling it certified no further probe of `find_p0` on any tested
-# grid, so a failed certificate goes straight to the dense spectrum.
-SLOW_COUNT_K = 6
+from .linearized import SYM_TOL
 
 # `find_p0` bisects |p| in (1e-14, FIND_P0_MAX] to FIND_P0_REL_TOL relative
 # width; an explicit step is STEP_SAFETY over the fastest rate (`stable_step`);
@@ -48,7 +52,7 @@ def _krylov_start(n, dtype):
     """Fixed start vector for ARPACK, so runs repeat bit for bit.  It comes
     from a seeded generator rather than being constant, so it shares no
     lattice symmetry with the operator: a symmetric start would never see
-    the eigenvectors odd under that symmetry."""
+    the singular vectors odd under that symmetry."""
     return np.random.default_rng(0).standard_normal(n).astype(dtype)
 
 
@@ -74,15 +78,30 @@ def _spectral_norm(X):
 
 def unit_direction(d, direction=None):
     """Unit d-vector along `direction`: a vector (normalized), an axis
-    index, or None for the first axis."""
+    index in [0, d), or None for the first axis.  Raises ValueError for an
+    axis outside [0, d), a vector of another length than d, and a zero or
+    non-finite vector."""
     if direction is None:
         direction = 0
     if np.ndim(direction) == 0:
-        e = np.zeros(d)
-        e[direction] = 1.0
-        return e
+        if not 0 <= direction < d:
+            raise ValueError(f"axis {direction} is outside [0, {d})")
+        return np.eye(d)[direction]
     e = np.asarray(direction, dtype=float)
-    return e / np.linalg.norm(e)
+    if e.shape != (d,):
+        raise ValueError(f"expected a {d}-vector direction, got shape {e.shape}")
+    norm = np.linalg.norm(e)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"direction {direction} has no finite nonzero length")
+    return e / norm
+
+
+def _frequency(disp, p):
+    """(p, p . grad omega / 2pi) for a d-vector frequency p."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if p.shape != (disp.grid.d,):
+        raise ValueError(f"expected a {disp.grid.d}-vector frequency")
+    return p, (disp.grad @ p) / TWO_PI
 
 
 def mode_matrix(L, disp, p):
@@ -90,73 +109,58 @@ def mode_matrix(L, disp, p):
     spatial frequency p (a d-vector).  In the omega-similarity frame
     (`DispersionField.similarity`) it is H + iK with H symmetric positive
     semidefinite and K = diag(p . grad omega / 2pi)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.shape != (disp.grid.d,):
-        raise ValueError(f"expected a {disp.grid.d}-vector frequency")
-    phase = (disp.grad @ p) / TWO_PI
+    _, phase = _frequency(disp, p)
     return L.astype(complex) + 1j * np.diag(phase)
 
 
-def spectrum_D(D):
-    """Eigenvalues of a mode matrix, sorted by increasing real part."""
-    ev = np.linalg.eigvals(D)
-    return ev[np.argsort(ev.real, kind="stable")]
+def mode_blocks(L, disp, p):
+    """(frame, blocks): D(p) in the symmetry frame of p, as the real blocks
+    X_chi = B_chi^H D(p) B_chi of its sectors.
 
-
-def certified_slow_count(D, disp, threshold):
-    """Number of eigenvalues with real part below the threshold, by
-    shift-invert Arnoldi; None when its Bendixson-disc test fails.
-
-    In the omega-similarity frame the operator is A = H + iK with H
-    symmetric positive semidefinite and K diagonal, so by Bendixson's
-    theorem every eigenvalue with real part below the threshold lies in the
-    rectangle [0, threshold) x [-rho, rho], rho = max |K|.  The rectangle is
-    widened on every side by the asymmetry of the computed H plus
-    N * machine epsilon * ||H||_inf, for rounding, and lies inside the disc
-    of centre c on the real axis and radius r through its corners.  `eigs`
-    with shift c returns k = `SLOW_COUNT_K` Ritz values; when the farthest
-    of them lies outside the disc, the count among them is taken.
-
-    The count is exact on the condition that ARPACK has converged to the k
-    eigenvalues nearest c, each as often as it repeats.  A Krylov space from
-    one start vector sees one direction per eigenspace, so a copy of a
-    repeated eigenvalue can be missed; that changes the count only when the
-    repeated eigenvalue has real part below the threshold.  On the tested
-    grids (d = 2 along both axes, d = 3 along an axis, where the lattice
-    symmetry forces repeated eigenvalues, and along an oblique direction)
-    none does, and the count equals the dense one at every probe of
-    `find_p0`.
+    The frame is that of the sign flips of the axes where p vanishes
+    (`TorusGrid.symmetry_frame`); B^H D(p) B is formed by sparse products
+    in real arithmetic (`SymmetryFrame.to_frame`).  Raises
+    ValueError when the part of B^H D(p) B off the blocks, or the imaginary
+    part of a block, exceeds `SYM_TOL` relative to max |D(p)|: an L without
+    the lattice symmetry is never split.
     """
-    A = disp.similarity(D)
-    n = A.shape[0]
-    if SLOW_COUNT_K >= n - 1:
-        return None
-    H = A.real
-    slack = (0.5 * np.abs(H - H.T).sum(axis=1).max()
-             + n * np.finfo(float).eps * np.abs(H).sum(axis=1).max())
-    rho = np.abs(A.imag.diagonal()).max() + slack
-    centre = 0.5 * (threshold - slack)
-    radius = np.hypot(0.5 * (threshold + slack), rho)
-    try:
-        lam = eigs(A, k=SLOW_COUNT_K, sigma=centre, v0=_krylov_start(n, A.dtype),
-                   return_eigenvectors=False)
-    except ArpackNoConvergence:
-        return None
-    if np.abs(lam - centre).max() <= radius:
-        return None
-    return int(np.count_nonzero(lam.real < threshold))
+    p, phase = _frequency(disp, p)
+    frame = disp.grid.symmetry_frame(np.flatnonzero(p == 0.0))
+    Y = frame.to_frame(L, phase)
+    off = np.abs(Y)
+    defect = 0.0
+    blocks = []
+    for sector in frame.sectors:
+        X = Y[sector, sector]
+        defect = max(defect, float(np.abs(X.imag).max()))
+        off[sector, sector] = 0.0
+        blocks.append(np.ascontiguousarray(X.real))
+    defect = max(defect, float(off.max()))
+    # max |D(p)|, with D(p) = L + i diag(phase) never formed
+    scale = max(float(np.abs(L).max()), float(np.hypot(np.diag(L), phase).max()))
+    if defect > SYM_TOL * scale:
+        raise ValueError(
+            f"mode matrix breaks the lattice symmetry: residual "
+            f"{defect / scale:.2e} of max |D| exceeds {SYM_TOL:.0e}"
+        )
+    return frame, blocks
 
 
-def count_slow_eigenvalues(D, disp, threshold):
-    """Number of eigenvalues with real part below the threshold: the
-    shift-invert count (`certified_slow_count`) where the farthest of its
-    Ritz values lies outside its Bendixson disc, else the count over the
-    dense spectrum (`eigvals`)."""
-    count = certified_slow_count(D, disp, threshold)
-    if count is None:
-        ev = np.linalg.eigvals(D)
-        count = int(np.count_nonzero(ev.real < threshold))
-    return count
+def spectrum_D(L, disp, p):
+    """Eigenvalues of D(p), sorted by increasing real part and, within a
+    complex-conjugate pair (equal real parts), by imaginary part: the union
+    of the eigenvalues of its real sector blocks (`mode_blocks`)."""
+    _, blocks = mode_blocks(L, disp, p)
+    ev = np.concatenate([np.linalg.eigvals(X) for X in blocks])
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+def count_slow_eigenvalues(L, disp, p, threshold):
+    """Number of eigenvalues of D(p) with real part below the threshold,
+    summed over its real sector blocks (`mode_blocks`)."""
+    _, blocks = mode_blocks(L, disp, p)
+    return sum(int(np.count_nonzero(np.linalg.eigvals(X).real < threshold))
+               for X in blocks)
 
 
 def find_p0(L, disp, gap, direction=None):
@@ -170,7 +174,7 @@ def find_p0(L, disp, gap, direction=None):
     half = 0.5 * gap
 
     def count(p_abs):
-        return count_slow_eigenvalues(mode_matrix(L, disp, p_abs * e), disp, half)
+        return count_slow_eigenvalues(L, disp, p_abs * e, half)
 
     if count(FIND_P0_MAX) == 2:
         return FIND_P0_MAX
@@ -191,30 +195,50 @@ def find_p0(L, disp, gap, direction=None):
 
 
 class ModeSemigroup:
-    """Propagator exp(-t D) via complex eigendecomposition.
+    """Propagator exp(-t D(p)), block by block in the symmetry frame of p.
 
-    Falls back to the scaled-and-squared Pade exponential when the eigenbasis
-    condition number cond = ||V||_2 ||V^-1||_2, both 2-norms by Lanczos
-    (`svds`), exceeds `cond_limit`.  The eigendecomposition (w, V,
-    V^-1) is kept either way; it also gives the spectral projector onto the
-    two eigenvalues of smallest real part in rank-2 form, P~ = a b with
+    Each real sector block X (`mode_blocks`) is diagonalized, X = V w V^-1
+    (`eig`, `inv`).  The propagator is exp(-t X) = V exp(-t w) V^-1 per
+    block, or the scaled-and-squared Pade exponential of the block when the
+    eigenbasis condition number cond = max ||V||_2 * max ||V^-1||_2 over the
+    blocks exceeds `cond_limit`; that is the condition number of the
+    node-space eigenbasis, since the frame is unitary.  The node-space w, V
+    and V^-1 stay available; they give the spectral projector onto the two
+    eigenvalues of smallest real part in rank-2 form, P~ = a b with
     a = V[:, sel] (N x 2) and b = V^-1[sel, :] (2 x N).  Its complement
     Q~ = I - P~ is never formed: S Q~ = S - (S a) b.
     """
 
-    def __init__(self, D, cond_limit=1e8):
-        self.D = D
-        self.w, self.V = eig(D)
-        self.Vinv = np.linalg.inv(self.V)
-        self.cond = _spectral_norm(self.V) * _spectral_norm(self.Vinv)
+    def __init__(self, L, disp, p, cond_limit=1e8):
+        self.frame, self.blocks = mode_blocks(L, disp, p)
+        pairs = [eig(X) for X in self.blocks]
+        self._w = [w for w, _ in pairs]
+        self._V = [V for _, V in pairs]
+        self.w = np.concatenate(self._w)
+        self._Vinv = [np.linalg.inv(V) for V in self._V]
+        # ||V_chi^-1||_2 is 1 / the smallest singular value of V_chi
+        sv = [np.linalg.svd(V, compute_uv=False) for V in self._V]
+        self.cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
         self.method = "eig" if self.cond <= cond_limit else "expm"
+
+    @cached_property
+    def V(self):
+        return self.frame.columns(self._V)
+
+    @cached_property
+    def Vinv(self):
+        return self.frame.rows(self._Vinv)
 
     def propagator(self, t):
         if t < 0:
             raise ValueError("propagator requires t >= 0")
         if self.method == "eig":
-            return (self.V * np.exp(-t * self.w)) @ self.Vinv
-        return expm(-t * self.D)
+            # exp(-t X) of a real block is real: drop the rounding in .imag
+            blocks = [((V * np.exp(-t * w)) @ Vinv).real
+                      for w, V, Vinv in zip(self._w, self._V, self._Vinv)]
+        else:
+            blocks = [expm(-t * X) for X in self.blocks]
+        return self.frame.to_nodes(blocks)
 
     def slow_factors(self):
         """(a, b) with P~ = a @ b, the spectral projector onto the
@@ -225,7 +249,7 @@ class ModeSemigroup:
 
 def semigroup(L, disp, p, t, cond_limit=1e8):
     """One-shot propagator exp(-t D(p))."""
-    return ModeSemigroup(mode_matrix(L, disp, p), cond_limit).propagator(t)
+    return ModeSemigroup(L, disp, p, cond_limit).propagator(t)
 
 
 def h_operator_norm(disp, mat):
@@ -337,7 +361,7 @@ def block_decomposition_check(L, summary, kappa, p, times, cond_limit=1e8):
     disp = basis.disp
     p = np.asarray(p, dtype=float)
     p2 = float(p @ p)
-    sg = ModeSemigroup(mode_matrix(L, disp, p), cond_limit)
+    sg = ModeSemigroup(L, disp, p, cond_limit)
     blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
     solver = DeflatedInverse(L, disp, summary)
@@ -406,9 +430,9 @@ def semigroup_bound_sweep(L, kappa, p_values, t_values, direction=None,
 
     The blocks come from rank-2 factors (`SlowFastBlocks`): P S Q and
     Q S P have rank <= 2, the deflated block QSQ - Q Q~ S Q~ Q has rank
-    <= 4, and Q S Q and S Q~ are rank-2 updates of S.  Per (p, t) the only
-    O(N^3) work is S itself; the norms of S, Q S Q and S Q~ are Lanczos
-    iterations of O(N^2) matvecs each (`h_operator_norm`).
+    <= 4, and Q S Q and S Q~ are rank-2 updates of S.  S itself is formed
+    per sector block (`ModeSemigroup.propagator`); the norms of S, Q S Q and
+    S Q~ are Lanczos iterations of O(N^2) matvecs each (`h_operator_norm`).
     """
     basis = kappa.basis
     disp = basis.disp
@@ -427,7 +451,7 @@ def semigroup_bound_sweep(L, kappa, p_values, t_values, direction=None,
     qtil = np.zeros(shape)
 
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(mode_matrix(L, disp, p_abs * e), cond_limit)
+        sg = ModeSemigroup(L, disp, p_abs * e, cond_limit)
         blocks = SlowFastBlocks(basis, sg)
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
@@ -501,7 +525,7 @@ def dispersion_relation_sweep(L, kappa, p_values, direction=None):
     lam1 = np.zeros(p_values.size, dtype=complex)
     lam2 = np.zeros(p_values.size, dtype=complex)
     for i, p_abs in enumerate(p_values):
-        lam1[i], lam2[i] = spectrum_D(mode_matrix(L, disp, p_abs * e))[:2]
+        lam1[i], lam2[i] = spectrum_D(L, disp, p_abs * e)[:2]
     p2 = p_values**2
     coef = np.array(
         [
@@ -583,7 +607,7 @@ def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
     times = np.asarray(times, dtype=float)
     states = np.zeros((times.size, p_values.size, disp.grid.size), dtype=complex)
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(mode_matrix(L, disp, p_abs * e), cond_limit)
+        sg = ModeSemigroup(L, disp, p_abs * e, cond_limit)
         for j, t in enumerate(times):
             states[j, i] = sg.propagator(t) @ w0[i]
     return EvolutionTrajectory(

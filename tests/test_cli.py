@@ -560,6 +560,23 @@ class TestDeterminism:
             manifest["config"].pop("outdir")
         assert m1 == m2
 
+    @pytest.mark.parametrize("command", ["semigroup-bounds",
+                                         "dispersion-relation"])
+    def test_three_dimensional_mode_runs_repeat_byte_for_byte(self, tmp_path,
+                                                              command):
+        args = [command, "--d", "3", "--n", "8"]
+        code, out1 = run(tmp_path, "a", *args)
+        code2, out2 = run(tmp_path, "b", *args)
+        assert code == 0 and code2 == 0
+        m1, m2 = read_manifest(out1), read_manifest(out2)
+        assert m1["artifacts"]
+        for name in m1["artifacts"]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        for manifest in (m1, m2):
+            manifest.pop("execution")
+            manifest["config"].pop("outdir")
+        assert m1 == m2
+
     def test_seed_changes_sampled_tables(self, tmp_path):
         args = ["collision-check", *FAST, "--samples", "2"]
         _, out1 = run(tmp_path, "sa", *args, "--seed", "1")

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from pboltz import evolution
 from pboltz.collision import DeltaKernel
@@ -24,7 +25,6 @@ from pboltz.evolution import (
     WeightedNormSpec,
     block_decomposition_check,
     box_modes,
-    certified_slow_count,
     count_slow_eigenvalues,
     decay_diagnostics,
     dispersion_relation_sweep,
@@ -33,6 +33,7 @@ from pboltz.evolution import (
     find_p0,
     h_operator_norm,
     hydro_limit_study,
+    mode_blocks,
     mode_matrix,
     semigroup,
     semigroup_bound_sweep,
@@ -91,12 +92,26 @@ class TestModeOperator:
             mode_matrix(L, disp, 0.1)
 
 
+class TestUnitDirection:
+    def test_axes_vectors_and_default(self):
+        assert np.array_equal(unit_direction(2), [1.0, 0.0])
+        assert np.array_equal(unit_direction(3, 2), [0.0, 0.0, 1.0])
+        assert np.array_equal(unit_direction(2, [0.0, -3.0]), [0.0, -1.0])
+
+    @pytest.mark.parametrize("direction", [
+        [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, 0.0, 0.0], [1.0],
+        -1, 2])
+    def test_rejects_what_names_no_direction(self, direction):
+        with pytest.raises(ValueError):
+            unit_direction(2, direction)
+
+
 class TestModeSpectrum:
     def test_zero_frequency_spectrum_matches_symmetric_solve(
         self, operators12, stack12, summary12
     ):
         _, disp, _ = stack12
-        ev = spectrum_D(mode_matrix(operators12[2], disp, np.zeros(2)))
+        ev = spectrum_D(operators12[2], disp, np.zeros(2))
         assert abs(ev[0]) < 1e-14
         assert np.isclose(ev[2].real, summary12.gap, rtol=1e-9)
         assert np.all(np.diff(ev.real) >= 0)
@@ -109,7 +124,7 @@ class TestModeSpectrum:
         # refinement and drives the frequency-independent channel noted in
         # the module docstring.
         _, disp, _ = stack12
-        ev = spectrum_D(mode_matrix(operators12[2], disp, np.zeros(2)))
+        ev = spectrum_D(operators12[2], disp, np.zeros(2))
         assert 0.0 < ev[1].real < summary12.gap
 
     def test_slow_pair_imaginary_parts_are_negligible(
@@ -117,7 +132,7 @@ class TestModeSpectrum:
     ):
         _, disp, _ = stack12
         p0 = p0_12
-        ev = spectrum_D(mode_matrix(operators12[2], disp, np.array([p0, 0.0])))
+        ev = spectrum_D(operators12[2], disp, np.array([p0, 0.0]))
         # 1e-18 absorbs the eigensolver roundoff floor at these tiny scales.
         tol = 1e-6 * p0**2 + 1e-18
         assert abs(ev[0].imag) < tol
@@ -131,7 +146,7 @@ class TestModeSpectrum:
         prev = None
         max_step = 0.0
         for p_abs in np.linspace(0.0, 2.0 * p0_12, 9):
-            pair = spectrum_D(mode_matrix(L, disp, np.array([p_abs, 0.0])))[:2]
+            pair = spectrum_D(L, disp, np.array([p_abs, 0.0]))[:2]
             if prev is not None:
                 max_step = max(max_step, float(np.abs(pair - prev).max()))
             prev = pair
@@ -142,9 +157,9 @@ class TestModeSpectrum:
         self, operators12, stack12, summary12, p0_12
     ):
         _, disp, _ = stack12
-        D = mode_matrix(operators12[2], disp, np.array([2.0 * p0_12, 0.0]))
-        assert spectrum_D(D).real.min() > 0.0
-        assert count_slow_eigenvalues(D, disp, 0.5 * summary12.gap) < 2
+        L, p = operators12[2], np.array([2.0 * p0_12, 0.0])
+        assert spectrum_D(L, disp, p).real.min() > 0.0
+        assert count_slow_eigenvalues(L, disp, p, 0.5 * summary12.gap) < 2
 
 
 class TestFindP0:
@@ -153,10 +168,10 @@ class TestFindP0:
         L = operators12[2]
         half = 0.5 * summary12.gap
         assert 0.0 < p0_12 < 1e-6
-        below = mode_matrix(L, disp, np.array([p0_12, 0.0]))
-        above = mode_matrix(L, disp, np.array([1.05 * p0_12, 0.0]))
-        assert count_slow_eigenvalues(below, disp, half) == 2
-        assert count_slow_eigenvalues(above, disp, half) != 2
+        below = np.array([p0_12, 0.0])
+        above = np.array([1.05 * p0_12, 0.0])
+        assert count_slow_eigenvalues(L, disp, below, half) == 2
+        assert count_slow_eigenvalues(L, disp, above, half) != 2
 
     def test_unreachable_threshold_raises(self, operators12, stack12):
         _, disp, _ = stack12
@@ -175,8 +190,7 @@ class TestModeSemigroup:
         self, operators12, stack12, summary12, p0_12
     ):
         _, disp, _ = stack12
-        D = mode_matrix(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        sg = ModeSemigroup(D)
+        sg = ModeSemigroup(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
         t1, t2 = 0.3 / summary12.gap, 1.0 / summary12.gap
         lhs = sg.propagator(t1) @ sg.propagator(t2)
         rhs = sg.propagator(t1 + t2)
@@ -189,14 +203,13 @@ class TestModeSemigroup:
         # The symmetric part of the mode operator is positive semidefinite in
         # the omega^2-weighted inner product, so the semigroup contracts.
         _, disp, _ = stack12
-        D = mode_matrix(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        sg = ModeSemigroup(D)
+        sg = ModeSemigroup(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
         for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
             assert h_operator_norm(disp, sg.propagator(t)) <= 1.0 + 1e-10
 
     def test_negative_time_rejected(self, operators12, stack12):
         _, disp, _ = stack12
-        sg = ModeSemigroup(mode_matrix(operators12[2], disp, np.zeros(2)))
+        sg = ModeSemigroup(operators12[2], disp, np.zeros(2))
         with pytest.raises(ValueError):
             sg.propagator(-1.0)
 
@@ -204,9 +217,9 @@ class TestModeSemigroup:
         self, operators12, stack12, summary12, p0_12
     ):
         _, disp, _ = stack12
-        D = mode_matrix(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        sg_eig = ModeSemigroup(D)
-        sg_pade = ModeSemigroup(D, cond_limit=0.0)
+        L, p = operators12[2], np.array([0.5 * p0_12, 0.0])
+        sg_eig = ModeSemigroup(L, disp, p)
+        sg_pade = ModeSemigroup(L, disp, p, cond_limit=0.0)
         assert sg_eig.method == "eig"
         assert sg_pade.method == "expm"
         t = 1.0 / summary12.gap
@@ -341,7 +354,7 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
         "full_norm", "full_norm_sup", "pq_norm", "qp_norm", "qq_norm",
         "qq_deflated_norm", "qtilde_norm")}
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(mode_matrix(L, disp, p_abs * e), cond_limit)
+        sg = ModeSemigroup(L, disp, p_abs * e, cond_limit)
         P, Q, _, _ = _dense_frame(disp, summary, kappa, p_abs * e)
         Qtil = _dense_qtilde(sg)
         for j, t in enumerate(t_values):
@@ -380,7 +393,7 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
 
 
 def _dense_block_check(L, disp, summary, kappa, p, times, cond_limit):
-    sg = ModeSemigroup(mode_matrix(L, disp, p), cond_limit)
+    sg = ModeSemigroup(L, disp, p, cond_limit)
     P, Q, A, B = _dense_frame(disp, summary, kappa, p)
     Qtil = _dense_qtilde(sg)
     u, to_coef = kappa.basis.u, kappa.basis.to_coef
@@ -454,13 +467,21 @@ class TestDenseOracleAgreement:
 
 
 # ----------------------------------------------------------------------
-# the iterative kernels (shift-invert slow count, Lanczos norms) against
-# dense references formed only here
+# the symmetry frame, the sector spectra and counts, and the Lanczos norms
+# against dense references formed only here: the complex eig/eigvals and
+# expm of the full mode matrix
 
 
 def _dense_slow_count(D, threshold):
     ev = np.linalg.eigvals(D)
     return int(np.count_nonzero(ev.real < threshold))
+
+
+def _matched_gap(a, b):
+    """Largest distance between two spectra, each eigenvalue of `a` paired
+    with one of `b` so that the sum of distances is least."""
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return float(np.abs(a[rows] - b[cols]).max())
 
 
 @pytest.fixture(scope="module")
@@ -472,13 +493,118 @@ def stack20():
 
 
 @pytest.fixture(scope="module", params=[
+    "d2-n12-axis0", "d2-n12-axis1", "d3-n8-axis0", "d3-n8-oblique"])
+def frame_case(request, operators12, stack12, p0_12):
+    """(L, disp, direction, p_unit): p_unit on the scale where two slow
+    eigenvalues stay below half the gap."""
+    if request.param.startswith("d3"):
+        L, disp, summary, kappa = request.getfixturevalue("stack3d")
+        direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
+        p_unit = np.sqrt(summary.gap / np.max(kappa.mu))
+        return L, disp, unit_direction(3, direction), p_unit
+    axis = int(request.param[-1])
+    return operators12[2], stack12[1], unit_direction(2, axis), p0_12
+
+
+def _frequency(size, p_unit):
+    """|p| = 0, the slow scale p_unit, or 0.05, where transport dominates."""
+    return {"zero": 0.0, "slow": p_unit, "box": 0.05}[size]
+
+
+class TestSymmetryFrame:
+    def test_frame_is_unitary_and_fixed_by_inversion_and_conjugation(
+        self, frame_case
+    ):
+        L, disp, e, _ = frame_case
+        grid = disp.grid
+        frame = grid.symmetry_frame(np.flatnonzero(e == 0.0))
+        assert frame is grid.symmetry_frame(tuple(np.flatnonzero(e == 0.0)))
+        assert len(frame.sectors) == 2 ** int(np.count_nonzero(e == 0.0))
+        B = frame.basis.toarray()
+        assert np.abs(B.conj().T @ B - np.eye(grid.size)).max() < 1e-15
+        assert np.abs(B.conj()[grid.reflection()] - B).max() == 0.0
+
+    @pytest.mark.parametrize("size", ["zero", "slow", "box"])
+    def test_blocks_are_real_with_no_off_block_part(self, frame_case, size):
+        L, disp, e, p_unit = frame_case
+        p = _frequency(size, p_unit) * e
+        D = mode_matrix(L, disp, p)
+        frame, blocks = mode_blocks(L, disp, p)
+        B = frame.basis.toarray()
+        Y = B.conj().T @ D @ B
+        top = np.abs(D).max()
+        for sector, X in zip(frame.sectors, blocks, strict=True):
+            assert X.dtype == float
+            assert np.abs(Y[sector, sector] - X).max() < 1e-14 * top
+            Y[sector, sector] = 0.0
+        assert np.abs(Y).max() < 1e-14 * top  # measured <= 5e-16
+
+    @pytest.mark.parametrize("size", ["zero", "slow", "box"])
+    def test_sector_spectrum_matches_the_dense_one(self, frame_case, size):
+        L, disp, e, p_unit = frame_case
+        p = _frequency(size, p_unit) * e
+        D = mode_matrix(L, disp, p)
+        ev = spectrum_D(L, disp, p)
+        assert np.all(np.diff(ev.real) >= 0)
+        # a conjugate pair has equal real parts: negative imaginary first
+        ties = np.diff(ev.real) == 0.0
+        assert np.all(np.diff(ev.imag)[ties] >= 0.0)
+        # measured <= 2e-14 of max |D|
+        assert _matched_gap(ev, np.linalg.eigvals(D)) < 1e-12 * np.abs(D).max()
+
+    def test_node_space_eigendecomposition(self, frame_case):
+        L, disp, e, p_unit = frame_case
+        p = p_unit * e
+        sg = ModeSemigroup(L, disp, p)
+        D = mode_matrix(L, disp, p)
+        n = disp.grid.size
+        # measured <= 6e-15 and <= 8e-15
+        assert np.abs(sg.V @ sg.Vinv - np.eye(n)).max() < 1e-10
+        resid = np.abs(D @ sg.V - sg.V * sg.w).max()
+        assert resid < 1e-13 * np.abs(D).max()
+
+    @pytest.mark.parametrize("cond_limit", [1e8, 0.0])
+    def test_propagator_matches_the_dense_exponential(self, frame_case,
+                                                      cond_limit):
+        L, disp, e, p_unit = frame_case
+        p = p_unit * e
+        sg = ModeSemigroup(L, disp, p, cond_limit)
+        assert sg.method == ("eig" if cond_limit else "expm")
+        D = mode_matrix(L, disp, p)
+        gap = np.sort(np.linalg.eigvals(D).real)[2]
+        for t in (0.3 / gap, 3.0 / gap):
+            dense = expm(-t * D)
+            dev = h_operator_norm(disp, sg.propagator(t) - dense)
+            assert dev < 1e-9 * h_operator_norm(disp, dense)  # measured <= 2.4e-11
+
+    @pytest.mark.parametrize("direction", [0, [1.0, 2.0]])
+    def test_symmetry_breaking_perturbation_raises(
+        self, operators12, stack12, p0_12, direction
+    ):
+        # a diagonal bump that is not even in k breaks inversion (and the
+        # flip of the other axis); 1e-6 of max |L| is far above SYM_TOL
+        _, disp, _ = stack12
+        L = operators12[2]
+        bump = np.random.default_rng(3).random(disp.grid.size)
+        broken = L + 1e-6 * np.abs(L).max() * np.diag(bump)
+        p = p0_12 * unit_direction(2, direction)
+        for call in (lambda: mode_blocks(broken, disp, p),
+                     lambda: spectrum_D(broken, disp, p),
+                     lambda: count_slow_eigenvalues(broken, disp, p, 1.0),
+                     lambda: ModeSemigroup(broken, disp, p)):
+            with pytest.raises(ValueError, match="lattice symmetry"):
+                call()
+        mode_blocks(L, disp, p)
+
+
+@pytest.fixture(scope="module", params=[
     "d2-n12-axis0", "d2-n12-axis1", "d2-n20-axis0", "d2-n20-axis1",
     "d3-n8-axis0", "d3-n8-oblique"])
 def p0_probes(request, operators12, stack12, summary12):
     """(p0, p0 of the dense-count bisection, per probe of the latter
-    (dense count, count, certified count or None)).  Along a lattice axis
-    of the d = 3 cubic grid the rotations and reflections about that axis
-    force repeated eigenvalues; the oblique direction breaks them."""
+    (dense count, sector count)).  Along a lattice axis of the d = 3 cubic
+    grid the rotations and reflections about that axis force repeated
+    eigenvalues; the oblique direction breaks them."""
     if request.param.startswith("d3"):
         L, disp, summary, _ = request.getfixturevalue("stack3d")
         direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
@@ -491,10 +617,9 @@ def p0_probes(request, operators12, stack12, summary12):
     p0 = find_p0(L, disp, summary.gap, direction=direction)
     probes = []
 
-    def dense_count(D, disp, threshold):
-        dense = _dense_slow_count(D, threshold)
-        probes.append((dense, count_slow_eigenvalues(D, disp, threshold),
-                       certified_slow_count(D, disp, threshold)))
+    def dense_count(L, disp, p, threshold):
+        dense = _dense_slow_count(mode_matrix(L, disp, p), threshold)
+        probes.append((dense, count_slow_eigenvalues(L, disp, p, threshold)))
         return dense
 
     with pytest.MonkeyPatch.context() as patch:
@@ -503,32 +628,14 @@ def p0_probes(request, operators12, stack12, summary12):
     return p0, p0_dense, probes
 
 
-class TestShiftInvertSlowCount:
+class TestSectorSlowCount:
     def test_count_equals_the_dense_count_at_every_probe(self, p0_probes):
         _, _, probes = p0_probes
-        assert [count for _, count, _ in probes] == [d for d, _, _ in probes]
+        assert [count for _, count in probes] == [d for d, _ in probes]
 
     def test_p0_is_bitwise_the_dense_bisection(self, p0_probes):
         p0, p0_dense, _ = p0_probes
         assert p0 == p0_dense
-
-    def test_most_probes_are_certified_and_agree(self, p0_probes):
-        _, _, probes = p0_probes
-        certified = [c for _, _, c in probes if c is not None]
-        assert len(certified) >= len(probes) // 2
-        assert certified == [d for d, _, c in probes if c is not None]
-
-    def test_dense_fallback_when_arnoldi_cannot_run(self, monkeypatch, stack12,
-                                                    operators12, summary12,
-                                                    p0_12):
-        # k >= N - 1 is out of ARPACK's reach, so every count goes dense
-        _, disp, _ = stack12
-        monkeypatch.setattr(evolution, "SLOW_COUNT_K", disp.grid.size - 1)
-        half = 0.5 * summary12.gap
-        for p_abs in (0.5 * p0_12, 2.0 * p0_12, 1.0):
-            D = mode_matrix(operators12[2], disp, np.array([p_abs, 0.0]))
-            assert certified_slow_count(D, disp, half) is None
-            assert count_slow_eigenvalues(D, disp, half) == _dense_slow_count(D, half)
 
 
 class TestLanczosNorm:
@@ -537,8 +644,7 @@ class TestLanczosNorm:
     ):
         _, disp, _ = stack12
         for p_abs in (0.25 * p0_12, p0_12):
-            D = mode_matrix(operators12[2], disp, np.array([p_abs, 0.0]))
-            sg = ModeSemigroup(D)
+            sg = ModeSemigroup(operators12[2], disp, np.array([p_abs, 0.0]))
             blocks = SlowFastBlocks(kappa12.basis, sg)
             for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
                 S = sg.propagator(t)
@@ -582,7 +688,7 @@ class TestLanczosNorm:
         else:
             L, disp, e, p_unit = operators12[2], stack12[1], np.eye(2)[0], p0_12
         for factor in (0.0, 0.5, 1.0, 2.0):
-            sg = ModeSemigroup(mode_matrix(L, disp, factor * p_unit * e))
+            sg = ModeSemigroup(L, disp, factor * p_unit * e)
             dense = np.linalg.cond(sg.V)
             assert sg.cond == pytest.approx(dense, rel=1e-12, abs=0.0)
             assert sg.method == ("eig" if dense <= 1e8 else "expm")
