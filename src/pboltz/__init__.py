@@ -34,7 +34,7 @@ from .evolution import (
 from .hydrodynamics import (
     CollisionResponse,
     ConductivityMatrix,
-    DeflatedInverse,
+    LinearModel,
     SlowBasis,
     SlowState,
     compute_kappa,
@@ -58,11 +58,11 @@ __all__ = [
     "CollisionOperator",
     "CollisionResponse",
     "ConductivityMatrix",
-    "DeflatedInverse",
     "DeltaKernel",
     "DispersionField",
     "DispersionParams",
     "FourierCollision",
+    "LinearModel",
     "ModeSemigroup",
     "SlowBasis",
     "SlowState",

@@ -50,9 +50,9 @@ from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it her
     stable_step,
     unit_direction,
 )
-from .hydrodynamics import TWO_PI, CollisionResponse, compute_kappa
-from .linearized import WIDTH_HALVING_MIN_RATIO, assemble_L, spectrum_L
-from .linearized import i1_exact, i1_mollified
+from .hydrodynamics import TWO_PI, CollisionResponse, LinearModel, compute_kappa
+from .linearized import WIDTH_HALVING_MIN_RATIO, assemble_L, i1_exact, i1_mollified
+from .linearized import spectrum_L  # bench/tracer.py wraps it here
 from .torus_grid import TorusGrid
 
 try:
@@ -123,6 +123,10 @@ RULES = (
      "evaluator, which needs the gaussian kernel"),
     (("validate-kernel",), lambda v: v.d == 2,
      "config key 'd': validate-kernel's exact-shell reduction is d = 2 only"),
+    (("semigroup-bounds",), lambda v: len(set(v.t_factors)) >= 2,
+     "config key 't_factors': the rate fit needs two distinct times"),
+    (("validate-kernel",), lambda v: len(v.eta_chain) >= 2,
+     "config key 'eta_chain': the error ratio needs at least two widths"),
 )
 
 
@@ -301,12 +305,12 @@ def build_stack(cfg, clock):
 
 
 def build_linear(cfg, stack, clock):
+    """The run's one `LinearModel`: L assembled once and diagonalized once."""
     grid, disp, delta = stack
     with clock.stage("assemble_linearized"):
         L = assemble_L(grid, disp, delta, workers=cfg.workers)
     with clock.stage("spectrum"):
-        summary = spectrum_L(L, disp)
-    return L, summary
+        return LinearModel(L, disp)
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +321,7 @@ def build_linear(cfg, stack, clock):
 
 
 def cmd_spectrum(cfg, stack, out, clock):
-    _, summary = build_linear(cfg, stack, clock)
+    summary = build_linear(cfg, stack, clock).summary
     rows = [(i, lam) for i, lam in enumerate(summary.eigenvalues)]
     write_csv(
         out / "eigenvalues.csv",
@@ -348,10 +352,9 @@ def cmd_spectrum(cfg, stack, out, clock):
 
 
 def cmd_kappa(cfg, stack, out, clock):
-    _, disp, _ = stack
-    L, summary = build_linear(cfg, stack, clock)
+    model = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
-        kappa = compute_kappa(L, disp, summary)
+        kappa = compute_kappa(model)
     payload = {
         "kappa_op": kappa.kappa_op,
         "kappa_ab": kappa.kappa_ab,
@@ -453,13 +456,12 @@ def cmd_collision_check(cfg, stack, out, clock):
 
 
 def cmd_dispersion_relation(cfg, stack, out, clock):
-    _, disp, _ = stack
-    L, summary = build_linear(cfg, stack, clock)
+    model = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
-        kappa = compute_kappa(L, disp, summary)
+        kappa = compute_kappa(model)
     p_values = np.linspace(cfg.p_min, cfg.p_max, cfg.p_count)
     with clock.stage("eigenvalue_sweep"):
-        sweep = dispersion_relation_sweep(L, kappa, p_values, direction=cfg.axis)
+        sweep = dispersion_relation_sweep(kappa, p_values, direction=cfg.axis)
     rows = [
         (p, l1.real, l1.imag, l2.real, l2.imag)
         for p, l1, l2 in zip(sweep.p_values, sweep.lam1, sweep.lam2)
@@ -493,19 +495,20 @@ def cmd_dispersion_relation(cfg, stack, out, clock):
 
 def cmd_semigroup_bounds(cfg, stack, out, clock):
     _, disp, _ = stack
-    L, summary = build_linear(cfg, stack, clock)
+    model = build_linear(cfg, stack, clock)
+    L, gap = model.L, model.summary.gap
     with clock.stage("conductivity"):
-        kappa = compute_kappa(L, disp, summary)
+        kappa = compute_kappa(model)
     direction = unit_direction(disp.grid.d, cfg.axis)
     with clock.stage("two_mode_boundary"):
-        p0 = find_p0(L, disp, summary.gap, direction=direction)
+        p0 = find_p0(L, disp, gap, direction=direction)
         floor = spectrum_D(L, disp, 2.0 * p0 * direction).real
         b = float(floor.min())
-        n_slow = int(np.count_nonzero(floor < 0.5 * summary.gap))
+        n_slow = int(np.count_nonzero(floor < 0.5 * gap))
     p_values = np.array(cfg.p_factors) * p0
-    t_values = np.array(cfg.t_factors) / summary.gap
+    t_values = np.array(cfg.t_factors) / gap
     with clock.stage("norm_sweep"):
-        sweep = semigroup_bound_sweep(L, kappa, p_values, t_values, direction=direction)
+        sweep = semigroup_bound_sweep(kappa, p_values, t_values, direction=direction)
     rows = []
     for i, p in enumerate(sweep.p_values):
         for j, t in enumerate(sweep.t_values):
@@ -556,7 +559,7 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     )
     ratios = sweep.qq_halving_ratios
     fitted = {
-        "gap_a": summary.gap,
+        "gap_a": gap,
         "p0": p0,
         "floor_b": b,
         "rate_c": sweep.c_hat,
@@ -578,9 +581,9 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
 
 def cmd_evolve(cfg, stack, out, clock):
     grid, disp, delta = stack
-    L, summary = build_linear(cfg, stack, clock)
+    model = build_linear(cfg, stack, clock)
     with clock.stage("conductivity"):
-        kappa = compute_kappa(L, disp, summary)
+        kappa = compute_kappa(model)
     times = np.linspace(0.0, cfg.t_max, cfg.n_times)
     x = np.arange(cfg.n_x) / cfg.n_x
     ripple = cfg.ripple * np.sin(TWO_PI * x)
@@ -588,9 +591,9 @@ def cmd_evolve(cfg, stack, out, clock):
     with clock.stage("integrate"):
         dt = cfg.dt
         if dt is None:
-            dt = stable_step(L, disp, cfg.n_x, cfg.box_length)
+            dt = stable_step(model.L, disp, cfg.n_x, cfg.box_length)
         evaluator = FourierCollision(grid, disp, delta)
-        traj = evolve_nonlinear(evaluator, L, W0, times, cfg.box_length, dt=dt)
+        traj = evolve_nonlinear(evaluator, model.L, W0, times, cfg.box_length, dt=dt)
     with clock.stage("decay_report"):
         report = decay_diagnostics(
             traj, kappa, t_min=cfg.t_min, contamination=cfg.contamination
@@ -643,22 +646,19 @@ def cmd_evolve(cfg, stack, out, clock):
 
 def cmd_hydro_limit(cfg, stack, out, clock):
     grid, disp, delta = stack
-    L, summary = build_linear(cfg, stack, clock)
-    with clock.stage("conductivity"):
-        kappa = compute_kappa(L, disp, summary)
+    model = build_linear(cfg, stack, clock)
     x = np.arange(cfg.n_x) / cfg.n_x
     tau0 = np.zeros((cfg.n_x, 2))
     tau0[:, 0] = cfg.tau_amplitude * np.sin(TWO_PI * x)
-    if (disp.winv[None, :] + tau0 @ kappa.basis.u.T).min() <= 0:
+    if (disp.winv[None, :] + tau0 @ model.basis.u.T).min() <= 0:
         # the bound depends on the grid, so the schema cannot check it
         raise ValueError("initial data breaks positivity: lower tau_amplitude")
     with clock.stage("response_solver"):
-        response = CollisionResponse(FourierCollision(grid, disp, delta), L, summary)
+        response = CollisionResponse(FourierCollision(grid, disp, delta), model)
     v0 = np.zeros((cfg.n_x, grid.size))
     with clock.stage("scaling_study"):
         study = hydro_limit_study(
             response,
-            kappa,
             tau0,
             v0,
             cfg.box_length,
@@ -709,14 +709,8 @@ def cmd_validate_kernel(cfg, stack, out, clock):
             kp = -np.pi + TWO_PI * rng.random(2)
             if not np.all(np.abs(np.sin((k - kp) / 2.0)) > cfg.min_sin):
                 continue
-            exact = i1_exact(
-                k,
-                kp,
-                disp.params,
-                m=cfg.quad_m,
-                refine_tol=cfg.refine_tol,
-                max_doublings=4,
-            )
+            exact = i1_exact(k, kp, disp.params, m=cfg.quad_m,
+                             refine_tol=cfg.refine_tol)
             errors = []
             for eta in chain:
                 approx = i1_mollified(
@@ -747,9 +741,7 @@ def cmd_validate_kernel(cfg, stack, out, clock):
     ratio_cols = np.array(
         [row[6 + len(chain):6 + 2 * len(chain) - 1] for row in rows], dtype=float
     )
-    fitted = {
-        "mean_error_ratio": float(ratio_cols.mean()) if ratio_cols.size else 0.0,
-    }
+    fitted = {"mean_error_ratio": float(ratio_cols.mean())}
     checks = {"width_refinement_second_order": bool(all_pass)}
     return ["kernel_validation.csv"], fitted, checks
 

@@ -15,10 +15,11 @@ of the propagator, integrates the full nonlinear equation on a 1-D
 periodic box (method of lines, spectral transport), produces the
 diffusive-decay diagnostics, and runs the diffusive-scaling study against
 a nonlinear heat reference; the box integrators read the dispersion field
-from the collision evaluator, and `hydro_limit_study` the evaluator and L
-from its `CollisionResponse`.  The slow/fast frame is that of `hydrodynamics`
-(`SlowBasis`, `DeflatedInverse`, `slaved_state`); no N x N projector or
-inverse is formed.
+from the collision evaluator.  The sweeps and checks that need the slow
+frame take a `ConductivityMatrix` and read L, the slow basis and the
+deflated inverse from the `LinearModel` it carries; `hydro_limit_study`
+reads the evaluator and the model from its `CollisionResponse`.  No N x N
+projector or inverse is formed.
 """
 
 from dataclasses import dataclass, field
@@ -28,13 +29,7 @@ import numpy as np
 from scipy.linalg import eig, expm, lu_factor, lu_solve
 from scipy.sparse.linalg import svds
 
-from .hydrodynamics import (
-    TWO_PI,
-    DeflatedInverse,
-    DiffusivityModel,
-    SlowState,
-    slaved_state,
-)
+from .hydrodynamics import TWO_PI, DiffusivityModel, SlowState, slaved_state
 from .linearized import SYM_TOL
 
 # `find_p0` bisects |p| in (1e-14, FIND_P0_MAX] to FIND_P0_REL_TOL relative
@@ -247,11 +242,6 @@ class ModeSemigroup:
         return self.V[:, sel], self.Vinv[sel, :]
 
 
-def semigroup(L, disp, p, t, cond_limit=1e8):
-    """One-shot propagator exp(-t D(p))."""
-    return ModeSemigroup(L, disp, p, cond_limit).propagator(t)
-
-
 def h_operator_norm(disp, mat):
     """Operator norm in the omega^2-weighted inner product: the spectral
     norm of the omega-similarity transform, by Lanczos (`_spectral_norm`)."""
@@ -342,7 +332,7 @@ class BlockResiduals:
     slow_norm: float
 
 
-def block_decomposition_check(L, summary, kappa, p, times, cond_limit=1e8):
+def block_decomposition_check(kappa, p, times, cond_limit=1e8):
     """Residuals of the four propagator blocks against their leading terms.
 
     The slow-slow block is compared to K_t = u k_t to_coef with
@@ -355,17 +345,17 @@ def block_decomposition_check(L, summary, kappa, p, times, cond_limit=1e8):
     and since L^-1 is H-self-adjoint, to_coef B = ((A u) omega^2)^T / N.  The
     pp, pq and qp residuals have rank <= 2, the qq residual
     Q (P~ S + S P~ - P~ S P~) Q - (A u) k_t (to_coef B) rank <= 6; all are
-    weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).
+    weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).  L and
+    the slow frame are those of ``kappa.model``.
     """
-    basis = kappa.basis
-    disp = basis.disp
+    model = kappa.model
+    basis, disp = model.basis, model.disp
     p = np.asarray(p, dtype=float)
     p2 = float(p @ p)
-    sg = ModeSemigroup(L, disp, p, cond_limit)
+    sg = ModeSemigroup(model.L, disp, p, cond_limit)
     blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
-    solver = DeflatedInverse(L, disp, summary)
-    Au = slaved_state(solver, SlowState(*basis.coeff_map), p).T
+    Au = slaved_state(model, SlowState(*basis.coeff_map), p).T
     TB = (Au * disp.w_sq[:, None]).T / disp.grid.size
 
     rows = []
@@ -418,7 +408,7 @@ class SemigroupSweep:
     qq_halving_ratios: np.ndarray
 
 
-def semigroup_bound_sweep(L, kappa, p_values, t_values, direction=None,
+def semigroup_bound_sweep(kappa, p_values, t_values, direction=None,
                           cond_limit=1e8):
     """Measure the propagator block norms over a (p, t) grid.
 
@@ -433,8 +423,9 @@ def semigroup_bound_sweep(L, kappa, p_values, t_values, direction=None,
     <= 4, and Q S Q and S Q~ are rank-2 updates of S.  S itself is formed
     per sector block (`ModeSemigroup.propagator`); the norms of S, Q S Q and
     S Q~ are Lanczos iterations of O(N^2) matvecs each (`h_operator_norm`).
+    L and the slow frame are those of ``kappa.model``.
     """
-    basis = kappa.basis
+    L, basis = kappa.model.L, kappa.basis
     disp = basis.disp
     e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
@@ -516,10 +507,11 @@ class DispersionRelationSweep:
     rel_err: np.ndarray
 
 
-def dispersion_relation_sweep(L, kappa, p_values, direction=None):
-    """Fit the two lowest eigenvalues of the mode operator to c * p^2 and
-    compare the coefficients with the conductivity eigenvalues."""
-    disp = kappa.basis.disp
+def dispersion_relation_sweep(kappa, p_values, direction=None):
+    """Fit the two lowest eigenvalues of the mode operator of
+    ``kappa.model``'s L to c * p^2 and compare the coefficients with the
+    conductivity eigenvalues."""
+    L, disp = kappa.model.L, kappa.model.disp
     e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     lam1 = np.zeros(p_values.size, dtype=complex)
@@ -841,7 +833,7 @@ class HydroStudy:
     final_vs_first: float
 
 
-def _heat_reference(model, tau0, box_length, t_final, dt):
+def _heat_reference(diffusivity, tau0, box_length, t_final, dt):
     """Nonlinear heat flow of the slow coefficients on the box.
 
     The mean diffusivity is integrated implicitly per spatial mode (2x2
@@ -851,7 +843,7 @@ def _heat_reference(model, tau0, box_length, t_final, dt):
     tau = np.array(tau0, dtype=float)  # (n_x, 2)
     n_x = tau.shape[0]
     ik = 1j * box_modes(n_x, box_length)
-    K0 = model.K0
+    K0 = diffusivity.K0
     p2 = np.abs(ik) ** 2
     n_steps = max(1, int(np.ceil(t_final / dt)))
     h = t_final / n_steps
@@ -860,7 +852,7 @@ def _heat_reference(model, tau0, box_length, t_final, dt):
     )  # (n_x, 2, 2)
     for _ in range(n_steps):
         grad = np.fft.ifft(ik[:, None] * np.fft.fft(tau, axis=0), axis=0).real
-        Kx = model.evaluate(tau[:, 0], tau[:, 1])  # (n_x, 2, 2)
+        Kx = diffusivity.evaluate(tau[:, 0], tau[:, 1])  # (n_x, 2, 2)
         flux = np.einsum("xab,xb->xa", Kx - K0[None, :, :], grad)
         rem = np.fft.ifft(
             ik[:, None] * np.fft.fft(flux, axis=0), axis=0
@@ -909,7 +901,7 @@ def _imex_kinetic(evaluator, L, W0, eps, t_final, dt, box_length):
     return W, n_steps, total_newton
 
 
-def hydro_limit_study(response, kappa, tau0, v0_fields, box_length,
+def hydro_limit_study(response, tau0, v0_fields, box_length,
                       eps_list=(0.4, 0.2, 0.1, 0.05), t_compare=1.0,
                       dt_base=0.02, dt_reference=1e-3):
     """Distance of the rescaled kinetic solutions from the heat reference.
@@ -918,21 +910,24 @@ def hydro_limit_study(response, kappa, tau0, v0_fields, box_length,
     1/eps and collisions by 1/eps^2 (exact spectral transport, implicit
     collisions); the reference is the nonlinear heat flow of the slow
     coefficients plus the shifted-background slaved fast part.  Distances
-    are weighted-envelope mode norms at t_compare.  The collision evaluator,
-    L and the dispersion field are those of ``response``.
+    are weighted-envelope mode norms at t_compare.  The collision evaluator
+    and the linear model (L, the slow basis) are those of ``response``.  The
+    distances shrink monotonically only when there are at least two and each
+    is below the one before.
     """
-    disp = response.disp
+    model = response.model
+    disp, basis = model.disp, model.basis
     norm_spec = WeightedNormSpec(d=disp.grid.d)
     tau0 = np.asarray(tau0, dtype=float)
     v0_fields = np.asarray(v0_fields, dtype=float)
     n_x = tau0.shape[0]
-    U = kappa.basis.u
+    U = basis.u
     p_values = box_modes(n_x, box_length)
     p_abs = np.abs(p_values)
     ik = 1j * p_values
 
-    model = DiffusivityModel(response)
-    tau_ref = _heat_reference(model, tau0, box_length, t_compare, dt_reference)
+    diffusivity = DiffusivityModel(response)
+    tau_ref = _heat_reference(diffusivity, tau0, box_length, t_compare, dt_reference)
     T_ref = tau_ref @ U.T  # (n_x, N)
 
     grad_ref = np.fft.ifft(ik[:, None] * np.fft.fft(tau_ref, axis=0), axis=0).real
@@ -949,11 +944,11 @@ def hydro_limit_study(response, kappa, tau0, v0_fields, box_length,
         if W0.min() <= 0:
             raise ValueError("initial data breaks positivity")
         W, n_steps, n_newton = _imex_kinetic(
-            response.evaluator, response.L, W0, eps, t_compare, dt_base * eps,
+            response.evaluator, model.L, W0, eps, t_compare, dt_base * eps,
             box_length,
         )
         w = W - disp.winv[None, :]
-        T_eps = kappa.basis.project_P(w)
+        T_eps = basis.project_P(w)
         v_eps = (w - T_eps) / eps
         dT = norm_spec.norm_t(
             p_abs, np.fft.fft(T_eps, axis=0) / n_x - ref_T_modes, t_compare
@@ -972,7 +967,7 @@ def hydro_limit_study(response, kappa, tau0, v0_fields, box_length,
         )
         distances.append(dT)
     distances = np.array(distances)
-    monotone = bool(np.all(np.diff(distances) < 0))
+    monotone = bool(distances.size >= 2 and np.all(np.diff(distances) < 0))
     return HydroStudy(
         rows=rows,
         t_compare=float(t_compare),

@@ -1,15 +1,16 @@
 """Slow/fast decomposition, conductivity, currents, and the Fourier law.
 
 The two conserved directions omega^-1 and omega^-2 span the slow subspace E.
-The one slow frame is `SlowBasis` (the H-orthogonal projection onto E) and
-the one deflated inverse is `DeflatedInverse` (L^-1 on the complement of the
-two lowest eigenvectors).  On them this module builds the slaving map
+One `LinearModel` per run holds L at equilibrium, its spectrum (the one
+diagonalization), the one slow frame `SlowBasis` (the H-orthogonal
+projection onto E) and the one deflated inverse (L^-1 on the complement of
+the two lowest eigenvectors).  On it this module builds the slaving map
 -(i/2pi) L^-1 (p . grad omega) of a slow mode, the diffusion matrix
 (2 pi)^-2 <g_a, L^-1 g_b>_H, observables and currents, the per-mode
 Fourier-law residual, and the state-dependent diffusivity at a shifted
 background.  L is a plain (N, N) array, used only through products
-``L @ x``; `CollisionResponse` takes the batched collision evaluator and L,
-and reads the dispersion field from the evaluator.
+``L @ x``; `ConductivityMatrix` carries the model it was solved with, and
+`CollisionResponse` takes the batched collision evaluator and the model.
 """
 
 from __future__ import annotations
@@ -157,26 +158,30 @@ def currents(disp, w):
 
 
 # ----------------------------------------------------------------------
-# deflated inverse of the linearized operator
+# the linear model: L, its spectrum, the slow frame and the deflated inverse
 
 
-class DeflatedInverse:
-    """Inverse of the linearized operator on the complement of its low pair.
+class LinearModel:
+    """The linearized operator at equilibrium, built once per run.
 
-    Works in the omega-similarity coordinates where the operator is
-    symmetric: the two lowest eigenvectors (the conserved directions) are
-    projected out of the right-hand side, the rest is inverted by the
-    eigendecomposition, and the result is mapped back to node fields.
+    Holds L, the dispersion field, the spectral summary of L (`spectrum_L`,
+    its one diagonalization) and the slow frame ``basis`` (`SlowBasis`).  It
+    is also the inverse of L on the complement of its low pair: in the
+    omega-similarity coordinates, where L is symmetric, the two lowest
+    eigenvectors (the conserved directions) are projected out of the
+    right-hand side, the rest is inverted by the eigendecomposition, and the
+    result is mapped back to node fields.  The eigenvector blocks are views
+    of the summary's: the model copies neither L nor its eigenvectors.
     """
 
-    def __init__(self, L, disp, summary=None):
+    def __init__(self, L, disp):
         self.L = L
         self.disp = disp
-        if summary is None:
-            summary = spectrum_L(L, disp)
-        self._V_low = summary.eigenvectors_sym[:, :LOW_MODES]
-        self._V_rest = summary.eigenvectors_sym[:, LOW_MODES:]
-        self._lam_rest = summary.eigenvalues[LOW_MODES:]
+        self.summary = spectrum_L(L, disp)
+        self.basis = SlowBasis(disp)
+        self._V_low = self.summary.eigenvectors_sym[:, :LOW_MODES]
+        self._V_rest = self.summary.eigenvectors_sym[:, LOW_MODES:]
+        self._lam_rest = self.summary.eigenvalues[LOW_MODES:]
 
     def low_mode_overlap(self, g):
         """Relative overlap of ``g`` with the dropped low modes."""
@@ -216,14 +221,14 @@ class DeflatedInverse:
 # conductivity
 
 
-def axis_response(solver, basis, axis):
+def axis_response(model, axis):
     """Right-hand sides g_b = d_axis omega * e_b and deflated solves
     X_b = L^-1 g_b of the slow pair, as (N, 2) columns; each g_b has the
     parity `axis_parity(d, axis)`, which the solve enforces."""
-    disp = solver.disp
-    g = disp.grad[:, axis][:, None] * basis.e
+    disp = model.disp
+    g = disp.grad[:, axis][:, None] * model.basis.e
     parity = axis_parity(disp.grid.d, axis)
-    X = np.stack([solver.apply(g[:, b], parity=parity) for b in (0, 1)], axis=1)
+    X = np.stack([model.apply(g[:, b], parity=parity) for b in (0, 1)], axis=1)
     return g, X
 
 
@@ -245,6 +250,8 @@ class ConductivityMatrix:
     ``kappa_op``; ``response_fields`` caches the deflated solves along
     ``axis`` (one column per slow direction, see `axis_response`), so
     ``response_fields @ basis.coeff_map`` is L^-1 (d_axis omega * u).
+    ``model`` is the `LinearModel` the solves ran on, and ``basis`` its
+    slow frame.
     """
 
     kappa_op: np.ndarray
@@ -253,8 +260,12 @@ class ConductivityMatrix:
     axis: int
     solve_residual: float
     cross_direction_sup: float
-    basis: SlowBasis = field(repr=False)
+    model: LinearModel = field(repr=False)
     response_fields: np.ndarray = field(repr=False)
+
+    @property
+    def basis(self):
+        return self.model.basis
 
     def convert_ab_to_op(self):
         """Gram round-trip: rebuild kappa_op from kappa_ab."""
@@ -262,7 +273,7 @@ class ConductivityMatrix:
         return S.T @ self.kappa_ab @ S
 
 
-def compute_kappa(L, disp, summary=None, axis=0):
+def compute_kappa(model, axis=0):
     """Diffusion matrix by deflated solves against the gradient-weighted pair.
 
     For each slow direction e, forms g = d_axis omega * e (odd, hence in the
@@ -272,16 +283,15 @@ def compute_kappa(L, disp, summary=None, axis=0):
     Raises if the right-hand side leaks into the dropped modes or the solve
     residual exceeds `RHS_TOL`.
     """
-    basis = SlowBasis(disp)
-    solver = DeflatedInverse(L, disp, summary)
-    g, X = axis_response(solver, basis, axis)
-    overlap = solver.low_mode_overlap(g.T)
+    basis, disp = model.basis, model.disp
+    g, X = axis_response(model, axis)
+    overlap = model.low_mode_overlap(g.T)
     if overlap.max() > RHS_TOL:
         raise RuntimeError(
             f"gradient-weighted slow direction overlaps the conserved modes "
             f"by {overlap.max():.2e} (tolerance {RHS_TOL:.0e})"
         )
-    resid = max(solver.residual(X[:, b], g[:, b]) for b in (0, 1))
+    resid = max(model.residual(X[:, b], g[:, b]) for b in (0, 1))
     if resid > RHS_TOL:
         raise RuntimeError(
             f"deflated solve residual {resid:.2e} exceeds {RHS_TOL:.0e}"
@@ -303,7 +313,7 @@ def compute_kappa(L, disp, summary=None, axis=0):
         axis=axis,
         solve_residual=float(resid),
         cross_direction_sup=float(cross),
-        basis=basis,
+        model=model,
         response_fields=X,
     )
 
@@ -312,14 +322,14 @@ def compute_kappa(L, disp, summary=None, axis=0):
 # slaved fast state and the Fourier law
 
 
-def slaved_state(solver, state, p):
+def slaved_state(model, state, p):
     """Fast component enslaved to a slow mode: -(i/2pi) L^-1 (p . grad omega) T.
 
     Solved axis by axis so each piece of the right-hand side has definite
     reflection parity (odd in the gradient axis, even in the rest), which the
-    solver then enforces exactly.
+    model's deflated inverse then enforces exactly.
     """
-    disp = solver.disp
+    disp = model.disp
     d = disp.grid.d
     p = np.atleast_1d(np.asarray(p, dtype=float))
     Tfield = state.as_field(disp)
@@ -327,8 +337,8 @@ def slaved_state(solver, state, p):
     for i in range(d):
         if p[i] == 0.0:
             continue
-        x = x + p[i] * solver.apply(disp.grad[:, i] * Tfield,
-                                    parity=axis_parity(d, i))
+        x = x + p[i] * model.apply(disp.grad[:, i] * Tfield,
+                                   parity=axis_parity(d, i))
     return -1j / TWO_PI * x
 
 
@@ -344,7 +354,7 @@ class FourierLawReport:
         return self.residual <= self.bound
 
 
-def fourier_law_check(kappa, state, p, v, solver=None):
+def fourier_law_check(kappa, state, p, v):
     """Residual of the currents of ``v`` against the conductivity prediction.
 
     ``v`` must be the slaved fast state for the slow coefficients in
@@ -352,10 +362,10 @@ def fourier_law_check(kappa, state, p, v, solver=None):
     j_a = sum_b kappa_ab[a, b] * (i p_i) * t_b, checked componentwise against
     the bound ``FOURIER_TOL_SCALE * |p| * ||T||``.
 
-    When ``solver`` is given, the prediction for component i is evaluated
-    with the response solves of gradient axis i.  The per-axis matrices agree
-    with ``kappa.kappa_ab`` up to the isotropy defect (checked against
-    `ISOTROPY_TOL`); re-pairing per axis keeps the comparison at the
+    The prediction for a component i off ``kappa.axis`` is evaluated with
+    the response solves of gradient axis i on ``kappa.model``.  The per-axis
+    matrices agree with ``kappa.kappa_ab`` up to the isotropy defect (checked
+    against `ISOTROPY_TOL`); re-pairing per axis keeps the comparison at the
     roundoff floor instead of amplifying that defect through the bound.
     """
     disp = kappa.basis.disp
@@ -368,10 +378,10 @@ def fourier_law_check(kappa, state, p, v, solver=None):
     for i in range(disp.grid.d):
         if p[i] == 0.0:
             continue
-        if solver is None or i == kappa.axis:
+        if i == kappa.axis:
             K_i = kappa.kappa_ab
         else:
-            K_i = pairing(kappa.basis, *axis_response(solver, kappa.basis, i))
+            K_i = pairing(kappa.basis, *axis_response(kappa.model, i))
             defect = float(np.max(np.abs(K_i - kappa.kappa_ab))) / kappa_scale
             if defect > ISOTROPY_TOL:
                 raise RuntimeError(
@@ -399,15 +409,16 @@ class CollisionResponse:
     reduces to the assembled linearized matrix; the four-point rule makes
     each quotient the exact Jacobian action, see ``_jacobian_fd``).  Single
     solves use preconditioned GMRES; batches use the preconditioned
-    fixed-point iteration, which contracts at rate O(||T||).  The batched
-    ``evaluator`` (`FourierCollision`) carries the dispersion field.
+    fixed-point iteration, which contracts at rate O(||T||).  L, its
+    deflated inverse (the preconditioner) and the dispersion field are those
+    of ``model`` (`LinearModel`); ``evaluator`` is the batched collision
+    evaluator (`FourierCollision`) on the same dispersion field.
     """
 
-    def __init__(self, evaluator, L, summary=None):
+    def __init__(self, evaluator, model):
         self.evaluator = evaluator
-        self.L = L
-        self.disp = evaluator.disp
-        self.solver = DeflatedInverse(L, self.disp, summary)
+        self.model = model
+        self.disp = model.disp
         self._W0 = self.disp.winv
 
     def _jacobian_fd(self, W, v):
@@ -438,16 +449,16 @@ class CollisionResponse:
     def solve(self, Tfield, rhs):
         """GMRES solve of (L - m(T, .)) x = rhs; returns (x, diagnostics)."""
         N = self.disp.grid.size
-        project = self.solver.project_out_low
+        project = self.model.project_out_low
         rhs = project(np.asarray(rhs, dtype=float))
         calls = {"n": 0}
 
         def matvec(v):
             calls["n"] += 1
-            return project(self.L @ v - self.shift_term(Tfield, v))
+            return project(self.model.L @ v - self.shift_term(Tfield, v))
 
         A = LinearOperator((N, N), matvec=matvec, dtype=float)
-        M = LinearOperator((N, N), matvec=self.solver.apply, dtype=float)
+        M = LinearOperator((N, N), matvec=self.model.apply, dtype=float)
         bnorm = np.linalg.norm(rhs)
         x, info = gmres(A, rhs, M=M, rtol=RESPONSE_TOL, atol=RESPONSE_TOL * bnorm,
                         restart=60, maxiter=GMRES_MAXITER)
@@ -466,14 +477,14 @@ class CollisionResponse:
         the preconditioned defect is O(||T||) so a few sweeps suffice.
         Raises when the iteration stalls (contraction lost).
         """
-        project = self.solver.project_out_low
+        project = self.model.project_out_low
         rhs = project(np.asarray(rhs, dtype=float))
-        x = self.solver.apply(rhs)
+        x = self.model.apply(rhs)
         scale = float(np.max(np.sqrt(np.abs(
             self.disp.grid.integrate(np.abs(rhs) ** 2 * self.disp.w_sq)))))
         prev = np.inf
         for _ in range(MAX_SWEEPS):
-            defect = rhs - (x @ self.L.T - self.shift_term(Tfields, x))
+            defect = rhs - (x @ self.model.L.T - self.shift_term(Tfields, x))
             defect = project(defect)
             err = float(np.max(np.sqrt(np.abs(
                 self.disp.grid.integrate(np.abs(defect) ** 2 * self.disp.w_sq)))))
@@ -485,7 +496,7 @@ class CollisionResponse:
                     f"defect {err:.2e} (scale {scale:.2e})"
                 )
             prev = err
-            x = x + self.solver.apply(defect)
+            x = x + self.model.apply(defect)
         raise RuntimeError("batched collision-response iteration did not converge")
 
 
@@ -513,8 +524,8 @@ def nonlinear_diffusivity(response, state):
     pairs back as in the zero-shift conductivity; at zero shift this
     reproduces it exactly.
     """
-    disp = response.disp
-    basis = SlowBasis(disp)
+    model = response.model
+    disp, basis = model.disp, model.basis
     Tfield = state.as_field(disp)
     Wmin = float(np.min(disp.winv + Tfield))
     if Wmin <= 0.0:
@@ -530,10 +541,8 @@ def nonlinear_diffusivity(response, state):
             X[b], diag = response.solve(Tfield, g[b])
             calls += diag["matvec_calls"]
     ip = basis.inner
-    av = X @ response.L.T - response.shift_term(
-        np.broadcast_to(Tfield, g.shape), X
-    )
-    av = response.solver.project_out_low(av)
+    av = X @ model.L.T - response.shift_term(np.broadcast_to(Tfield, g.shape), X)
+    av = model.project_out_low(av)
     resid = max(
         float(ip.norm(av[b] - g[b])) / float(ip.norm(g[b])) for b in (0, 1)
     )

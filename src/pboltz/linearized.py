@@ -465,17 +465,19 @@ def _i1_geometry(kpoint, kppoint, params):
 # Halving the kernel width must divide the error of `i1_mollified` against
 # `i1_exact` by at least this factor (second order would divide it by ~4).
 WIDTH_HALVING_MIN_RATIO = 2.0
+# `i1_exact` doubles its scan grid at most this many times.
+MAX_DOUBLINGS = 4
 
 
-def i1_exact(kpoint, kppoint, params, m=512, refine_tol=1e-6, max_doublings=4):
+def i1_exact(kpoint, kppoint, params, m=512, refine_tol=1e-6):
     """Exact-delta value of the I1 integrand at (k, k') in d=2, by co-area
-    root scanning with grid doubling until successive values agree to
-    `refine_tol` relative."""
+    root scanning with grid doubling (at most `MAX_DOUBLINGS` times) until
+    successive values agree to `refine_tol` relative."""
     if params.d != 2:
         raise ValueError("the exact-shell validator is worked out for d=2")
     G, dG, g = _i1_geometry(kpoint, kppoint, params)
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         val = 2.0 * _level_integral(g, G, dG, m)
         if prev is not None and abs(val - prev) <= refine_tol * max(abs(val), 1e-300):
             return val

@@ -5,7 +5,8 @@ import pytest
 
 from pboltz.collision import CollisionOperator, DeltaKernel, FourierCollision
 from pboltz.dispersion import DispersionField, DispersionParams
-from pboltz.linearized import assemble_K, assemble_L, assemble_M, spectrum_L
+from pboltz.hydrodynamics import CollisionResponse, LinearModel, compute_kappa
+from pboltz.linearized import assemble_K, assemble_L, assemble_M
 from pboltz.torus_grid import TorusGrid
 
 
@@ -52,9 +53,19 @@ def operators12(stack12):
 
 
 @pytest.fixture(scope="session")
-def summary12(operators12, stack12):
+def model12(operators12, stack12):
     _, disp, _ = stack12
-    return spectrum_L(operators12[2], disp)
+    return LinearModel(operators12[2], disp)
+
+
+@pytest.fixture(scope="session")
+def kappa12(model12):
+    return compute_kappa(model12)
+
+
+@pytest.fixture(scope="session")
+def response12(fourier12, model12):
+    return CollisionResponse(fourier12, model12)
 
 
 @pytest.fixture(scope="session")

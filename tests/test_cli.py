@@ -6,13 +6,14 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pboltz import cli, evolution
+from pboltz import cli, evolution, hydrodynamics
 from pboltz.cli import (
     COMMANDS,
     SCHEMA,
@@ -108,11 +109,15 @@ class TestConfigHandling:
             ["semigroup-bounds", "--p-factors", "0.5,1.0,"],
             ["hydro-limit", "--eps-list", "0.4,,0.2"],
             ["validate-kernel", "--eta-chain", "0.5,0.25,"],
+            ["semigroup-bounds", "--t-factors", "1.0"],
+            ["semigroup-bounds", "--t-factors", "1.0,1.0"],
+            ["validate-kernel", "--eta-chain", "0.25"],
         ],
         ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan",
              "evolve-triangular", "hydro-triangular", "validate-kernel-d3",
              "p-factors-empty-entry", "eps-list-empty-entry",
-             "eta-chain-empty-entry"],
+             "eta-chain-empty-entry", "t-factors-single",
+             "t-factors-one-distinct", "eta-chain-single"],
     )
     def test_rejected_before_output_directory(self, tmp_path, capsys, argv):
         code, out = run(tmp_path, "o", *argv)
@@ -226,6 +231,7 @@ def assert_preconditions(command, v):
     if command == "semigroup-bounds":
         for values in (v.p_factors, v.t_factors):
             assert len(values) >= 1 and all(positive(x) for x in values)
+        assert len(set(v.t_factors)) >= 2
     if command == "evolve":
         assert positive(v.t_max) and positive(v.t_min)
         assert type(v.n_times) is int and v.n_times >= 2
@@ -242,7 +248,7 @@ def assert_preconditions(command, v):
         assert type(v.pairs) is int and v.pairs >= 1
         assert type(v.quad_m) is int and v.quad_m >= 8
         assert positive(v.refine_tol)
-        assert len(v.eta_chain) >= 1 and all(positive(x) for x in v.eta_chain)
+        assert len(v.eta_chain) >= 2 and all(positive(x) for x in v.eta_chain)
         assert positive(v.min_sin) and v.min_sin < 1.0
 
 
@@ -446,6 +452,42 @@ class TestArtifacts:
         manifest = read_manifest(out)
         assert manifest["status"] == "numerical-failure"
         assert "positivity" in manifest["diagnostic"]
+
+
+class TestOneLinearModelPerRun:
+    """Each linear subcommand assembles L once and diagonalizes it once: one
+    `LinearModel`, one `spectrum_L` call and one `SlowBasis` per run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["kappa"],
+            ["dispersion-relation", "--p-count", "3"],
+            ["semigroup-bounds"],
+            ["evolve", "--n-x", "8", "--t-max", "0.5", "--n-times", "2"],
+            ["hydro-limit", "--n-x", "8", "--eps-list", "0.5,0.25",
+             "--t-compare", "0.2", "--dt-base", "0.05", "--dt-reference", "0.02"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_spectrum_and_one_model(self, tmp_path, monkeypatch, argv):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner in (cli, hydrodynamics):
+            monkeypatch.setattr(owner, "spectrum_L",
+                                counted("spectrum_L", owner.spectrum_L))
+        for cls in (hydrodynamics.LinearModel, hydrodynamics.SlowBasis):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        code, _ = run(tmp_path, "o", argv[0], *FAST, *argv[1:])
+        assert code == 0
+        assert calls == {"spectrum_L": 1, "LinearModel": 1, "SlowBasis": 1}
 
 
 def direct_collision_table(out):

@@ -35,13 +35,12 @@ from pboltz.evolution import (
     hydro_limit_study,
     mode_blocks,
     mode_matrix,
-    semigroup,
     semigroup_bound_sweep,
     spectrum_D,
     stable_step,
     unit_direction,
 )
-from pboltz.hydrodynamics import TWO_PI, CollisionResponse, compute_kappa
+from pboltz.hydrodynamics import TWO_PI, LinearModel, compute_kappa
 from pboltz.linearized import assemble_L, spectrum_L
 from pboltz.torus_grid import TorusGrid
 
@@ -49,21 +48,9 @@ BOX = 200.0
 
 
 @pytest.fixture(scope="module")
-def kappa12(operators12, stack12, summary12):
+def p0_12(operators12, stack12, model12):
     _, disp, _ = stack12
-    return compute_kappa(operators12[2], disp, summary12)
-
-
-@pytest.fixture(scope="module")
-def p0_12(operators12, stack12, summary12):
-    _, disp, _ = stack12
-    return find_p0(operators12[2], disp, summary12.gap)
-
-
-@pytest.fixture(scope="module")
-def response12(fourier12, operators12, stack12, summary12):
-    _, disp, _ = stack12
-    return CollisionResponse(fourier12, operators12[2], summary12)
+    return find_p0(operators12[2], disp, model12.summary.gap)
 
 
 class TestModeOperator:
@@ -108,16 +95,16 @@ class TestUnitDirection:
 
 class TestModeSpectrum:
     def test_zero_frequency_spectrum_matches_symmetric_solve(
-        self, operators12, stack12, summary12
+        self, operators12, stack12, model12
     ):
         _, disp, _ = stack12
         ev = spectrum_D(operators12[2], disp, np.zeros(2))
         assert abs(ev[0]) < 1e-14
-        assert np.isclose(ev[2].real, summary12.gap, rtol=1e-9)
+        assert np.isclose(ev[2].real, model12.summary.gap, rtol=1e-9)
         assert np.all(np.diff(ev.real) >= 0)
 
     def test_second_eigenvalue_sits_below_the_gap_at_zero(
-        self, operators12, stack12, summary12
+        self, operators12, stack12, model12
     ):
         # Kernel-width artifact: one extra near-null mode at ~0.3 of the gap
         # (7.1e-9 vs 2.34e-8 on this grid).  It does not vanish under grid
@@ -125,7 +112,7 @@ class TestModeSpectrum:
         # the module docstring.
         _, disp, _ = stack12
         ev = spectrum_D(operators12[2], disp, np.zeros(2))
-        assert 0.0 < ev[1].real < summary12.gap
+        assert 0.0 < ev[1].real < model12.summary.gap
 
     def test_slow_pair_imaginary_parts_are_negligible(
         self, operators12, stack12, p0_12
@@ -139,7 +126,7 @@ class TestModeSpectrum:
         assert abs(ev[1].imag) < tol
 
     def test_slow_pair_varies_continuously_in_frequency(
-        self, operators12, stack12, summary12, p0_12
+        self, operators12, stack12, model12, p0_12
     ):
         _, disp, _ = stack12
         L = operators12[2]
@@ -151,22 +138,22 @@ class TestModeSpectrum:
                 max_step = max(max_step, float(np.abs(pair - prev).max()))
             prev = pair
         # measured 0.12 of the gap per step on this grid
-        assert max_step < 0.5 * summary12.gap
+        assert max_step < 0.5 * model12.summary.gap
 
     def test_strict_positivity_beyond_the_two_mode_regime(
-        self, operators12, stack12, summary12, p0_12
+        self, operators12, stack12, model12, p0_12
     ):
         _, disp, _ = stack12
         L, p = operators12[2], np.array([2.0 * p0_12, 0.0])
         assert spectrum_D(L, disp, p).real.min() > 0.0
-        assert count_slow_eigenvalues(L, disp, p, 0.5 * summary12.gap) < 2
+        assert count_slow_eigenvalues(L, disp, p, 0.5 * model12.summary.gap) < 2
 
 
 class TestFindP0:
-    def test_two_mode_regime_boundary(self, operators12, stack12, summary12, p0_12):
+    def test_two_mode_regime_boundary(self, operators12, stack12, model12, p0_12):
         _, disp, _ = stack12
         L = operators12[2]
-        half = 0.5 * summary12.gap
+        half = 0.5 * model12.summary.gap
         assert 0.0 < p0_12 < 1e-6
         below = np.array([p0_12, 0.0])
         above = np.array([1.05 * p0_12, 0.0])
@@ -182,29 +169,29 @@ class TestFindP0:
 class TestModeSemigroup:
     def test_time_zero_is_the_identity(self, operators12, stack12, p0_12):
         _, disp, _ = stack12
-        S0 = semigroup(operators12[2], disp, np.array([p0_12, 0.0]), 0.0)
+        S0 = ModeSemigroup(operators12[2], disp, np.array([p0_12, 0.0])).propagator(0.0)
         dev = h_operator_norm(disp, S0 - np.eye(disp.grid.size))
         assert dev < 1e-12
 
     def test_composition_equals_the_sum_of_times(
-        self, operators12, stack12, summary12, p0_12
+        self, operators12, stack12, model12, p0_12
     ):
         _, disp, _ = stack12
         sg = ModeSemigroup(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        t1, t2 = 0.3 / summary12.gap, 1.0 / summary12.gap
+        t1, t2 = 0.3 / model12.summary.gap, 1.0 / model12.summary.gap
         lhs = sg.propagator(t1) @ sg.propagator(t2)
         rhs = sg.propagator(t1 + t2)
         dev = h_operator_norm(disp, lhs - rhs) / h_operator_norm(disp, rhs)
         assert dev < 1e-8  # measured 1.7e-15
 
     def test_never_expands_the_energy_norm(
-        self, operators12, stack12, summary12, p0_12
+        self, operators12, stack12, model12, p0_12
     ):
         # The symmetric part of the mode operator is positive semidefinite in
         # the omega^2-weighted inner product, so the semigroup contracts.
         _, disp, _ = stack12
         sg = ModeSemigroup(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
-        for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
+        for t in (0.3 / model12.summary.gap, 3.0 / model12.summary.gap):
             assert h_operator_norm(disp, sg.propagator(t)) <= 1.0 + 1e-10
 
     def test_negative_time_rejected(self, operators12, stack12):
@@ -214,7 +201,7 @@ class TestModeSemigroup:
             sg.propagator(-1.0)
 
     def test_pade_fallback_matches_the_eigen_path(
-        self, operators12, stack12, summary12, p0_12
+        self, operators12, stack12, model12, p0_12
     ):
         _, disp, _ = stack12
         L, p = operators12[2], np.array([0.5 * p0_12, 0.0])
@@ -222,16 +209,14 @@ class TestModeSemigroup:
         sg_pade = ModeSemigroup(L, disp, p, cond_limit=0.0)
         assert sg_eig.method == "eig"
         assert sg_pade.method == "expm"
-        t = 1.0 / summary12.gap
+        t = 1.0 / model12.summary.gap
         dev = h_operator_norm(disp, sg_eig.propagator(t) - sg_pade.propagator(t))
         assert dev < 1e-9  # measured 7.4e-12
 
 
 class TestBlockDecomposition:
-    def test_static_identity_at_zero_frequency(self, operators12, summary12, kappa12):
-        rows = block_decomposition_check(
-            operators12[2], summary12, kappa12, np.zeros(2), [0.0]
-        )
+    def test_static_identity_at_zero_frequency(self, kappa12):
+        rows = block_decomposition_check(kappa12, np.zeros(2), [0.0])
         r = rows[0]
         assert r.pp < 1e-12
         assert r.pq < 1e-12
@@ -242,28 +227,18 @@ class TestBlockDecomposition:
         # component (measured 0.77) before any dynamics happen.
         assert 0.5 < r.qq < 1.0
 
-    def test_relaxation_at_zero_frequency(self, operators12, summary12, kappa12):
+    def test_relaxation_at_zero_frequency(self, model12, kappa12):
         # The near-null kernel-width mode decays at ~0.3 of the gap while the
         # closed-form slow block does not decay at p = 0; by one gap time the
         # slow-slow residual has grown to order one (measured 0.79).  This is
         # the frequency-independent channel: it does not shrink with |p|.
-        t = 1.0 / summary12.gap
-        rows = block_decomposition_check(
-            operators12[2], summary12, kappa12, np.zeros(2), [t]
-        )
+        t = 1.0 / model12.summary.gap
+        rows = block_decomposition_check(kappa12, np.zeros(2), [t])
         assert 0.3 < rows[0].pp < 1.2
 
-    def test_rows_record_times_and_bounded_slow_norms(
-        self, operators12, summary12, kappa12, p0_12
-    ):
-        times = np.array([0.3, 1.0, 3.0]) / summary12.gap
-        rows = block_decomposition_check(
-            operators12[2],
-            summary12,
-            kappa12,
-            np.array([p0_12, 0.0]),
-            times,
-        )
+    def test_rows_record_times_and_bounded_slow_norms(self, model12, kappa12, p0_12):
+        times = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
+        rows = block_decomposition_check(kappa12, np.array([p0_12, 0.0]), times)
         assert [r.t for r in rows] == pytest.approx(list(times))
         for r in rows:
             assert 0.9 < r.slow_norm <= 1.0 + 1e-10
@@ -272,10 +247,10 @@ class TestBlockDecomposition:
 
 
 @pytest.fixture(scope="module")
-def sweep(operators12, summary12, kappa12, p0_12):
+def sweep(model12, kappa12, p0_12):
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
-    t_values = np.array([0.3, 1.0, 3.0]) / summary12.gap
-    return semigroup_bound_sweep(operators12[2], kappa12, p_values, t_values)
+    t_values = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
+    return semigroup_bound_sweep(kappa12, p_values, t_values)
 
 
 class TestSemigroupSweep:
@@ -299,9 +274,9 @@ class TestSemigroupSweep:
     def test_energy_norm_never_expands(self, sweep):
         assert np.all(sweep.full_norm <= 1.0 + 1e-10)
 
-    def test_fitted_rate_matches_the_gap_scale(self, sweep, summary12):
+    def test_fitted_rate_matches_the_gap_scale(self, sweep, model12):
         # measured 1.05x the gap on this grid
-        assert 0.2 * summary12.gap < sweep.c_hat < 5.0 * summary12.gap
+        assert 0.2 * model12.summary.gap < sweep.c_hat < 5.0 * model12.summary.gap
 
     def test_deflated_tail_is_frequency_independent_at_this_width(self, sweep):
         # A tail scaling with the frequency squared would make these
@@ -418,12 +393,12 @@ def stack3d():
     grid = TorusGrid(3, 8)
     disp = DispersionField(grid, DispersionParams(d=3, r=1.0))
     L = assemble_L(grid, disp, DeltaKernel.auto(grid, disp))
-    summary = spectrum_L(L, disp)
-    return L, disp, summary, compute_kappa(L, disp, summary)
+    model = LinearModel(L, disp)
+    return L, disp, model.summary, compute_kappa(model)
 
 
 @pytest.fixture(scope="module", params=["d2-n12", "d3-n8-oblique", "d2-n12-expm"])
-def oracle_case(request, operators12, stack12, summary12, kappa12, p0_12):
+def oracle_case(request, operators12, stack12, model12, kappa12, p0_12):
     """(L, disp, summary, kappa, p_values, t_values, direction, cond_limit)."""
     if request.param == "d3-n8-oblique":
         L, disp, summary, kappa = request.getfixturevalue("stack3d")
@@ -434,9 +409,9 @@ def oracle_case(request, operators12, stack12, summary12, kappa12, p0_12):
         return L, disp, summary, kappa, p_values, t_values, [1.0, 2.0, 0.5], 1e8
     cond_limit = 0.0 if request.param == "d2-n12-expm" else 1e8
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
-    t_values = np.array([0.3, 1.0, 3.0]) / summary12.gap
-    return (operators12[2], stack12[1], summary12, kappa12, p_values, t_values,
-            None, cond_limit)
+    t_values = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
+    return (operators12[2], stack12[1], model12.summary, kappa12, p_values,
+            t_values, None, cond_limit)
 
 
 class TestDenseOracleAgreement:
@@ -444,7 +419,7 @@ class TestDenseOracleAgreement:
 
     def test_sweep_matches_the_dense_products(self, oracle_case):
         L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
-        sweep = semigroup_bound_sweep(L, kappa, p_values, t_values,
+        sweep = semigroup_bound_sweep(kappa, p_values, t_values,
                                       direction=direction, cond_limit=cond)
         oracle = _dense_sweep(L, disp, summary, kappa, p_values, t_values,
                               direction, cond)
@@ -456,8 +431,7 @@ class TestDenseOracleAgreement:
     def test_block_check_matches_the_dense_products(self, oracle_case):
         L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
         p = p_values[-1] * unit_direction(disp.grid.d, direction)
-        rows = block_decomposition_check(L, summary, kappa, p, t_values,
-                                         cond_limit=cond)
+        rows = block_decomposition_check(kappa, p, t_values, cond_limit=cond)
         oracle = _dense_block_check(L, disp, summary, kappa, p, t_values, cond)
         for row, expect in zip(rows, oracle, strict=True):
             assert set(expect) == {f.name for f in dataclasses.fields(row)}
@@ -600,7 +574,7 @@ class TestSymmetryFrame:
 @pytest.fixture(scope="module", params=[
     "d2-n12-axis0", "d2-n12-axis1", "d2-n20-axis0", "d2-n20-axis1",
     "d3-n8-axis0", "d3-n8-oblique"])
-def p0_probes(request, operators12, stack12, summary12):
+def p0_probes(request, operators12, stack12, model12):
     """(p0, p0 of the dense-count bisection, per probe of the latter
     (dense count, sector count)).  Along a lattice axis of the d = 3 cubic
     grid the rotations and reflections about that axis force repeated
@@ -612,7 +586,7 @@ def p0_probes(request, operators12, stack12, summary12):
         if "n20" in request.param:
             L, disp, summary = request.getfixturevalue("stack20")
         else:
-            L, disp, summary = operators12[2], stack12[1], summary12
+            L, disp, summary = operators12[2], stack12[1], model12.summary
         direction = int(request.param[-1])
     p0 = find_p0(L, disp, summary.gap, direction=direction)
     probes = []
@@ -640,13 +614,13 @@ class TestSectorSlowCount:
 
 class TestLanczosNorm:
     def test_sweep_blocks_match_the_dense_norm(
-        self, operators12, stack12, summary12, kappa12, p0_12
+        self, operators12, stack12, model12, kappa12, p0_12
     ):
         _, disp, _ = stack12
         for p_abs in (0.25 * p0_12, p0_12):
             sg = ModeSemigroup(operators12[2], disp, np.array([p_abs, 0.0]))
             blocks = SlowFastBlocks(kappa12.basis, sg)
-            for t in (0.3 / summary12.gap, 3.0 / summary12.gap):
+            for t in (0.3 / model12.summary.gap, 3.0 / model12.summary.gap):
                 S = sg.propagator(t)
                 for mat in (S, blocks.split(S)[2], blocks.fast(S)):
                     assert h_operator_norm(disp, mat) == pytest.approx(
@@ -695,30 +669,26 @@ class TestLanczosNorm:
 
 
 class TestDispersionRelationSweep:
-    def test_quadratic_coefficients_are_axis_isotropic(self, operators12, kappa12):
+    def test_quadratic_coefficients_are_axis_isotropic(self, kappa12):
         p_values = np.linspace(0.02, 0.1, 5)
-        along_x = dispersion_relation_sweep(operators12[2], kappa12, p_values)
-        along_y = dispersion_relation_sweep(
-            operators12[2], kappa12, p_values, direction=[0.0, 1.0]
-        )
+        along_x = dispersion_relation_sweep(kappa12, p_values)
+        along_y = dispersion_relation_sweep(kappa12, p_values, direction=[0.0, 1.0])
         assert np.allclose(along_x.quad_coef, along_y.quad_coef, rtol=1e-6)
 
-    def test_box_scale_fit_reports_the_scale_mismatch(self, operators12, kappa12):
+    def test_box_scale_fit_reports_the_scale_mismatch(self, kappa12):
         # At box-scale frequencies the spectrum is transport-dominated: the
         # fitted quadratic coefficients come out ~5e-6 against conductivity
         # eigenvalues ~1e7, so the relative error saturates at 1.  Recorded
         # as measured; the small-frequency regime is exercised elsewhere.
-        sweep = dispersion_relation_sweep(
-            operators12[2], kappa12, np.linspace(0.02, 0.1, 5)
-        )
+        sweep = dispersion_relation_sweep(kappa12, np.linspace(0.02, 0.1, 5))
         assert np.all(sweep.quad_coef > 0.0)
         assert np.all(np.diff(sweep.quad_coef) >= 0)
         assert np.all(np.diff(sweep.mu) >= 0)
         assert np.all(sweep.rel_err > 0.9)
 
-    def test_records_the_raw_eigenvalue_tracks(self, operators12, kappa12):
+    def test_records_the_raw_eigenvalue_tracks(self, kappa12):
         p_values = np.linspace(0.02, 0.1, 5)
-        sweep = dispersion_relation_sweep(operators12[2], kappa12, p_values)
+        sweep = dispersion_relation_sweep(kappa12, p_values)
         assert sweep.lam1.shape == p_values.shape
         assert sweep.lam2.shape == p_values.shape
         assert np.all(sweep.lam1.real > 0.0)
@@ -773,22 +743,22 @@ class TestLinearEvolution:
         assert np.array_equal(both.states[:, 1], single.states[:, 0])
 
     def test_zero_frequency_preserves_the_exact_null_component(
-        self, operators12, stack12, summary12
+        self, operators12, stack12, model12
     ):
         _, disp, _ = stack12
         rng = np.random.default_rng(7)
         w0 = (disp.winv + 0.1 * rng.standard_normal(disp.grid.size))[None, :]
-        times = np.array([0.0, 1.0, 3.0]) / summary12.gap
+        times = np.array([0.0, 1.0, 3.0]) / model12.summary.gap
         traj = evolve_linear(operators12[2], disp, [0.0], w0, times)
         weight = disp.w_sq * disp.winv2 / disp.grid.size
         moments = traj.states[:, 0, :] @ weight
         assert np.allclose(moments, moments[0], rtol=1e-8)
 
-    def test_energy_norm_decays_monotonically(self, operators12, stack12, summary12):
+    def test_energy_norm_decays_monotonically(self, operators12, stack12, model12):
         _, disp, _ = stack12
         rng = np.random.default_rng(11)
         w0 = rng.standard_normal(disp.grid.size)[None, :]
-        times = np.array([0.0, 0.3, 1.0, 3.0]) / summary12.gap
+        times = np.array([0.0, 0.3, 1.0, 3.0]) / model12.summary.gap
         traj = evolve_linear(operators12[2], disp, [0.0], w0, times)
         norms = np.sqrt(
             np.abs(traj.states[:, 0, :]) ** 2 @ disp.w_sq / disp.grid.size
@@ -906,25 +876,19 @@ class TestDecayDiagnostics:
         assert not rep.window_empty
         assert np.isfinite(rep.slope_T) and np.isfinite(rep.slope_v)
 
-    def test_needs_the_transport_axis_conductivity(
-        self, perturbed_traj, operators12, stack12, summary12
-    ):
+    def test_needs_the_transport_axis_conductivity(self, perturbed_traj, model12):
         # the fast reference is the conductivity's own solve along axis 0
-        _, disp, _ = stack12
-        kappa_y = compute_kappa(operators12[2], disp, summary12, axis=1)
+        kappa_y = compute_kappa(model12, axis=1)
         with pytest.raises(ValueError, match="axis"):
             decay_diagnostics(perturbed_traj, kappa_y)
 
 
 class TestHydroLimitStudy:
-    def test_zero_data_reproduces_the_reference_exactly(
-        self, fourier12, operators12, stack12, kappa12, response12
-    ):
+    def test_zero_data_reproduces_the_reference_exactly(self, stack12, response12):
         _, disp, _ = stack12
         n_x = 8
         study = hydro_limit_study(
             response12,
-            kappa12,
             np.zeros((n_x, 2)),
             np.zeros((n_x, disp.grid.size)),
             BOX,
@@ -939,9 +903,7 @@ class TestHydroLimitStudy:
             assert row.newton_iterations == 0
         assert study.final_vs_first == 0.0
 
-    def test_small_ripple_runs_and_reports(
-        self, fourier12, operators12, stack12, kappa12, response12
-    ):
+    def test_small_ripple_runs_and_reports(self, stack12, response12):
         _, disp, _ = stack12
         n_x = 8
         x = np.arange(n_x) / n_x
@@ -949,7 +911,6 @@ class TestHydroLimitStudy:
         tau0[:, 0] = 1e-3 * np.sin(TWO_PI * x)
         study = hydro_limit_study(
             response12,
-            kappa12,
             tau0,
             np.zeros((n_x, disp.grid.size)),
             BOX,
@@ -967,16 +928,33 @@ class TestHydroLimitStudy:
         assert study.t_compare == 0.2
         assert isinstance(study.monotone, bool)
 
-    def test_initial_positivity_guard(
-        self, fourier12, operators12, stack12, kappa12, response12
-    ):
+    def test_single_eps_is_not_a_monotone_sequence(self, stack12, response12):
+        # one distance orders nothing: the study must not report shrinking
+        _, disp, _ = stack12
+        n_x = 8
+        tau0 = np.zeros((n_x, 2))
+        tau0[:, 0] = 1e-3 * np.sin(TWO_PI * np.arange(n_x) / n_x)
+        study = hydro_limit_study(
+            response12,
+            tau0,
+            np.zeros((n_x, disp.grid.size)),
+            BOX,
+            eps_list=(0.4,),
+            t_compare=0.2,
+            dt_base=0.05,
+            dt_reference=0.01,
+        )
+        assert len(study.rows) == 1 and study.rows[0].distance_T > 0.0
+        assert study.monotone is False
+        assert study.final_vs_first == 1.0
+
+    def test_initial_positivity_guard(self, stack12, response12):
         _, disp, _ = stack12
         n_x = 8
         v0 = -np.ones((n_x, disp.grid.size))
         with pytest.raises(ValueError):
             hydro_limit_study(
                 response12,
-                kappa12,
                 np.zeros((n_x, 2)),
                 v0,
                 BOX,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from pboltz import hydrodynamics
 from pboltz.hydrodynamics import (
     CollisionResponse,
-    DeflatedInverse,
     DiffusivityModel,
+    LinearModel,
     SlowBasis,
     SlowState,
     compute_kappa,
@@ -23,23 +24,6 @@ from pboltz.hydrodynamics import (
 def basis12(stack12):
     _, disp, _ = stack12
     return SlowBasis(disp)
-
-
-@pytest.fixture(scope="module")
-def kappa12(stack12, operators12, summary12):
-    _, disp, _ = stack12
-    return compute_kappa(operators12[2], disp, summary12)
-
-
-@pytest.fixture(scope="module")
-def solver12(stack12, operators12, summary12):
-    _, disp, _ = stack12
-    return DeflatedInverse(operators12[2], disp, summary12)
-
-
-@pytest.fixture(scope="module")
-def response12(fourier12, operators12, summary12):
-    return CollisionResponse(fourier12, operators12[2], summary12)
 
 
 class TestSlowBasis:
@@ -139,19 +123,28 @@ class TestObservables:
         assert np.array_equal(g[grid.axis_reflection(1)], g)
 
 
-class TestDeflatedInverse:
-    def test_annihilates_the_exact_null_direction(self, stack12, solver12):
+class TestLinearModel:
+    def test_annihilates_the_exact_null_direction(self, stack12, model12):
         _, disp, _ = stack12
-        out = solver12.apply(disp.winv2)
-        assert np.linalg.norm(out) < 1e-6 * np.linalg.norm(solver12.apply(disp.winv))
+        out = model12.apply(disp.winv2)
+        assert np.linalg.norm(out) < 1e-6 * np.linalg.norm(model12.apply(disp.winv))
 
-    def test_inverts_on_the_fast_directions(
-        self, stack12, operators12, summary12, solver12
-    ):
+    def test_inverts_on_the_fast_directions(self, stack12, operators12, model12):
         _, disp, _ = stack12
-        v = summary12.eigenvectors_sym[:, 10] / disp.w
-        dev = np.linalg.norm(operators12[2] @ solver12.apply(v) - v)
+        v = model12.summary.eigenvectors_sym[:, 10] / disp.w
+        dev = np.linalg.norm(operators12[2] @ model12.apply(v) - v)
         assert dev < 1e-8 * np.linalg.norm(v)
+
+    def test_holds_views_of_its_operator_and_eigenvectors(self, operators12, model12):
+        # the model adds no copy of L or of the eigenvector matrix
+        assert model12.L is operators12[2]
+        V = model12.summary.eigenvectors_sym
+        for block in (model12._V_low, model12._V_rest):
+            assert np.shares_memory(block, V)
+
+    def test_conductivity_carries_the_model(self, model12, kappa12):
+        assert kappa12.model is model12
+        assert kappa12.basis is model12.basis
 
 
 class TestKappa:
@@ -165,9 +158,8 @@ class TestKappa:
         assert abs(K[0, 1] - K[1, 0]) < 1e-8 * np.abs(K).max()
         assert K[0, 0] > 0.0 and K[1, 1] > 0.0
 
-    def test_direction_invariance(self, stack12, operators12, summary12, kappa12):
-        _, disp, _ = stack12
-        other = compute_kappa(operators12[2], disp, summary12, axis=1)
+    def test_direction_invariance(self, model12, kappa12):
+        other = compute_kappa(model12, axis=1)
         dev = np.abs(other.kappa_op - kappa12.kappa_op).max()
         assert dev < 1e-8 * np.abs(kappa12.kappa_op).max()
 
@@ -182,10 +174,9 @@ class TestKappa:
 
 
 class TestFourierLaw:
-    def test_zero_state_gives_zero(self, stack12, kappa12, solver12):
-        _, disp, _ = stack12
+    def test_zero_state_gives_zero(self, model12, kappa12):
         state = SlowState(0.0, 0.0)
-        v = slaved_state(solver12, state, np.array([0.05, 0.0]))
+        v = slaved_state(model12, state, np.array([0.05, 0.0]))
         assert np.abs(v).max() == 0.0
         rep = fourier_law_check(kappa12, state, np.array([0.05, 0.0]), v)
         assert rep.residual == 0.0
@@ -198,28 +189,56 @@ class TestFourierLaw:
             ((0.1, 0.4), (0.03, 0.04)),
         ],
     )
-    def test_slaved_states_satisfy_law(self, kappa12, solver12, tvec, p):
+    def test_slaved_states_satisfy_law(self, model12, kappa12, tvec, p):
         state = SlowState(*tvec)
         p = np.asarray(p)
-        v = slaved_state(solver12, state, p)
-        rep = fourier_law_check(kappa12, state, p, v, solver=solver12)
+        v = slaved_state(model12, state, p)
+        rep = fourier_law_check(kappa12, state, p, v)
         assert rep.passed
         assert rep.residual < 0.1 * rep.bound
 
-    def test_slaved_state_lies_in_fast_subspace(self, kappa12, solver12, basis12):
-        v = slaved_state(solver12, SlowState(1.0, 0.0), np.array([0.05, 0.0]))
+    def test_slaved_state_lies_in_fast_subspace(self, model12, basis12):
+        v = slaved_state(model12, SlowState(1.0, 0.0), np.array([0.05, 0.0]))
         overlap = np.abs(basis12.project_P(v)).max() / np.abs(v).max()
         assert overlap < 1e-12
 
 
 class TestCollisionResponse:
-    def test_zero_shift_matches_deflated_inverse(self, response12, solver12, stack12):
+    def test_zero_shift_matches_deflated_inverse(self, response12, model12, stack12):
         _, disp, _ = stack12
         g = disp.grad[:, 0] * disp.winv
         x, diag = response12.solve(np.zeros_like(g), g)
         assert diag["residual"] < 1e-10
-        y = solver12.apply(g)
+        y = model12.apply(g)
         assert np.linalg.norm(x - y) < 1e-9 * np.linalg.norm(y)
+
+    def test_solves_with_the_model_it_was_given(
+        self, fourier12, operators12, stack12, monkeypatch
+    ):
+        # the response diagonalizes nothing itself: its preconditioner and
+        # deflation are the deflated inverse of the model it holds
+        _, disp, _ = stack12
+        model = LinearModel(operators12[2], disp)
+        applied = []
+
+        def recorded(g, parity=None):
+            applied.append(np.shape(g))
+            return LinearModel.apply(model, g, parity)
+
+        def refuse(*args):
+            raise AssertionError("L diagonalized a second time")
+
+        monkeypatch.setattr(model, "apply", recorded)
+        monkeypatch.setattr(hydrodynamics, "spectrum_L", refuse)
+        response = CollisionResponse(fourier12, model)
+        assert response.model is model
+        g = disp.grad[:, 0] * disp.winv
+        x, diag = response.solve(np.zeros_like(g), g)
+        assert diag["residual"] < 1e-10 and applied
+        applied.clear()
+        xb = response.solve_batch(np.zeros((1, g.size)), g[None, :])
+        assert applied
+        assert np.linalg.norm(xb[0] - x) < 1e-9 * np.linalg.norm(x)
 
     def test_shift_term_vanishes_at_zero(self, response12, stack12, rng):
         grid, _, _ = stack12

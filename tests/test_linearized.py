@@ -6,7 +6,7 @@ import pytest
 from pboltz import linearized
 from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
-from pboltz.hydrodynamics import compute_kappa
+from pboltz.hydrodynamics import LinearModel, compute_kappa
 from pboltz.linearized import (
     assemble_I1,
     assemble_L,
@@ -48,8 +48,8 @@ class TestAssembly:
         defect = np.linalg.norm(B - B.T) / np.linalg.norm(B)
         assert defect < 1e-12
 
-    def test_positive_semidefinite(self, summary12):
-        lam = summary12.eigenvalues
+    def test_positive_semidefinite(self, model12):
+        lam = model12.summary.eigenvalues
         assert lam[0] > -1e-18
         assert lam[2] > 0.0
 
@@ -112,11 +112,11 @@ class TestThreeDimensions:
         return assemble_L(*stack)
 
     @pytest.fixture(scope="class")
-    def summary(self, stack, L):
-        return spectrum_L(L, stack[1])
+    def model(self, stack, L):
+        return LinearModel(L, stack[1])
 
-    def test_zero_mode_residuals(self, L, summary):
-        r1, r2 = summary.zero_mode_residuals
+    def test_zero_mode_residuals(self, L, model):
+        r1, r2 = model.summary.zero_mode_residuals
         assert r2 < 1e-14 * np.abs(L).max()  # exact null w^-2
         assert r2 < r1 < 1e-3  # w^-1 only up to the mollification bias
 
@@ -124,13 +124,13 @@ class TestThreeDimensions:
         B = stack[1].similarity(L)
         assert np.linalg.norm(B - B.T) / np.linalg.norm(B) < 1e-12
 
-    def test_positive_semidefinite(self, summary):
-        lam = summary.eigenvalues
+    def test_positive_semidefinite(self, model):
+        lam = model.summary.eigenvalues
         assert lam.min() >= -1e-12 * lam.max()
-        assert summary.gap > 0.0
+        assert model.summary.gap > 0.0
 
-    def test_conductivity_is_positive_definite(self, stack, L, summary):
-        kappa = compute_kappa(L, stack[1], summary)
+    def test_conductivity_is_positive_definite(self, model):
+        kappa = compute_kappa(model)
         assert np.array_equal(kappa.kappa_op, kappa.kappa_op.T)
         assert kappa.mu.min() > 0.0
 
@@ -177,25 +177,25 @@ class TestRowIdentities:
 
 
 class TestSpectrum:
-    def test_two_low_modes_then_gap(self, summary12):
-        lam = summary12.eigenvalues
+    def test_two_low_modes_then_gap(self, model12):
+        lam = model12.summary.eigenvalues
         # one exact null, a bias-lifted second mode below the gap
         assert lam[0] < 1e-8 * lam[2]
         assert lam[1] < lam[2]
-        assert summary12.gap == lam[2]
-        assert summary12.gap > 0.0
+        assert model12.summary.gap == lam[2]
+        assert model12.summary.gap > 0.0
 
-    def test_zero_mode_residuals(self, summary12):
-        r1, r2 = summary12.zero_mode_residuals
+    def test_zero_mode_residuals(self, model12):
+        r1, r2 = model12.summary.zero_mode_residuals
         assert r2 < 1e-18  # exact null
         assert 1e-8 < r1 < 1e-3  # mollifier-biased quasi-null
 
-    def test_exact_null_angle_small(self, stack12, operators12, summary12):
+    def test_exact_null_angle_small(self, stack12, operators12, model12):
         # the lowest eigenvector aligns with the exact null direction;
         # the two-dimensional principal angle to the slow span is O(1)
         # because the quasi-null bias exceeds the gap (diagnostic only)
         _, disp, _ = stack12
-        V0 = summary12.eigenvectors_sym[:, 0]
+        V0 = model12.summary.eigenvectors_sym[:, 0]
         target = disp.w * disp.winv2
         target = target / np.linalg.norm(target)
         assert abs(abs(V0 @ target) - 1.0) < 1e-8
@@ -207,9 +207,9 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="symmetrization residual"):
             spectrum_L(K, disp)
 
-    def test_null_space_angle_reports(self, summary12, stack12):
+    def test_null_space_angle_reports(self, model12, stack12):
         _, disp, _ = stack12
-        angle = null_space_angle(summary12, disp)
+        angle = null_space_angle(model12.summary, disp)
         assert 0.0 <= angle <= np.pi / 2
 
 
