@@ -19,6 +19,7 @@ from .collision import (
 )
 from .dispersion import DispersionField, DispersionParams
 from .evolution import (
+    ModeFamily,
     ModeSemigroup,
     WeightedNormSpec,
     decay_diagnostics,
@@ -63,6 +64,7 @@ __all__ = [
     "DispersionParams",
     "FourierCollision",
     "LinearModel",
+    "ModeFamily",
     "ModeSemigroup",
     "SlowBasis",
     "SlowState",

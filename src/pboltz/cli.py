@@ -39,6 +39,7 @@ import scipy
 from .collision import CollisionOperator, DeltaKernel, FourierCollision
 from .dispersion import DispersionField, DispersionParams
 from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it here
+    ModeFamily,
     count_slow_eigenvalues,
     decay_diagnostics,
     dispersion_relation_sweep,
@@ -48,7 +49,6 @@ from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it her
     semigroup_bound_sweep,
     spectrum_D,
     stable_step,
-    unit_direction,
 )
 from .hydrodynamics import TWO_PI, CollisionResponse, LinearModel, compute_kappa
 from .linearized import WIDTH_HALVING_MIN_RATIO, assemble_L, i1_exact, i1_mollified
@@ -125,6 +125,9 @@ RULES = (
      "config key 'd': validate-kernel's exact-shell reduction is d = 2 only"),
     (("semigroup-bounds",), lambda v: len(set(v.t_factors)) >= 2,
      "config key 't_factors': the rate fit needs two distinct times"),
+    (("semigroup-bounds",), lambda v: len(set(v.p_factors)) == len(v.p_factors),
+     "config key 'p_factors': a repeated value makes a halving ratio of 1 "
+     "by construction"),
     (("validate-kernel",), lambda v: len(v.eta_chain) >= 2,
      "config key 'eta_chain': the error ratio needs at least two widths"),
 )
@@ -499,16 +502,16 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     L, gap = model.L, model.summary.gap
     with clock.stage("conductivity"):
         kappa = compute_kappa(model)
-    direction = unit_direction(disp.grid.d, cfg.axis)
     with clock.stage("two_mode_boundary"):
-        p0 = find_p0(L, disp, gap, direction=direction)
-        floor = spectrum_D(L, disp, 2.0 * p0 * direction).real
+        modes = ModeFamily(L, disp, cfg.axis)
+        p0 = find_p0(modes, gap)
+        floor = spectrum_D(modes, 2.0 * p0).real
         b = float(floor.min())
         n_slow = int(np.count_nonzero(floor < 0.5 * gap))
     p_values = np.array(cfg.p_factors) * p0
     t_values = np.array(cfg.t_factors) / gap
     with clock.stage("norm_sweep"):
-        sweep = semigroup_bound_sweep(kappa, p_values, t_values, direction=direction)
+        sweep = semigroup_bound_sweep(kappa, modes, p_values, t_values)
     rows = []
     for i, p in enumerate(sweep.p_values):
         for j, t in enumerate(sweep.t_values):

@@ -2,32 +2,36 @@
 
 A spatial Fourier mode p turns the transport term into a diagonal phase and
 the linear dynamics into the dense complex array D(p) = L + (i/2pi)
-diag(p . grad omega) (`mode_matrix`, L a plain array).  D(p) commutes with
-the sign flips of the axes where p vanishes and, because omega is even and
-grad omega odd, with inversion k -> -k composed with complex conjugation.
-So in the symmetry frame of p (`TorusGrid.symmetry_frame`) it splits into
-real blocks, one per character of the flips (`mode_blocks`, which checks
-that split against `SYM_TOL`), and its spectrum, slow-eigenvalue count and
-semigroup are taken block by block (`spectrum_D`, `count_slow_eigenvalues`,
-`ModeSemigroup`); the complex eigendecomposition of the full D(p) is only
-the tests' oracle.  This module also checks the slow/fast block structure
-of the propagator, integrates the full nonlinear equation on a 1-D
-periodic box (method of lines, spectral transport), produces the
-diffusive-decay diagnostics, and runs the diffusive-scaling study against
-a nonlinear heat reference; the box integrators read the dispersion field
-from the collision evaluator.  The sweeps and checks that need the slow
-frame take a `ConductivityMatrix` and read L, the slow basis and the
-deflated inverse from the `LinearModel` it carries; `hydro_limit_study`
-reads the evaluator and the model from its `CollisionResponse`.  No N x N
-projector or inverse is formed.
+diag(p . grad omega) (`mode_matrix`, L a plain array).  Along one direction
+e, D(|p| e) commutes with the sign flips of the axes where e vanishes and,
+because omega is even and grad omega odd, with inversion k -> -k composed
+with complex conjugation.  So in the symmetry frame of e
+(`TorusGrid.symmetry_frame`) it splits into real blocks, one per character
+of the flips.  `ModeFamily` holds what does not depend on |p|: the image of
+L in that frame, the L part of the `SYM_TOL` check and each sector's
+Bendixson floor; per |p| only the sparse image of the phase is added and
+checked.  The spectrum, the slow-eigenvalue count (which never
+diagonalizes a sector whose floor clears the threshold) and the semigroup
+are taken block by block (`spectrum_D`, `count_slow_eigenvalues`,
+`ModeSemigroup`), and so are the weighted norms of the propagator and of
+its fast blocks (`h_operator_norm`); the complex eigendecomposition of the
+full D(p) is only the tests' oracle.  This module also checks the
+slow/fast block structure of the propagator, integrates the full
+nonlinear equation on a 1-D periodic box (method of lines, spectral
+transport), produces the diffusive-decay diagnostics, and runs the
+diffusive-scaling study against a nonlinear heat reference; the box
+integrators read the dispersion field from the collision evaluator.  The
+sweeps and checks that need the slow frame take a `ConductivityMatrix` and
+read L, the slow basis and the deflated inverse from the `LinearModel` it
+carries; `hydro_limit_study` reads the evaluator and the model from its
+`CollisionResponse`.  No N x N projector or inverse is formed.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eig, expm, lu_factor, lu_solve
-from scipy.sparse.linalg import svds
+from scipy.linalg import eig, eigvalsh, expm, lu_factor, lu_solve
 
 from .hydrodynamics import TWO_PI, DiffusivityModel, SlowState, slaved_state
 from .linearized import SYM_TOL
@@ -41,30 +45,6 @@ FIND_P0_REL_TOL = 1e-3
 STEP_SAFETY = 0.4
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 12
-
-
-def _krylov_start(n, dtype):
-    """Fixed start vector for ARPACK, so runs repeat bit for bit.  It comes
-    from a seeded generator rather than being constant, so it shares no
-    lattice symmetry with the operator: a symmetric start would never see
-    the singular vectors odd under that symmetry."""
-    return np.random.default_rng(0).standard_normal(n).astype(dtype)
-
-
-def _spectral_norm(X):
-    """Largest singular value by Lanczos on X^H X (`svds`, k = 1).
-
-    X is scaled by a power of two (exact) so that X^H X neither underflows
-    nor overflows.  An all-zero X, on which ARPACK stops with "starting
-    vector is zero", has norm 0.
-    """
-    amax = float(np.abs(X).max())
-    if amax == 0.0:
-        return 0.0
-    scale = 2.0 ** np.frexp(amax)[1]
-    s = svds(X / scale, k=1, tol=0, v0=_krylov_start(min(X.shape), X.dtype),
-             return_singular_vectors=False)
-    return float(s[0]) * scale
 
 
 # ----------------------------------------------------------------------
@@ -108,68 +88,99 @@ def mode_matrix(L, disp, p):
     return L.astype(complex) + 1j * np.diag(phase)
 
 
-def mode_blocks(L, disp, p):
-    """(frame, blocks): D(p) in the symmetry frame of p, as the real blocks
-    X_chi = B_chi^H D(p) B_chi of its sectors.
+class ModeFamily:
+    """The mode matrices D(|p| e) of one direction e (`unit_direction`), as
+    real blocks X_chi = B_chi^H D(|p| e) B_chi in the symmetry frame of the
+    sign flips of the axes where e vanishes (`TorusGrid.symmetry_frame`).
 
-    The frame is that of the sign flips of the axes where p vanishes
-    (`TorusGrid.symmetry_frame`); B^H D(p) B is formed by sparse products
-    in real arithmetic (`SymmetryFrame.to_frame`).  Raises
-    ValueError when the part of B^H D(p) B off the blocks, or the imaginary
-    part of a block, exceeds `SYM_TOL` relative to max |D(p)|: an L without
-    the lattice symmetry is never split.
+    With B = R diag(eps), the p-independent image R^T L R is formed once
+    and split into the L parts of the blocks; per |p| only the sparse image
+    R^T diag(phase) R is added (`blocks`), so the blocks are the real
+    parts of B^H D B.  The symmetry check is split the same way: the part
+    of L's image that B^H L B would put off the blocks or into their
+    imaginary parts is measured once and raises ValueError beyond `SYM_TOL`
+    of max |L|; at each |p| it is added to the phase image's part and held
+    to `SYM_TOL` of max |D|.  An L without the lattice symmetry is never
+    split.
+
+    omega is constant on the support of every frame column (`omega`, one
+    array per sector), so diag(omega_chi) X_chi diag(omega_chi)^-1 is the
+    block of the omega-similarity form H + iK, whose symmetric part is that
+    of L's block alone: the block of iK is antisymmetric (up to rounding).
+    Its smallest eigenvalue (`floors`) bounds from below the real part of
+    every eigenvalue of the sector at every |p| (Bendixson).
     """
-    p, phase = _frequency(disp, p)
-    frame = disp.grid.symmetry_frame(np.flatnonzero(p == 0.0))
-    Y = frame.to_frame(L, phase)
-    off = np.abs(Y)
-    defect = 0.0
-    blocks = []
-    for sector in frame.sectors:
-        X = Y[sector, sector]
-        defect = max(defect, float(np.abs(X.imag).max()))
-        off[sector, sector] = 0.0
-        blocks.append(np.ascontiguousarray(X.real))
-    defect = max(defect, float(off.max()))
-    # max |D(p)|, with D(p) = L + i diag(phase) never formed
-    scale = max(float(np.abs(L).max()), float(np.hypot(np.diag(L), phase).max()))
-    if defect > SYM_TOL * scale:
-        raise ValueError(
-            f"mode matrix breaks the lattice symmetry: residual "
-            f"{defect / scale:.2e} of max |D| exceeds {SYM_TOL:.0e}"
-        )
-    return frame, blocks
+
+    def __init__(self, L, disp, direction=None):
+        self.L, self.disp = L, disp
+        self.e = unit_direction(disp.grid.d, direction)
+        self.frame = frame = disp.grid.symmetry_frame(np.flatnonzero(self.e == 0.0))
+        image = frame.image(L)
+        self._L_blocks = frame.sector_blocks(image)
+        self._L_leak = frame.leak(image)
+        self._L_max = float(np.abs(L).max())
+        self._L_diag = np.diag(L)
+        if self._L_leak > SYM_TOL * self._L_max:
+            raise ValueError(
+                f"L breaks the lattice symmetry: residual "
+                f"{self._L_leak / self._L_max:.2e} of max |L| exceeds "
+                f"{SYM_TOL:.0e}"
+            )
+        w = frame.column_values(disp.w)
+        self.omega = [w[sector] for sector in frame.sectors]
+        self.floors = []
+        for X, w_chi in zip(self._L_blocks, self.omega):
+            H = (w_chi[:, None] / w_chi[None, :]) * X
+            low = eigvalsh(0.5 * (H + H.T), subset_by_index=[0, 0])
+            self.floors.append(float(low[0]))
+
+    def blocks(self, p_abs):
+        """The real sector blocks of D(|p| e).  Raises ValueError when the
+        part of B^H D B off the blocks or in their imaginary parts exceeds
+        `SYM_TOL` of max |D|."""
+        _, phase = _frequency(self.disp, p_abs * self.e)
+        image = self.frame.diagonal_image(phase)
+        leak = self._L_leak + self.frame.leak(image, imaginary=True)
+        # max |D|, with D = L + i diag(phase) never formed
+        scale = max(self._L_max, float(np.hypot(self._L_diag, phase).max()))
+        if leak > SYM_TOL * scale:
+            raise ValueError(
+                f"mode matrix breaks the lattice symmetry: residual "
+                f"{leak / scale:.2e} of max |D| exceeds {SYM_TOL:.0e}"
+            )
+        return [X + Y for X, Y in zip(
+            self._L_blocks, self.frame.sector_blocks(image, imaginary=True))]
 
 
-def spectrum_D(L, disp, p):
-    """Eigenvalues of D(p), sorted by increasing real part and, within a
+def spectrum_D(modes, p_abs):
+    """Eigenvalues of D(|p| e), sorted by increasing real part and, within a
     complex-conjugate pair (equal real parts), by imaginary part: the union
-    of the eigenvalues of its real sector blocks (`mode_blocks`)."""
-    _, blocks = mode_blocks(L, disp, p)
-    ev = np.concatenate([np.linalg.eigvals(X) for X in blocks])
+    of the eigenvalues of its real sector blocks (`ModeFamily.blocks`)."""
+    ev = np.concatenate([np.linalg.eigvals(X) for X in modes.blocks(p_abs)])
     return ev[np.lexsort((ev.imag, ev.real))]
 
 
-def count_slow_eigenvalues(L, disp, p, threshold):
-    """Number of eigenvalues of D(p) with real part below the threshold,
-    summed over its real sector blocks (`mode_blocks`)."""
-    _, blocks = mode_blocks(L, disp, p)
+def count_slow_eigenvalues(modes, p_abs, threshold):
+    """Number of eigenvalues of D(|p| e) with real part below the threshold,
+    summed over its real sector blocks (`ModeFamily.blocks`).  A sector
+    whose Bendixson floor is at or above the threshold has no such
+    eigenvalue and is never diagonalized."""
     return sum(int(np.count_nonzero(np.linalg.eigvals(X).real < threshold))
-               for X in blocks)
+               for X, floor in zip(modes.blocks(p_abs), modes.floors)
+               if floor < threshold)
 
 
-def find_p0(L, disp, gap, direction=None):
+def find_p0(modes, gap):
     """Largest |p| at which exactly two eigenvalues sit below half the gap.
 
-    Log-space bisection along the given direction (default first axis); the
-    value is an artifact of the grid and kernel width, reported, never
-    asserted against any external constant.
+    Log-space bisection along the family's direction; the value is an
+    artifact of the grid and kernel width, reported, never asserted against
+    any external constant.
     """
-    e = unit_direction(disp.grid.d, direction)
     half = 0.5 * gap
 
     def count(p_abs):
-        return count_slow_eigenvalues(L, disp, p_abs * e, half)
+        return count_slow_eigenvalues(modes, p_abs, half)
 
     if count(FIND_P0_MAX) == 2:
         return FIND_P0_MAX
@@ -190,22 +201,24 @@ def find_p0(L, disp, gap, direction=None):
 
 
 class ModeSemigroup:
-    """Propagator exp(-t D(p)), block by block in the symmetry frame of p.
+    """Propagator exp(-t D(|p| e)), block by block in the symmetry frame.
 
-    Each real sector block X (`mode_blocks`) is diagonalized, X = V w V^-1
-    (`eig`, `inv`).  The propagator is exp(-t X) = V exp(-t w) V^-1 per
-    block, or the scaled-and-squared Pade exponential of the block when the
-    eigenbasis condition number cond = max ||V||_2 * max ||V^-1||_2 over the
-    blocks exceeds `cond_limit`; that is the condition number of the
-    node-space eigenbasis, since the frame is unitary.  The node-space w, V
-    and V^-1 stay available; they give the spectral projector onto the two
-    eigenvalues of smallest real part in rank-2 form, P~ = a b with
-    a = V[:, sel] (N x 2) and b = V^-1[sel, :] (2 x N).  Its complement
-    Q~ = I - P~ is never formed: S Q~ = S - (S a) b.
+    Each real sector block X (`ModeFamily.blocks`) is diagonalized,
+    X = V w V^-1 (`eig`, `inv`).  The propagator is exp(-t X) =
+    V exp(-t w) V^-1 per block (`propagator_blocks`), or the
+    scaled-and-squared Pade exponential of the block when the eigenbasis
+    condition number cond = max ||V||_2 * max ||V^-1||_2 over the blocks
+    exceeds `cond_limit`; that is the condition number of the node-space
+    eigenbasis, since the frame is unitary.  The spectral projector onto the
+    two eigenvalues of smallest real part is P~ = a b, a = V[:, sel]
+    (N x 2) and b = V^-1[sel, :] (2 x N); its sectors hold it in pieces
+    (`sector_slow_factors`), since the two eigenvalues need not share a
+    sector.  Q~ = I - P~ is never formed: S Q~ = S - (S a) b.
     """
 
-    def __init__(self, L, disp, p, cond_limit=1e8):
-        self.frame, self.blocks = mode_blocks(L, disp, p)
+    def __init__(self, modes, p_abs, cond_limit=1e8):
+        self.frame = modes.frame
+        self.blocks = modes.blocks(p_abs)
         pairs = [eig(X) for X in self.blocks]
         self._w = [w for w, _ in pairs]
         self._V = [V for _, V in pairs]
@@ -224,32 +237,74 @@ class ModeSemigroup:
     def Vinv(self):
         return self.frame.rows(self._Vinv)
 
-    def propagator(self, t):
+    def propagator_blocks(self, t):
+        """The real sector blocks of exp(-t D)."""
         if t < 0:
             raise ValueError("propagator requires t >= 0")
         if self.method == "eig":
             # exp(-t X) of a real block is real: drop the rounding in .imag
-            blocks = [((V * np.exp(-t * w)) @ Vinv).real
-                      for w, V, Vinv in zip(self._w, self._V, self._Vinv)]
-        else:
-            blocks = [expm(-t * X) for X in self.blocks]
-        return self.frame.to_nodes(blocks)
+            return [((V * np.exp(-t * w)) @ Vinv).real
+                    for w, V, Vinv in zip(self._w, self._V, self._Vinv)]
+        return [expm(-t * X) for X in self.blocks]
+
+    def propagator(self, t):
+        """exp(-t D) in node space."""
+        return self.frame.to_nodes(self.propagator_blocks(t))
+
+    def sector_slow_factors(self):
+        """Per sector, None when neither of the two eigenvalues of smallest
+        real part (a stable sort of all of them) sits in it, else
+        (a_chi, b_chi, real) with P~ = diag(a_chi b_chi) in the frame: the
+        columns of V_chi and rows of V_chi^-1 of those that do.  `real` says
+        that they are closed under conjugation (real, or a conjugate pair),
+        so that a_chi b_chi, a spectral projector of a real block, is real."""
+        sel = np.argsort(self.w.real, kind="stable")[:2]
+        factors, start = [], 0
+        for w, V, Vinv in zip(self._w, self._V, self._Vinv):
+            local = [int(g) - start for g in sel if start <= g < start + w.size]
+            start += w.size
+            if not local:
+                factors.append(None)
+                continue
+            real = bool(np.all(np.isin(w[local].conj(), w[local])))
+            factors.append((V[:, local], Vinv[local, :], real))
+        return factors
 
     def slow_factors(self):
-        """(a, b) with P~ = a @ b, the spectral projector onto the
-        eigenvectors of the two eigenvalues of smallest real part."""
-        sel = np.argsort(self.w.real, kind="stable")[:2]
-        return self.V[:, sel], self.Vinv[sel, :]
+        """(a, b) with P~ = a @ b in node space: N x 2 and 2 x N."""
+        pieces = [(c, f) for c, f in enumerate(self.sector_slow_factors())
+                  if f is not None]
+        a = np.hstack([self.frame.sector_columns(c, f[0]) for c, f in pieces])
+        b = np.vstack([self.frame.sector_rows(c, f[1]) for c, f in pieces])
+        return a, b
 
 
-def h_operator_norm(disp, mat):
-    """Operator norm in the omega^2-weighted inner product: the spectral
-    norm of the omega-similarity transform, by Lanczos (`_spectral_norm`)."""
-    return _spectral_norm(disp.similarity(mat))
+def h_operator_norm(modes, blocks):
+    """Operator norm in the omega^2-weighted inner product of a matrix that
+    is block-diagonal in the frame of `modes`, given by its sector blocks:
+    the largest over the sectors of ||Y_chi||_2 with
+    Y_chi = diag(omega_chi) X_chi diag(omega_chi)^-1, since the frame is
+    unitary and omega is constant on each frame column.  ||Y||_2^2 is the
+    largest eigenvalue of Y^H Y, which the symmetric eigensolver returns
+    to a relative accuracy of a few eps times the block size; Y is first
+    scaled by a power of two (exact) so that Y^H Y neither underflows nor
+    overflows."""
+    norm = 0.0
+    for w, X in zip(modes.omega, blocks):
+        Y = (w[:, None] / w[None, :]) * X
+        amax = float(np.abs(Y).max(initial=0.0))
+        if amax == 0.0:
+            continue
+        scale = 2.0 ** np.frexp(amax)[1]
+        Y = Y / scale
+        top = eigvalsh(Y.conj().T @ Y, subset_by_index=[w.size - 1] * 2)[0]
+        norm = max(norm, float(np.sqrt(max(top, 0.0))) * scale)
+    return norm
 
 
 def h_low_rank_norm(disp, left, right):
-    """`h_operator_norm` of left @ right for thin factors (N x k, k x N).
+    """Operator norm of left @ right in the omega^2-weighted inner product,
+    for thin node-space factors (N x k, k x N).
 
     With D = diag(omega), thin QRs D left = Q1 R1 and (right D^-1)^H = Q2 R2
     give D left right D^-1 = Q1 (R1 R2^H) Q2^H, whose norm is that of the
@@ -271,20 +326,26 @@ def sup_operator_norm(mat):
 
 
 class SlowFastBlocks:
-    """Blocks of a node-space matrix S against the slow pair, in thin form.
+    """Blocks of a propagator S against the slow pair, in thin or sector form.
 
     The slow projection P = u to_coef (`SlowBasis`) is H-orthogonal and of
     rank 2: with D = diag(omega) and u~ = D u / sqrt(N), whose columns are
     l2-orthonormal, D P D^-1 = u~ u~^T.  The spectral projector
     P~ = a b (`ModeSemigroup.slow_factors`) has rank 2 as well.  So
-    Q = I - P and Q~ = I - P~ act as rank-2 updates in O(N^2), the
-    off-diagonal blocks are P S Q = u (to_coef S Q) and
-    Q S P = (Q S u) to_coef, and no N x N sandwich product is formed.
+    Q = I - P and Q~ = I - P~ act as rank-2 updates, the off-diagonal
+    blocks are P S Q = u (to_coef S Q) and Q S P = (Q S u) to_coef, and no
+    N x N sandwich product is formed.  u and to_coef are even and real, so
+    in the symmetry frame they live in the trivial sector 0 (`u0`, `t0`):
+    Q S Q and S Q~ are block-diagonal there, Q acting on sector 0 only and
+    Q~ on the sectors of its two eigenvalues (`qq_blocks`, `fast_blocks`).
     """
 
     def __init__(self, basis, sg):
         self.u, self.to_coef = basis.u, basis.to_coef
         self.a, self.b = sg.slow_factors()
+        self.u0 = sg.frame.coordinates(basis.u, 0)
+        self.t0 = sg.frame.coordinates(basis.to_coef.T, 0).T
+        self._slow = sg.sector_slow_factors()
 
     def q_left(self, X):
         """Q X for an N x k factor."""
@@ -294,14 +355,30 @@ class SlowFastBlocks:
         """Y Q for a k x N factor."""
         return Y - (Y @ self.u) @ self.to_coef
 
-    def split(self, S):
-        """(to_coef S Q, Q S u, Q S Q); the last as
-        Q S Q = S - u (to_coef S) - (Q S u) to_coef."""
-        Y = self.to_coef @ S
-        QZ = self.q_left(S @ self.u)
-        QSQ = S - self.u @ Y
-        QSQ -= QZ @ self.to_coef
-        return self.q_right(Y), QZ, QSQ
+    def couplings(self, S):
+        """(to_coef S Q, Q S u)."""
+        return self.q_right(self.to_coef @ S), self.q_left(S @ self.u)
+
+    def qq_blocks(self, blocks):
+        """The sector blocks of Q S Q from those of S: in sector 0
+        Q S Q = S - u0 (t0 S) - (Q S u0) t0, elsewhere S."""
+        S0, u0, t0 = blocks[0], self.u0, self.t0
+        QZ = S0 @ u0
+        QZ -= u0 @ (t0 @ QZ)
+        return [S0 - u0 @ (t0 @ S0) - QZ @ t0] + list(blocks[1:])
+
+    def fast_blocks(self, blocks):
+        """The sector blocks of S Q~: S_chi - (S_chi a_chi) b_chi, real when
+        a_chi b_chi is, and S_chi in a sector that P~ misses."""
+        fast = []
+        for S, slow in zip(blocks, self._slow):
+            if slow is not None:
+                a, b, real = slow
+                S = S - (S @ a) @ b
+                if real:
+                    S = S.real
+            fast.append(S)
+        return fast
 
     def deflation(self, S):
         """Thin factors (N x 4, 4 x N) of QSQ - Q Q~ S Q~ Q.
@@ -317,10 +394,6 @@ class SlowFastBlocks:
         right = self.q_right(np.vstack([b @ S - (b @ Sa) @ b, b]))
         return left, right
 
-    def fast(self, S):
-        """S Q~ = S - (S a) b."""
-        return S - (S @ self.a) @ self.b
-
 
 @dataclass(frozen=True)
 class BlockResiduals:
@@ -332,8 +405,15 @@ class BlockResiduals:
     slow_norm: float
 
 
-def block_decomposition_check(kappa, p, times, cond_limit=1e8):
-    """Residuals of the four propagator blocks against their leading terms.
+def _check_modes(kappa, modes):
+    if modes.L is not kappa.model.L:
+        raise ValueError("the mode family is not that of kappa's linear model")
+
+
+def block_decomposition_check(kappa, modes, p_abs, times, cond_limit=1e8):
+    """Residuals of the four propagator blocks against their leading terms,
+    at p = |p| e along the direction of `modes` (a `ModeFamily` of
+    ``kappa.model``'s L).
 
     The slow-slow block is compared to K_t = u k_t to_coef with
     k_t = exp(-t p^2 kappa), the off-diagonal blocks to its compositions with
@@ -345,14 +425,15 @@ def block_decomposition_check(kappa, p, times, cond_limit=1e8):
     and since L^-1 is H-self-adjoint, to_coef B = ((A u) omega^2)^T / N.  The
     pp, pq and qp residuals have rank <= 2, the qq residual
     Q (P~ S + S P~ - P~ S P~) Q - (A u) k_t (to_coef B) rank <= 6; all are
-    weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).  L and
-    the slow frame are those of ``kappa.model``.
+    weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).  The slow
+    frame is that of ``kappa.model``.
     """
+    _check_modes(kappa, modes)
     model = kappa.model
     basis, disp = model.basis, model.disp
-    p = np.asarray(p, dtype=float)
+    p = p_abs * modes.e
     p2 = float(p @ p)
-    sg = ModeSemigroup(model.L, disp, p, cond_limit)
+    sg = ModeSemigroup(modes, p_abs, cond_limit)
     blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
     Au = slaved_state(model, SlowState(*basis.coeff_map), p).T
@@ -362,7 +443,7 @@ def block_decomposition_check(kappa, p, times, cond_limit=1e8):
     for t in times:
         S = sg.propagator(t)
         k_t = expm(-t * p2 * kappa.kappa_op)
-        YQ, QZ, _ = blocks.split(S)
+        YQ, QZ = blocks.couplings(S)
         left, right = blocks.deflation(S)
         rows.append(
             BlockResiduals(
@@ -408,26 +489,27 @@ class SemigroupSweep:
     qq_halving_ratios: np.ndarray
 
 
-def semigroup_bound_sweep(kappa, p_values, t_values, direction=None,
-                          cond_limit=1e8):
+def semigroup_bound_sweep(kappa, modes, p_values, t_values, cond_limit=1e8):
     """Measure the propagator block norms over a (p, t) grid.
 
-    For each p (magnitudes along `direction`, default first axis) and t the
-    sweep records the weighted norms of the full propagator S, the
-    slow-to-fast and fast-to-slow blocks, the fast-fast block, and the
-    spectrally-projected remainder; it then fits the exponential rate from
-    the remainder decay and reports measured-over-envelope ratios.
+    For each p (magnitudes along the direction of `modes`, a `ModeFamily`
+    of ``kappa.model``'s L) and t the sweep records the weighted norms of
+    the full propagator S, the slow-to-fast and fast-to-slow blocks, the
+    fast-fast block, and the spectrally-projected remainder; it then fits
+    the exponential rate from the remainder decay and reports
+    measured-over-envelope ratios.
 
-    The blocks come from rank-2 factors (`SlowFastBlocks`): P S Q and
-    Q S P have rank <= 2, the deflated block QSQ - Q Q~ S Q~ Q has rank
-    <= 4, and Q S Q and S Q~ are rank-2 updates of S.  S itself is formed
-    per sector block (`ModeSemigroup.propagator`); the norms of S, Q S Q and
-    S Q~ are Lanczos iterations of O(N^2) matvecs each (`h_operator_norm`).
-    L and the slow frame are those of ``kappa.model``.
+    S is formed per sector block (`ModeSemigroup.propagator_blocks`), and
+    S, Q S Q and S Q~ are block-diagonal in the frame, so their norms are
+    the largest of their blocks' norms (`h_operator_norm`,
+    `SlowFastBlocks.qq_blocks` and `fast_blocks`).  S in node space gives
+    the sup norm and the thin blocks: P S Q and Q S P have rank <= 2 and
+    the deflated block QSQ - Q Q~ S Q~ Q rank <= 4 (`h_low_rank_norm`).
+    The slow frame is that of ``kappa.model``.
     """
-    L, basis = kappa.model.L, kappa.basis
+    _check_modes(kappa, modes)
+    basis = kappa.basis
     disp = basis.disp
-    e = unit_direction(disp.grid.d, direction)
     p_values = np.asarray(p_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     n_p, n_t = p_values.size, t_values.size
@@ -442,20 +524,21 @@ def semigroup_bound_sweep(kappa, p_values, t_values, direction=None,
     qtil = np.zeros(shape)
 
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(L, disp, p_abs * e, cond_limit)
+        sg = ModeSemigroup(modes, p_abs, cond_limit)
         blocks = SlowFastBlocks(basis, sg)
         for j, t in enumerate(t_values):
-            S = sg.propagator(t)
-            full[i, j] = h_operator_norm(disp, S)
+            S_blocks = sg.propagator_blocks(t)
+            S = sg.frame.to_nodes(S_blocks)
+            full[i, j] = h_operator_norm(modes, S_blocks)
             full_sup[i, j] = sup_operator_norm(S)
-            YQ, QZ, QSQ = blocks.split(S)
+            YQ, QZ = blocks.couplings(S)
             pq[i, j] = h_low_rank_norm(disp, basis.u, YQ)
             qp[i, j] = h_low_rank_norm(disp, QZ, basis.to_coef)
-            qq[i, j] = h_operator_norm(disp, QSQ)
+            qq[i, j] = h_operator_norm(modes, blocks.qq_blocks(S_blocks))
             # the p-independent remainder (doubly projected off the slow
             # pair) is subtracted before measuring the p^2 scaling
             qq_defl[i, j] = h_low_rank_norm(disp, *blocks.deflation(S))
-            qtil[i, j] = h_operator_norm(disp, blocks.fast(S))
+            qtil[i, j] = h_operator_norm(modes, blocks.fast_blocks(S_blocks))
 
     # rate from the remainder decay: log qtilde ~ -c t (averaged over p)
     logq = np.log(np.maximum(qtil, 1e-300))
@@ -511,13 +594,12 @@ def dispersion_relation_sweep(kappa, p_values, direction=None):
     """Fit the two lowest eigenvalues of the mode operator of
     ``kappa.model``'s L to c * p^2 and compare the coefficients with the
     conductivity eigenvalues."""
-    L, disp = kappa.model.L, kappa.model.disp
-    e = unit_direction(disp.grid.d, direction)
+    modes = ModeFamily(kappa.model.L, kappa.model.disp, direction)
     p_values = np.asarray(p_values, dtype=float)
     lam1 = np.zeros(p_values.size, dtype=complex)
     lam2 = np.zeros(p_values.size, dtype=complex)
     for i, p_abs in enumerate(p_values):
-        lam1[i], lam2[i] = spectrum_D(L, disp, p_abs * e)[:2]
+        lam1[i], lam2[i] = spectrum_D(modes, p_abs)[:2]
     p2 = p_values**2
     coef = np.array(
         [
@@ -593,13 +675,13 @@ def box_modes(n_x, box_length):
 
 def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
     """Propagate each mode with its own semigroup: w(p, t) = exp(-tD(p)) w(p, 0)."""
-    e = unit_direction(disp.grid.d, direction)
+    modes = ModeFamily(L, disp, direction)
     p_values = np.asarray(p_values, dtype=float)
     w0 = np.asarray(w0, dtype=complex)
     times = np.asarray(times, dtype=float)
     states = np.zeros((times.size, p_values.size, disp.grid.size), dtype=complex)
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(L, disp, p_abs * e, cond_limit)
+        sg = ModeSemigroup(modes, p_abs, cond_limit)
         for j, t in enumerate(times):
             states[j, i] = sg.propagator(t) @ w0[i]
     return EvolutionTrajectory(

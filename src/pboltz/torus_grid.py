@@ -143,8 +143,14 @@ class SymmetryFrame:
     or i times real: basis = R diag(eps) with R real and eps in {1, i}.
     The mode matrix D(p) commutes with the flips of the axes where p
     vanishes, and with J because omega is even and grad omega odd; so
-    basis^H D(p) basis (`to_frame`) is block-diagonal with real blocks.
-    Built from the index maps `axis_reflection` and `reflection` only.
+    basis^H D(p) basis is block-diagonal with real blocks.  For a real M,
+    basis^H M basis = conj(eps) eps^T * `image`(M) and
+    basis^H i diag(f) basis = i conj(eps) eps^T * `diagonal_image`(f); the
+    entries of conj(eps) eps^T are 1 or +-i, so each real block entry is an
+    entry of the image or its negative (`sector_blocks`).  A field constant
+    on orbits of the flips and of inversion, like omega, is constant on the
+    support of every column (`column_values`).  Built from the index maps
+    `axis_reflection` and `reflection` only.
     """
 
     def __init__(self, grid, axes):
@@ -204,14 +210,61 @@ class SymmetryFrame:
         self.basis = csr_array((vals * self.eps[cols], (rows, cols)), shape=shape)
         self.sectors = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])
                         if b > a]
+        self._sector_bases = [self.basis[:, s] for s in self.sectors]
+        self._sector_of = np.repeat(np.arange(len(self.sectors)),
+                                    [s.stop - s.start for s in self.sectors])
+        self._is_imag = self.eps.imag != 0.0
+        self._vanish = {}  # per `leak` kind, the entries that must vanish
+        # real and imaginary parts of conj(eps) eps^T per sector: 0 or +-1
+        self._units = []
+        for s in self.sectors:
+            unit = np.outer(self.eps[s].conj(), self.eps[s])
+            self._units.append((unit.real.copy(), unit.imag.copy()))
 
-    def to_frame(self, L, phase):
-        """basis^H (L + i diag(phase)) basis for a real L, in real
-        arithmetic: with basis = R diag(eps), it is
-        conj(eps) eps^T * (R^T L R + i R^T diag(phase) R)."""
-        A = (self._real_t @ (self._real_t @ L).T).T
-        F = (self._real_t.multiply(phase) @ self._real).toarray()
-        return (A + 1j * F) * np.outer(self.eps.conj(), self.eps)
+    def image(self, M):
+        """R^T M R for a real N x N M (dense), basis = R diag(eps)."""
+        return (self._real_t @ (self._real_t @ M).T).T
+
+    def diagonal_image(self, f):
+        """R^T diag(f) R for a real field f (dense, from sparse products)."""
+        return (self._real_t.multiply(f) @ self._real).toarray()
+
+    def sector_blocks(self, image, imaginary=False):
+        """The real parts of the sector blocks of basis^H M basis, from
+        image = R^T M R for a real M, or of basis^H (i M) basis when
+        `imaginary`: image * Re(conj(eps) eps^T), or image * -Im(...)."""
+        return [image[s, s] * (-ci if imaginary else cr)
+                for s, (cr, ci) in zip(self.sectors, self._units)]
+
+    def leak(self, image, imaginary=False):
+        """Largest |entry| of `image` that basis^H M basis (or
+        basis^H (i M) basis when `imaginary`) puts off the sector blocks or
+        into the imaginary part of a block; 0 for an M that commutes with the
+        flips and with J."""
+        if imaginary not in self._vanish:
+            sector, imag = self._sector_of, self._is_imag
+            self._vanish[imaginary] = (
+                (sector[:, None] != sector[None, :])
+                | ((imag[:, None] != imag[None, :]) != imaginary))
+        return float(np.abs(image[self._vanish[imaginary]]).max(initial=0.0))
+
+    def column_values(self, field):
+        """Per frame column, the value of a field constant on the column's
+        support, read at the support's first node."""
+        return np.asarray(field)[self._real_t.indices[self._real_t.indptr[:-1]]]
+
+    def coordinates(self, X, sector):
+        """basis[:, sector]^H X for an N x k X that J fixes column by
+        column, so that its frame coordinates are real."""
+        return (self._sector_bases[sector].conj().T @ X).real
+
+    def sector_columns(self, sector, X):
+        """basis[:, sector] X: node rows of frame columns of one sector."""
+        return self._sector_bases[sector] @ X
+
+    def sector_rows(self, sector, Y):
+        """Y basis[:, sector]^H: node columns of frame rows of one sector."""
+        return (self._sector_bases[sector].conj() @ Y.T).T
 
     def columns(self, blocks):
         """basis diag(blocks): node rows, frame columns."""

@@ -45,6 +45,7 @@ from pboltz.collision import (
 )
 from pboltz.dispersion import DispersionField
 from pboltz.evolution import (
+    ModeFamily,
     box_modes,
     decay_diagnostics,
     dispersion_relation_sweep,
@@ -359,9 +360,11 @@ def test_09_mode_curvature_matches_conductivity(kappa24):
 def test_10_semigroup_block_bounds(L24, stack24, model24, kappa24):
     disp = stack24[1]
     gap = model24.summary.gap
-    p0 = find_p0(L24, disp, gap)
+    modes = ModeFamily(L24, disp)
+    p0 = find_p0(modes, gap)
     sweep = semigroup_bound_sweep(
         kappa24,
+        modes,
         p0 * np.array([0.25, 0.5, 1.0]),
         np.array([0.3, 1.0, 3.0]) / gap,
     )

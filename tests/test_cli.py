@@ -112,12 +112,13 @@ class TestConfigHandling:
             ["semigroup-bounds", "--t-factors", "1.0"],
             ["semigroup-bounds", "--t-factors", "1.0,1.0"],
             ["validate-kernel", "--eta-chain", "0.25"],
+            ["semigroup-bounds", "--p-factors", "0.5,0.5"],
         ],
         ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan",
              "evolve-triangular", "hydro-triangular", "validate-kernel-d3",
              "p-factors-empty-entry", "eps-list-empty-entry",
              "eta-chain-empty-entry", "t-factors-single",
-             "t-factors-one-distinct", "eta-chain-single"],
+             "t-factors-one-distinct", "eta-chain-single", "p-factors-repeated"],
     )
     def test_rejected_before_output_directory(self, tmp_path, capsys, argv):
         code, out = run(tmp_path, "o", *argv)
@@ -232,6 +233,7 @@ def assert_preconditions(command, v):
         for values in (v.p_factors, v.t_factors):
             assert len(values) >= 1 and all(positive(x) for x in values)
         assert len(set(v.t_factors)) >= 2
+        assert len(set(v.p_factors)) == len(v.p_factors)
     if command == "evolve":
         assert positive(v.t_max) and positive(v.t_min)
         assert type(v.n_times) is int and v.n_times >= 2

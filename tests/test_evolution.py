@@ -8,6 +8,7 @@ slow/fast splittings inherits an order-one, frequency-independent channel.
 Those tests record the measured behaviour rather than the idealised law.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -20,6 +21,7 @@ from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.evolution import (
     EvolutionTrajectory,
+    ModeFamily,
     ModeSemigroup,
     SlowFastBlocks,
     WeightedNormSpec,
@@ -33,7 +35,6 @@ from pboltz.evolution import (
     find_p0,
     h_operator_norm,
     hydro_limit_study,
-    mode_blocks,
     mode_matrix,
     semigroup_bound_sweep,
     spectrum_D,
@@ -48,9 +49,20 @@ BOX = 200.0
 
 
 @pytest.fixture(scope="module")
-def p0_12(operators12, stack12, model12):
-    _, disp, _ = stack12
-    return find_p0(operators12[2], disp, model12.summary.gap)
+def modes12(operators12, stack12):
+    return ModeFamily(operators12[2], stack12[1])
+
+
+@pytest.fixture(scope="module")
+def p0_12(modes12, model12):
+    return find_p0(modes12, model12.summary.gap)
+
+
+def _dense_h_norm(disp, mat):
+    """The omega^2-weighted operator norm of a node-space matrix, by a full
+    SVD of its omega-similarity transform."""
+    w = disp.w
+    return float(np.linalg.norm((w[:, None] / w[None, :]) * mat, 2))
 
 
 class TestModeOperator:
@@ -95,45 +107,38 @@ class TestUnitDirection:
 
 class TestModeSpectrum:
     def test_zero_frequency_spectrum_matches_symmetric_solve(
-        self, operators12, stack12, model12
+        self, modes12, model12
     ):
-        _, disp, _ = stack12
-        ev = spectrum_D(operators12[2], disp, np.zeros(2))
+        ev = spectrum_D(modes12, 0.0)
         assert abs(ev[0]) < 1e-14
         assert np.isclose(ev[2].real, model12.summary.gap, rtol=1e-9)
         assert np.all(np.diff(ev.real) >= 0)
 
     def test_second_eigenvalue_sits_below_the_gap_at_zero(
-        self, operators12, stack12, model12
+        self, modes12, model12
     ):
         # Kernel-width artifact: one extra near-null mode at ~0.3 of the gap
         # (7.1e-9 vs 2.34e-8 on this grid).  It does not vanish under grid
         # refinement and drives the frequency-independent channel noted in
         # the module docstring.
-        _, disp, _ = stack12
-        ev = spectrum_D(operators12[2], disp, np.zeros(2))
+        ev = spectrum_D(modes12, 0.0)
         assert 0.0 < ev[1].real < model12.summary.gap
 
-    def test_slow_pair_imaginary_parts_are_negligible(
-        self, operators12, stack12, p0_12
-    ):
-        _, disp, _ = stack12
+    def test_slow_pair_imaginary_parts_are_negligible(self, modes12, p0_12):
         p0 = p0_12
-        ev = spectrum_D(operators12[2], disp, np.array([p0, 0.0]))
+        ev = spectrum_D(modes12, p0)
         # 1e-18 absorbs the eigensolver roundoff floor at these tiny scales.
         tol = 1e-6 * p0**2 + 1e-18
         assert abs(ev[0].imag) < tol
         assert abs(ev[1].imag) < tol
 
     def test_slow_pair_varies_continuously_in_frequency(
-        self, operators12, stack12, model12, p0_12
+        self, modes12, model12, p0_12
     ):
-        _, disp, _ = stack12
-        L = operators12[2]
         prev = None
         max_step = 0.0
         for p_abs in np.linspace(0.0, 2.0 * p0_12, 9):
-            pair = spectrum_D(L, disp, np.array([p_abs, 0.0]))[:2]
+            pair = spectrum_D(modes12, p_abs)[:2]
             if prev is not None:
                 max_step = max(max_step, float(np.abs(pair - prev).max()))
             prev = pair
@@ -141,82 +146,70 @@ class TestModeSpectrum:
         assert max_step < 0.5 * model12.summary.gap
 
     def test_strict_positivity_beyond_the_two_mode_regime(
-        self, operators12, stack12, model12, p0_12
+        self, modes12, model12, p0_12
     ):
-        _, disp, _ = stack12
-        L, p = operators12[2], np.array([2.0 * p0_12, 0.0])
-        assert spectrum_D(L, disp, p).real.min() > 0.0
-        assert count_slow_eigenvalues(L, disp, p, 0.5 * model12.summary.gap) < 2
+        p_abs = 2.0 * p0_12
+        assert spectrum_D(modes12, p_abs).real.min() > 0.0
+        assert count_slow_eigenvalues(modes12, p_abs, 0.5 * model12.summary.gap) < 2
 
 
 class TestFindP0:
-    def test_two_mode_regime_boundary(self, operators12, stack12, model12, p0_12):
-        _, disp, _ = stack12
-        L = operators12[2]
+    def test_two_mode_regime_boundary(self, modes12, model12, p0_12):
         half = 0.5 * model12.summary.gap
         assert 0.0 < p0_12 < 1e-6
-        below = np.array([p0_12, 0.0])
-        above = np.array([1.05 * p0_12, 0.0])
-        assert count_slow_eigenvalues(L, disp, below, half) == 2
-        assert count_slow_eigenvalues(L, disp, above, half) != 2
+        assert count_slow_eigenvalues(modes12, p0_12, half) == 2
+        assert count_slow_eigenvalues(modes12, 1.05 * p0_12, half) != 2
 
-    def test_unreachable_threshold_raises(self, operators12, stack12):
-        _, disp, _ = stack12
+    def test_unreachable_threshold_raises(self, modes12):
         with pytest.raises(RuntimeError):
-            find_p0(operators12[2], disp, 1e-30)
+            find_p0(modes12, 1e-30)
 
 
 class TestModeSemigroup:
-    def test_time_zero_is_the_identity(self, operators12, stack12, p0_12):
+    def test_time_zero_is_the_identity(self, stack12, modes12, p0_12):
         _, disp, _ = stack12
-        S0 = ModeSemigroup(operators12[2], disp, np.array([p0_12, 0.0])).propagator(0.0)
-        dev = h_operator_norm(disp, S0 - np.eye(disp.grid.size))
+        S0 = ModeSemigroup(modes12, p0_12).propagator(0.0)
+        dev = _dense_h_norm(disp, S0 - np.eye(disp.grid.size))
         assert dev < 1e-12
 
     def test_composition_equals_the_sum_of_times(
-        self, operators12, stack12, model12, p0_12
+        self, stack12, modes12, model12, p0_12
     ):
         _, disp, _ = stack12
-        sg = ModeSemigroup(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
+        sg = ModeSemigroup(modes12, 0.5 * p0_12)
         t1, t2 = 0.3 / model12.summary.gap, 1.0 / model12.summary.gap
         lhs = sg.propagator(t1) @ sg.propagator(t2)
         rhs = sg.propagator(t1 + t2)
-        dev = h_operator_norm(disp, lhs - rhs) / h_operator_norm(disp, rhs)
+        dev = _dense_h_norm(disp, lhs - rhs) / _dense_h_norm(disp, rhs)
         assert dev < 1e-8  # measured 1.7e-15
 
-    def test_never_expands_the_energy_norm(
-        self, operators12, stack12, model12, p0_12
-    ):
+    def test_never_expands_the_energy_norm(self, modes12, model12, p0_12):
         # The symmetric part of the mode operator is positive semidefinite in
         # the omega^2-weighted inner product, so the semigroup contracts.
-        _, disp, _ = stack12
-        sg = ModeSemigroup(operators12[2], disp, np.array([0.5 * p0_12, 0.0]))
+        sg = ModeSemigroup(modes12, 0.5 * p0_12)
         for t in (0.3 / model12.summary.gap, 3.0 / model12.summary.gap):
-            assert h_operator_norm(disp, sg.propagator(t)) <= 1.0 + 1e-10
+            assert h_operator_norm(modes12, sg.propagator_blocks(t)) <= 1.0 + 1e-10
 
-    def test_negative_time_rejected(self, operators12, stack12):
-        _, disp, _ = stack12
-        sg = ModeSemigroup(operators12[2], disp, np.zeros(2))
+    def test_negative_time_rejected(self, modes12):
+        sg = ModeSemigroup(modes12, 0.0)
         with pytest.raises(ValueError):
             sg.propagator(-1.0)
 
-    def test_pade_fallback_matches_the_eigen_path(
-        self, operators12, stack12, model12, p0_12
-    ):
-        _, disp, _ = stack12
-        L, p = operators12[2], np.array([0.5 * p0_12, 0.0])
-        sg_eig = ModeSemigroup(L, disp, p)
-        sg_pade = ModeSemigroup(L, disp, p, cond_limit=0.0)
+    def test_pade_fallback_matches_the_eigen_path(self, modes12, model12, p0_12):
+        sg_eig = ModeSemigroup(modes12, 0.5 * p0_12)
+        sg_pade = ModeSemigroup(modes12, 0.5 * p0_12, cond_limit=0.0)
         assert sg_eig.method == "eig"
         assert sg_pade.method == "expm"
         t = 1.0 / model12.summary.gap
-        dev = h_operator_norm(disp, sg_eig.propagator(t) - sg_pade.propagator(t))
+        dev = h_operator_norm(modes12, [
+            X - Y for X, Y in zip(sg_eig.propagator_blocks(t),
+                                  sg_pade.propagator_blocks(t))])
         assert dev < 1e-9  # measured 7.4e-12
 
 
 class TestBlockDecomposition:
-    def test_static_identity_at_zero_frequency(self, kappa12):
-        rows = block_decomposition_check(kappa12, np.zeros(2), [0.0])
+    def test_static_identity_at_zero_frequency(self, kappa12, modes12):
+        rows = block_decomposition_check(kappa12, modes12, 0.0, [0.0])
         r = rows[0]
         assert r.pp < 1e-12
         assert r.pq < 1e-12
@@ -227,18 +220,19 @@ class TestBlockDecomposition:
         # component (measured 0.77) before any dynamics happen.
         assert 0.5 < r.qq < 1.0
 
-    def test_relaxation_at_zero_frequency(self, model12, kappa12):
+    def test_relaxation_at_zero_frequency(self, model12, kappa12, modes12):
         # The near-null kernel-width mode decays at ~0.3 of the gap while the
         # closed-form slow block does not decay at p = 0; by one gap time the
         # slow-slow residual has grown to order one (measured 0.79).  This is
         # the frequency-independent channel: it does not shrink with |p|.
         t = 1.0 / model12.summary.gap
-        rows = block_decomposition_check(kappa12, np.zeros(2), [t])
+        rows = block_decomposition_check(kappa12, modes12, 0.0, [t])
         assert 0.3 < rows[0].pp < 1.2
 
-    def test_rows_record_times_and_bounded_slow_norms(self, model12, kappa12, p0_12):
+    def test_rows_record_times_and_bounded_slow_norms(self, model12, kappa12,
+                                                       modes12, p0_12):
         times = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
-        rows = block_decomposition_check(kappa12, np.array([p0_12, 0.0]), times)
+        rows = block_decomposition_check(kappa12, modes12, p0_12, times)
         assert [r.t for r in rows] == pytest.approx(list(times))
         for r in rows:
             assert 0.9 < r.slow_norm <= 1.0 + 1e-10
@@ -247,10 +241,10 @@ class TestBlockDecomposition:
 
 
 @pytest.fixture(scope="module")
-def sweep(model12, kappa12, p0_12):
+def sweep(model12, kappa12, modes12, p0_12):
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
     t_values = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
-    return semigroup_bound_sweep(kappa12, p_values, t_values)
+    return semigroup_bound_sweep(kappa12, modes12, p_values, t_values)
 
 
 class TestSemigroupSweep:
@@ -294,11 +288,6 @@ class TestSemigroupSweep:
 # full SVD
 
 
-def _dense_h_norm(disp, mat):
-    w = disp.w
-    return float(np.linalg.norm((w[:, None] / w[None, :]) * mat, 2))
-
-
 def _dense_frame(disp, summary, kappa, p):
     """(P, Q, A, B): the slow projection, its complement and the coupling
     operators A = -(i/2pi) Linv diag(p . grad omega) and
@@ -322,15 +311,14 @@ def _dense_qtilde(sg):
     return np.eye(sg.w.size) - sg.V[:, sel] @ sg.Vinv[sel, :]
 
 
-def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
-                 cond_limit):
-    e = unit_direction(disp.grid.d, direction)
+def _dense_sweep(modes, summary, kappa, p_values, t_values, cond_limit):
+    disp = modes.disp
     norms = {name: np.zeros((p_values.size, t_values.size)) for name in (
         "full_norm", "full_norm_sup", "pq_norm", "qp_norm", "qq_norm",
         "qq_deflated_norm", "qtilde_norm")}
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(L, disp, p_abs * e, cond_limit)
-        P, Q, _, _ = _dense_frame(disp, summary, kappa, p_abs * e)
+        sg = ModeSemigroup(modes, p_abs, cond_limit)
+        P, Q, _, _ = _dense_frame(disp, summary, kappa, p_abs * modes.e)
         Qtil = _dense_qtilde(sg)
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
@@ -367,8 +355,9 @@ def _dense_sweep(L, disp, summary, kappa, p_values, t_values, direction,
     )
 
 
-def _dense_block_check(L, disp, summary, kappa, p, times, cond_limit):
-    sg = ModeSemigroup(L, disp, p, cond_limit)
+def _dense_block_check(modes, summary, kappa, p_abs, times, cond_limit):
+    disp, p = modes.disp, p_abs * modes.e
+    sg = ModeSemigroup(modes, p_abs, cond_limit)
     P, Q, A, B = _dense_frame(disp, summary, kappa, p)
     Qtil = _dense_qtilde(sg)
     u, to_coef = kappa.basis.u, kappa.basis.to_coef
@@ -397,42 +386,69 @@ def stack3d():
     return L, disp, model.summary, compute_kappa(model)
 
 
-@pytest.fixture(scope="module", params=["d2-n12", "d3-n8-oblique", "d2-n12-expm"])
-def oracle_case(request, operators12, stack12, model12, kappa12, p0_12):
-    """(L, disp, summary, kappa, p_values, t_values, direction, cond_limit)."""
+def _odd_sector_lowered(L, disp, gap):
+    """L - gap P_1, P_1 = B_1 B_1^H the projector onto sector 1 of the
+    frame of axis 0.  P_1 commutes with the flips, with inversion-plus-
+    conjugation and with diag(omega), so the result keeps the lattice
+    symmetry and is still H-self-adjoint; only the spectrum of sector 1
+    moves, down by one gap."""
+    frame = disp.grid.symmetry_frame([1])
+    B1 = frame.basis[:, frame.sectors[1]].toarray()
+    return L - gap * (B1 @ B1.conj().T).real
+
+
+@pytest.fixture(scope="module",
+                params=["d2-n12", "d3-n8-oblique", "d2-n12-expm", "d2-n12-split"])
+def oracle_case(request, operators12, stack12, model12, kappa12, modes12, p0_12):
+    """(modes, summary, kappa, p_values, t_values, cond_limit)."""
     if request.param == "d3-n8-oblique":
         L, disp, summary, kappa = request.getfixturevalue("stack3d")
         # frequencies on the scale where p^2 mu_max reaches the gap
         p_star = np.sqrt(summary.gap / np.max(kappa.mu))
         p_values = np.array([0.5, 1.0]) * p_star
         t_values = np.array([0.3, 3.0]) / summary.gap
-        return L, disp, summary, kappa, p_values, t_values, [1.0, 2.0, 0.5], 1e8
-    cond_limit = 0.0 if request.param == "d2-n12-expm" else 1e8
+        modes = ModeFamily(L, disp, [1.0, 2.0, 0.5])
+        return modes, summary, kappa, p_values, t_values, 1e8
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
     t_values = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
-    return (operators12[2], stack12[1], model12.summary, kappa12, p_values,
-            t_values, None, cond_limit)
+    if request.param == "d2-n12-split":
+        # No |p| along an axis of the d = 2, n = 12 (or d = 3, n = 8)
+        # operator puts one of the two slowest eigenvalues outside the
+        # trivial sector: the other sectors' real parts stay above 1.14 gaps
+        # while the trivial sector holds two below them.  Lowering sector 1
+        # by one gap puts the second slowest eigenvalue there.
+        disp = stack12[1]
+        model = LinearModel(
+            _odd_sector_lowered(operators12[2], disp, model12.summary.gap), disp)
+        modes = ModeFamily(model.L, disp)
+        for p_abs in p_values:
+            slow = ModeSemigroup(modes, p_abs).sector_slow_factors()
+            assert [f is not None for f in slow] == [True, True]
+        return modes, model.summary, compute_kappa(model), p_values, t_values, 1e8
+    cond_limit = 0.0 if request.param == "d2-n12-expm" else 1e8
+    return modes12, model12.summary, kappa12, p_values, t_values, cond_limit
 
 
 class TestDenseOracleAgreement:
-    """The thin-factor block norms against the dense sandwich products."""
+    """The sector-block and thin-factor norms against the dense sandwich
+    products."""
 
     def test_sweep_matches_the_dense_products(self, oracle_case):
-        L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
-        sweep = semigroup_bound_sweep(kappa, p_values, t_values,
-                                      direction=direction, cond_limit=cond)
-        oracle = _dense_sweep(L, disp, summary, kappa, p_values, t_values,
-                              direction, cond)
+        modes, summary, kappa, p_values, t_values, cond = oracle_case
+        sweep = semigroup_bound_sweep(kappa, modes, p_values, t_values,
+                                      cond_limit=cond)
+        oracle = _dense_sweep(modes, summary, kappa, p_values, t_values, cond)
         assert set(oracle) == {f.name for f in dataclasses.fields(sweep)}
         for name, expect in oracle.items():
             np.testing.assert_allclose(getattr(sweep, name), expect,
                                        rtol=1e-12, atol=0.0, err_msg=name)
 
     def test_block_check_matches_the_dense_products(self, oracle_case):
-        L, disp, summary, kappa, p_values, t_values, direction, cond = oracle_case
-        p = p_values[-1] * unit_direction(disp.grid.d, direction)
-        rows = block_decomposition_check(kappa, p, t_values, cond_limit=cond)
-        oracle = _dense_block_check(L, disp, summary, kappa, p, t_values, cond)
+        modes, summary, kappa, p_values, t_values, cond = oracle_case
+        rows = block_decomposition_check(kappa, modes, p_values[-1], t_values,
+                                         cond_limit=cond)
+        oracle = _dense_block_check(modes, summary, kappa, p_values[-1],
+                                    t_values, cond)
         for row, expect in zip(rows, oracle, strict=True):
             assert set(expect) == {f.name for f in dataclasses.fields(row)}
             for name, value in expect.items():
@@ -441,9 +457,9 @@ class TestDenseOracleAgreement:
 
 
 # ----------------------------------------------------------------------
-# the symmetry frame, the sector spectra and counts, and the Lanczos norms
-# against dense references formed only here: the complex eig/eigvals and
-# expm of the full mode matrix
+# the symmetry frame, the sector spectra and counts, the Bendixson pruning
+# and the sector-block norms against dense references formed only here: the
+# complex eig/eigvals and expm of the full mode matrix and full SVDs
 
 
 def _dense_slow_count(D, threshold):
@@ -469,15 +485,15 @@ def stack20():
 @pytest.fixture(scope="module", params=[
     "d2-n12-axis0", "d2-n12-axis1", "d3-n8-axis0", "d3-n8-oblique"])
 def frame_case(request, operators12, stack12, p0_12):
-    """(L, disp, direction, p_unit): p_unit on the scale where two slow
-    eigenvalues stay below half the gap."""
+    """(modes, p_unit): p_unit on the scale where two slow eigenvalues stay
+    below half the gap."""
     if request.param.startswith("d3"):
         L, disp, summary, kappa = request.getfixturevalue("stack3d")
         direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
         p_unit = np.sqrt(summary.gap / np.max(kappa.mu))
-        return L, disp, unit_direction(3, direction), p_unit
+        return ModeFamily(L, disp, direction), p_unit
     axis = int(request.param[-1])
-    return operators12[2], stack12[1], unit_direction(2, axis), p0_12
+    return ModeFamily(operators12[2], stack12[1], axis), p0_12
 
 
 def _frequency(size, p_unit):
@@ -489,25 +505,34 @@ class TestSymmetryFrame:
     def test_frame_is_unitary_and_fixed_by_inversion_and_conjugation(
         self, frame_case
     ):
-        L, disp, e, _ = frame_case
-        grid = disp.grid
+        modes, _ = frame_case
+        e, grid = modes.e, modes.disp.grid
         frame = grid.symmetry_frame(np.flatnonzero(e == 0.0))
+        assert frame is modes.frame
         assert frame is grid.symmetry_frame(tuple(np.flatnonzero(e == 0.0)))
         assert len(frame.sectors) == 2 ** int(np.count_nonzero(e == 0.0))
         B = frame.basis.toarray()
         assert np.abs(B.conj().T @ B - np.eye(grid.size)).max() < 1e-15
         assert np.abs(B.conj()[grid.reflection()] - B).max() == 0.0
 
+    def test_omega_is_constant_on_every_column(self, frame_case):
+        modes, _ = frame_case
+        B = np.abs(modes.frame.basis.toarray())
+        w = modes.disp.w
+        w_col = np.concatenate(modes.omega)
+        spread = np.abs(B * (w[:, None] - w_col[None, :])).max()
+        assert spread < 1e-14 * w.max()
+
     @pytest.mark.parametrize("size", ["zero", "slow", "box"])
     def test_blocks_are_real_with_no_off_block_part(self, frame_case, size):
-        L, disp, e, p_unit = frame_case
-        p = _frequency(size, p_unit) * e
-        D = mode_matrix(L, disp, p)
-        frame, blocks = mode_blocks(L, disp, p)
-        B = frame.basis.toarray()
+        modes, p_unit = frame_case
+        p_abs = _frequency(size, p_unit)
+        D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+        blocks = modes.blocks(p_abs)
+        B = modes.frame.basis.toarray()
         Y = B.conj().T @ D @ B
         top = np.abs(D).max()
-        for sector, X in zip(frame.sectors, blocks, strict=True):
+        for sector, X in zip(modes.frame.sectors, blocks, strict=True):
             assert X.dtype == float
             assert np.abs(Y[sector, sector] - X).max() < 1e-14 * top
             Y[sector, sector] = 0.0
@@ -515,10 +540,10 @@ class TestSymmetryFrame:
 
     @pytest.mark.parametrize("size", ["zero", "slow", "box"])
     def test_sector_spectrum_matches_the_dense_one(self, frame_case, size):
-        L, disp, e, p_unit = frame_case
-        p = _frequency(size, p_unit) * e
-        D = mode_matrix(L, disp, p)
-        ev = spectrum_D(L, disp, p)
+        modes, p_unit = frame_case
+        p_abs = _frequency(size, p_unit)
+        D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+        ev = spectrum_D(modes, p_abs)
         assert np.all(np.diff(ev.real) >= 0)
         # a conjugate pair has equal real parts: negative imaginary first
         ties = np.diff(ev.real) == 0.0
@@ -527,11 +552,10 @@ class TestSymmetryFrame:
         assert _matched_gap(ev, np.linalg.eigvals(D)) < 1e-12 * np.abs(D).max()
 
     def test_node_space_eigendecomposition(self, frame_case):
-        L, disp, e, p_unit = frame_case
-        p = p_unit * e
-        sg = ModeSemigroup(L, disp, p)
-        D = mode_matrix(L, disp, p)
-        n = disp.grid.size
+        modes, p_unit = frame_case
+        sg = ModeSemigroup(modes, p_unit)
+        D = mode_matrix(modes.L, modes.disp, p_unit * modes.e)
+        n = modes.disp.grid.size
         # measured <= 6e-15 and <= 8e-15
         assert np.abs(sg.V @ sg.Vinv - np.eye(n)).max() < 1e-10
         resid = np.abs(D @ sg.V - sg.V * sg.w).max()
@@ -540,35 +564,47 @@ class TestSymmetryFrame:
     @pytest.mark.parametrize("cond_limit", [1e8, 0.0])
     def test_propagator_matches_the_dense_exponential(self, frame_case,
                                                       cond_limit):
-        L, disp, e, p_unit = frame_case
-        p = p_unit * e
-        sg = ModeSemigroup(L, disp, p, cond_limit)
+        modes, p_unit = frame_case
+        disp = modes.disp
+        sg = ModeSemigroup(modes, p_unit, cond_limit)
         assert sg.method == ("eig" if cond_limit else "expm")
-        D = mode_matrix(L, disp, p)
+        D = mode_matrix(modes.L, disp, p_unit * modes.e)
         gap = np.sort(np.linalg.eigvals(D).real)[2]
         for t in (0.3 / gap, 3.0 / gap):
             dense = expm(-t * D)
-            dev = h_operator_norm(disp, sg.propagator(t) - dense)
-            assert dev < 1e-9 * h_operator_norm(disp, dense)  # measured <= 2.4e-11
+            dev = _dense_h_norm(disp, sg.propagator(t) - dense)
+            assert dev < 1e-9 * _dense_h_norm(disp, dense)  # measured <= 2.4e-11
 
     @pytest.mark.parametrize("direction", [0, [1.0, 2.0]])
     def test_symmetry_breaking_perturbation_raises(
         self, operators12, stack12, p0_12, direction
     ):
         # a diagonal bump that is not even in k breaks inversion (and the
-        # flip of the other axis); 1e-6 of max |L| is far above SYM_TOL
+        # flip of the other axis); 1e-6 of max |L| is far above SYM_TOL.  The
+        # L part of the check runs once, when the family is built.
         _, disp, _ = stack12
         L = operators12[2]
         bump = np.random.default_rng(3).random(disp.grid.size)
         broken = L + 1e-6 * np.abs(L).max() * np.diag(bump)
-        p = p0_12 * unit_direction(2, direction)
-        for call in (lambda: mode_blocks(broken, disp, p),
-                     lambda: spectrum_D(broken, disp, p),
-                     lambda: count_slow_eigenvalues(broken, disp, p, 1.0),
-                     lambda: ModeSemigroup(broken, disp, p)):
-            with pytest.raises(ValueError, match="lattice symmetry"):
-                call()
-        mode_blocks(L, disp, p)
+        with pytest.raises(ValueError, match="L breaks the lattice symmetry"):
+            ModeFamily(broken, disp, direction)
+        ModeFamily(L, disp, direction).blocks(p0_12)
+
+    def test_symmetry_breaking_phase_raises_at_every_frequency(
+        self, operators12, stack12
+    ):
+        # the phase part of the check runs on every |p|: a transport
+        # diagonal that is not odd in k is caught once the phase is large
+        # enough for the break to pass SYM_TOL of max |D|, and not at 0
+        _, disp, _ = stack12
+        bent = copy.copy(disp)
+        bump = np.random.default_rng(4).random(disp.grad.shape)
+        bent.grad = disp.grad + 1e-6 * np.abs(disp.grad).max() * bump
+        modes = ModeFamily(operators12[2], bent)
+        modes.blocks(0.0)
+        for p_abs in (0.05, 1.0):
+            with pytest.raises(ValueError, match="mode matrix breaks"):
+                modes.blocks(p_abs)
 
 
 @pytest.fixture(scope="module", params=[
@@ -588,17 +624,18 @@ def p0_probes(request, operators12, stack12, model12):
         else:
             L, disp, summary = operators12[2], stack12[1], model12.summary
         direction = int(request.param[-1])
-    p0 = find_p0(L, disp, summary.gap, direction=direction)
+    modes = ModeFamily(L, disp, direction)
+    p0 = find_p0(modes, summary.gap)
     probes = []
 
-    def dense_count(L, disp, p, threshold):
-        dense = _dense_slow_count(mode_matrix(L, disp, p), threshold)
-        probes.append((dense, count_slow_eigenvalues(L, disp, p, threshold)))
+    def dense_count(modes, p_abs, threshold):
+        dense = _dense_slow_count(mode_matrix(L, disp, p_abs * modes.e), threshold)
+        probes.append((dense, count_slow_eigenvalues(modes, p_abs, threshold)))
         return dense
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evolution, "count_slow_eigenvalues", dense_count)
-        p0_dense = find_p0(L, disp, summary.gap, direction=direction)
+        p0_dense = find_p0(modes, summary.gap)
     return p0, p0_dense, probes
 
 
@@ -612,57 +649,125 @@ class TestSectorSlowCount:
         assert p0 == p0_dense
 
 
-class TestLanczosNorm:
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """The matrices handed to np.linalg.eigvals while the test runs."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(X):
+        calls.append(np.array(X))
+        return eigvals(X)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return calls
+
+
+class TestBendixsonPruning:
+    @pytest.fixture(scope="class")
+    def modes3(self, stack3d):
+        L, disp, summary, kappa = stack3d
+        return ModeFamily(L, disp, 0), summary.gap, np.sqrt(
+            summary.gap / np.max(kappa.mu))
+
+    def test_floors_bound_every_sector_spectrum(self, frame_case):
+        modes, p_unit = frame_case
+        for p_abs in (0.0, p_unit, 0.05):
+            for X, floor in zip(modes.blocks(p_abs), modes.floors, strict=True):
+                low = np.linalg.eigvals(X).real.min()
+                assert low >= floor - 1e-12 * np.abs(X).max()
+
+    def test_sectors_above_the_threshold_never_reach_eigvals(
+        self, modes3, eigvals_calls
+    ):
+        # along axis 0 at d = 3, n = 8 the floors are 0, 1.81, 1.81 and
+        # 2.68 gaps, so at half the gap only the trivial sector is counted
+        modes, gap, p_unit = modes3
+        half = 0.5 * gap
+        assert sum(floor >= half for floor in modes.floors) == 3
+        for p_abs in (1e-3 * p_unit, p_unit, 0.05):
+            eigvals_calls.clear()
+            count = count_slow_eigenvalues(modes, p_abs, half)
+            blocks = modes.blocks(p_abs)
+            counted = [X for X, floor in zip(blocks, modes.floors) if floor < half]
+            assert len(eigvals_calls) == len(counted) == 1
+            for seen, X in zip(eigvals_calls, counted):
+                assert np.array_equal(seen, X)
+            D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+            assert count == _dense_slow_count(D, half)
+
+    def test_threshold_above_every_floor_gives_the_dense_count(
+        self, modes3, eigvals_calls
+    ):
+        modes, gap, p_unit = modes3
+        threshold = max(modes.floors) + gap
+        for p_abs in (p_unit, 0.05):
+            eigvals_calls.clear()
+            count = count_slow_eigenvalues(modes, p_abs, threshold)
+            assert len(eigvals_calls) == len(modes.frame.sectors)
+            D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+            assert count == _dense_slow_count(D, threshold)
+
+
+class TestSectorNorm:
     def test_sweep_blocks_match_the_dense_norm(
-        self, operators12, stack12, model12, kappa12, p0_12
+        self, stack12, model12, kappa12, modes12, p0_12
     ):
         _, disp, _ = stack12
         for p_abs in (0.25 * p0_12, p0_12):
-            sg = ModeSemigroup(operators12[2], disp, np.array([p_abs, 0.0]))
+            sg = ModeSemigroup(modes12, p_abs)
             blocks = SlowFastBlocks(kappa12.basis, sg)
+            P, Q, _, _ = _dense_frame(disp, model12.summary, kappa12,
+                                      p_abs * modes12.e)
+            Qtil = _dense_qtilde(sg)
             for t in (0.3 / model12.summary.gap, 3.0 / model12.summary.gap):
+                S_blocks = sg.propagator_blocks(t)
                 S = sg.propagator(t)
-                for mat in (S, blocks.split(S)[2], blocks.fast(S)):
-                    assert h_operator_norm(disp, mat) == pytest.approx(
+                for got, mat in ((S_blocks, S),
+                                 (blocks.qq_blocks(S_blocks), Q @ S @ Q),
+                                 (blocks.fast_blocks(S_blocks), S @ Qtil)):
+                    assert h_operator_norm(modes12, got) == pytest.approx(
                         _dense_h_norm(disp, mat), rel=1e-13, abs=0.0)
 
-    def test_random_complex_matrix(self, stack12):
+    def test_random_complex_blocks(self, stack12, modes12):
         _, disp, _ = stack12
         gen = np.random.default_rng(5)
-        n = disp.grid.size
-        mat = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-        assert h_operator_norm(disp, mat) == pytest.approx(
-            _dense_h_norm(disp, mat), rel=1e-13, abs=0.0)
+        blocks = [gen.standard_normal((len(w), len(w)))
+                  + 1j * gen.standard_normal((len(w), len(w)))
+                  for w in modes12.omega]
+        assert h_operator_norm(modes12, blocks) == pytest.approx(
+            _dense_h_norm(disp, modes12.frame.to_nodes(blocks)), rel=1e-13,
+            abs=0.0)
 
-    def test_zero_matrix_has_norm_zero(self, stack12):
-        # ARPACK itself stops here: "starting vector is zero"
-        _, disp, _ = stack12
-        n = disp.grid.size
-        assert h_operator_norm(disp, np.zeros((n, n), dtype=complex)) == 0.0
+    def test_zero_blocks_have_norm_zero(self, modes12):
+        blocks = [np.zeros((len(w), len(w))) for w in modes12.omega]
+        assert h_operator_norm(modes12, blocks) == 0.0
 
-    def test_rank_one_and_tiny_matrices(self, stack12):
+    def test_rank_one_and_tiny_blocks(self, stack12, modes12):
         _, disp, _ = stack12
         gen = np.random.default_rng(6)
-        n = disp.grid.size
-        rank1 = np.outer(gen.standard_normal(n) + 1j, gen.standard_normal(n))
-        for mat in (rank1, 1e-300 * rank1):
-            assert h_operator_norm(disp, mat) == pytest.approx(
-                _dense_h_norm(disp, mat), rel=1e-13, abs=0.0)
+        rank1 = [np.outer(gen.standard_normal(len(w)) + 1j,
+                          gen.standard_normal(len(w))) for w in modes12.omega]
+        for scale in (1.0, 1e-300, 1e300):
+            blocks = [scale * X for X in rank1]
+            expect = scale * _dense_h_norm(disp, modes12.frame.to_nodes(rank1))
+            assert h_operator_norm(modes12, blocks) == pytest.approx(
+                expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("case", ["d2-n12", "d3-n8-oblique"])
     def test_cond_picks_the_method_the_dense_cond_picks(
-        self, request, case, operators12, stack12, p0_12
+        self, request, case, modes12, p0_12
     ):
         # cond agrees with the dense one to 1e-12 relative, so every
         # cond_limit farther than that from it picks the same method
         if case == "d3-n8-oblique":
             L, disp, summary, kappa = request.getfixturevalue("stack3d")
-            e = unit_direction(3, [1.0, 2.0, 0.5])
+            modes = ModeFamily(L, disp, [1.0, 2.0, 0.5])
             p_unit = np.sqrt(summary.gap / np.max(kappa.mu))
         else:
-            L, disp, e, p_unit = operators12[2], stack12[1], np.eye(2)[0], p0_12
+            modes, p_unit = modes12, p0_12
         for factor in (0.0, 0.5, 1.0, 2.0):
-            sg = ModeSemigroup(L, disp, factor * p_unit * e)
+            sg = ModeSemigroup(modes, factor * p_unit)
             dense = np.linalg.cond(sg.V)
             assert sg.cond == pytest.approx(dense, rel=1e-12, abs=0.0)
             assert sg.method == ("eig" if dense <= 1e8 else "expm")
