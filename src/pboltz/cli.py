@@ -497,13 +497,10 @@ def cmd_dispersion_relation(cfg, stack, out, clock):
 
 
 def cmd_semigroup_bounds(cfg, stack, out, clock):
-    _, disp, _ = stack
     model = build_linear(cfg, stack, clock)
-    L, gap = model.L, model.summary.gap
-    with clock.stage("conductivity"):
-        kappa = compute_kappa(model)
+    gap = model.summary.gap
     with clock.stage("two_mode_boundary"):
-        modes = ModeFamily(L, disp, cfg.axis)
+        modes = ModeFamily(model, cfg.axis)
         p0 = find_p0(modes, gap)
         floor = spectrum_D(modes, 2.0 * p0).real
         b = float(floor.min())
@@ -511,7 +508,7 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     p_values = np.array(cfg.p_factors) * p0
     t_values = np.array(cfg.t_factors) / gap
     with clock.stage("norm_sweep"):
-        sweep = semigroup_bound_sweep(kappa, modes, p_values, t_values)
+        sweep = semigroup_bound_sweep(modes, p_values, t_values)
     rows = []
     for i, p in enumerate(sweep.p_values):
         for j, t in enumerate(sweep.t_values):
@@ -594,9 +591,9 @@ def cmd_evolve(cfg, stack, out, clock):
     with clock.stage("integrate"):
         dt = cfg.dt
         if dt is None:
-            dt = stable_step(model.L, disp, cfg.n_x, cfg.box_length)
+            dt = stable_step(model, cfg.n_x, cfg.box_length)
         evaluator = FourierCollision(grid, disp, delta)
-        traj = evolve_nonlinear(evaluator, model.L, W0, times, cfg.box_length, dt=dt)
+        traj = evolve_nonlinear(evaluator, W0, times, cfg.box_length, dt)
     with clock.stage("decay_report"):
         report = decay_diagnostics(
             traj, kappa, t_min=cfg.t_min, contamination=cfg.contamination

@@ -7,24 +7,23 @@ e, D(|p| e) commutes with the sign flips of the axes where e vanishes and,
 because omega is even and grad omega odd, with inversion k -> -k composed
 with complex conjugation.  So in the symmetry frame of e
 (`TorusGrid.symmetry_frame`) it splits into real blocks, one per character
-of the flips.  `ModeFamily` holds what does not depend on |p|: the image of
-L in that frame, the L part of the `SYM_TOL` check and each sector's
-Bendixson floor; per |p| only the sparse image of the phase is added and
-checked.  The spectrum, the slow-eigenvalue count (which never
-diagonalizes a sector whose floor clears the threshold) and the semigroup
-are taken block by block (`spectrum_D`, `count_slow_eigenvalues`,
-`ModeSemigroup`), and so are the weighted norms of the propagator and of
-its fast blocks (`h_operator_norm`); the complex eigendecomposition of the
-full D(p) is only the tests' oracle.  This module also checks the
-slow/fast block structure of the propagator, integrates the full
-nonlinear equation on a 1-D periodic box (method of lines, spectral
-transport), produces the diffusive-decay diagnostics, and runs the
-diffusive-scaling study against a nonlinear heat reference; the box
-integrators read the dispersion field from the collision evaluator.  The
-sweeps and checks that need the slow frame take a `ConductivityMatrix` and
-read L, the slow basis and the deflated inverse from the `LinearModel` it
-carries; `hydro_limit_study` reads the evaluator and the model from its
-`CollisionResponse`.  No N x N projector or inverse is formed.
+of the flips.  `ModeFamily(model, direction)` holds what does not depend on
+|p|: the image of the model's L in that frame, the L part of the `SYM_TOL`
+check and each sector's Bendixson floor; per |p| only the sparse image of
+the phase is added and checked.  The spectrum, the slow-eigenvalue count
+(which never diagonalizes a sector whose floor clears the threshold) and
+the semigroup are taken block by block (`spectrum_D`,
+`count_slow_eigenvalues`, `ModeSemigroup`), and so are the weighted norms
+of the propagator and of its fast blocks (`h_operator_norm`); the complex
+eigendecomposition of the full D(p) is only the tests' oracle.
+
+The run's `LinearModel` is the one source of L, omega and the slow frame:
+`semigroup_bound_sweep` and `evolve_linear` read it from the family,
+`block_decomposition_check` and `dispersion_relation_sweep` build the family
+from ``kappa.model``, and `stable_step` takes it.  The box integrator
+`evolve_nonlinear` reads omega from the collision evaluator, and the
+diffusive-scaling study `hydro_limit_study` the evaluator and the model from
+its `CollisionResponse`.  No N x N projector or inverse is formed.
 """
 
 from dataclasses import dataclass, field
@@ -37,11 +36,12 @@ from .hydrodynamics import TWO_PI, DiffusivityModel, SlowState, slaved_state
 from .linearized import SYM_TOL
 
 # `find_p0` bisects |p| in (1e-14, FIND_P0_MAX] to FIND_P0_REL_TOL relative
-# width; an explicit step is STEP_SAFETY over the fastest rate (`stable_step`);
-# NEWTON_TOL and MAX_NEWTON stop the Newton solve of each backward-Euler
-# collision step (`_imex_kinetic`).
+# width; `ModeSemigroup` takes the Pade path past COND_LIMIT; an explicit step
+# is STEP_SAFETY over the fastest rate (`stable_step`); NEWTON_TOL and
+# MAX_NEWTON stop the Newton solve of each backward-Euler collision step.
 FIND_P0_MAX = 1.0
 FIND_P0_REL_TOL = 1e-3
+COND_LIMIT = 1e8
 STEP_SAFETY = 0.4
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 12
@@ -89,9 +89,10 @@ def mode_matrix(L, disp, p):
 
 
 class ModeFamily:
-    """The mode matrices D(|p| e) of one direction e (`unit_direction`), as
-    real blocks X_chi = B_chi^H D(|p| e) B_chi in the symmetry frame of the
-    sign flips of the axes where e vanishes (`TorusGrid.symmetry_frame`).
+    """The mode matrices D(|p| e) of the L of ``model`` (`LinearModel`) along
+    one direction e (`unit_direction`), as real blocks
+    X_chi = B_chi^H D(|p| e) B_chi in the symmetry frame of the sign flips of
+    the axes where e vanishes (`TorusGrid.symmetry_frame`).
 
     With B = R diag(eps), the p-independent image R^T L R is formed once
     and split into the L parts of the blocks; per |p| only the sparse image
@@ -111,8 +112,9 @@ class ModeFamily:
     every eigenvalue of the sector at every |p| (Bendixson).
     """
 
-    def __init__(self, L, disp, direction=None):
-        self.L, self.disp = L, disp
+    def __init__(self, model, direction=None):
+        self.model = model
+        L, disp = model.L, model.disp
         self.e = unit_direction(disp.grid.d, direction)
         self.frame = frame = disp.grid.symmetry_frame(np.flatnonzero(self.e == 0.0))
         image = frame.image(L)
@@ -138,7 +140,7 @@ class ModeFamily:
         """The real sector blocks of D(|p| e).  Raises ValueError when the
         part of B^H D B off the blocks or in their imaginary parts exceeds
         `SYM_TOL` of max |D|."""
-        _, phase = _frequency(self.disp, p_abs * self.e)
+        _, phase = _frequency(self.model.disp, p_abs * self.e)
         image = self.frame.diagonal_image(phase)
         leak = self._L_leak + self.frame.leak(image, imaginary=True)
         # max |D|, with D = L + i diag(phase) never formed
@@ -208,7 +210,7 @@ class ModeSemigroup:
     V exp(-t w) V^-1 per block (`propagator_blocks`), or the
     scaled-and-squared Pade exponential of the block when the eigenbasis
     condition number cond = max ||V||_2 * max ||V^-1||_2 over the blocks
-    exceeds `cond_limit`; that is the condition number of the node-space
+    exceeds `COND_LIMIT`; that is the condition number of the node-space
     eigenbasis, since the frame is unitary.  The spectral projector onto the
     two eigenvalues of smallest real part is P~ = a b, a = V[:, sel]
     (N x 2) and b = V^-1[sel, :] (2 x N); its sectors hold it in pieces
@@ -216,7 +218,8 @@ class ModeSemigroup:
     sector.  Q~ = I - P~ is never formed: S Q~ = S - (S a) b.
     """
 
-    def __init__(self, modes, p_abs, cond_limit=1e8):
+    def __init__(self, modes, p_abs):
+        self.p_abs = p_abs
         self.frame = modes.frame
         self.blocks = modes.blocks(p_abs)
         pairs = [eig(X) for X in self.blocks]
@@ -227,7 +230,7 @@ class ModeSemigroup:
         # ||V_chi^-1||_2 is 1 / the smallest singular value of V_chi
         sv = [np.linalg.svd(V, compute_uv=False) for V in self._V]
         self.cond = max(s[0] for s in sv) / min(s[-1] for s in sv)
-        self.method = "eig" if self.cond <= cond_limit else "expm"
+        self.method = "eig" if self.cond <= COND_LIMIT else "expm"
 
     @cached_property
     def V(self):
@@ -254,10 +257,11 @@ class ModeSemigroup:
     def sector_slow_factors(self):
         """Per sector, None when neither of the two eigenvalues of smallest
         real part (a stable sort of all of them) sits in it, else
-        (a_chi, b_chi, real) with P~ = diag(a_chi b_chi) in the frame: the
-        columns of V_chi and rows of V_chi^-1 of those that do.  `real` says
-        that they are closed under conjugation (real, or a conjugate pair),
-        so that a_chi b_chi, a spectral projector of a real block, is real."""
+        (a_chi, b_chi) with P~ = diag(a_chi b_chi) in the frame: the columns
+        of V_chi and rows of V_chi^-1 of those that do.  a_chi b_chi, a
+        spectral projector of a real block, is real, since RuntimeError is
+        raised when the second eigenvalue's conjugate partner is left out
+        (P~ would pick one member of a pair by the eigensolver's order)."""
         sel = np.argsort(self.w.real, kind="stable")[:2]
         factors, start = [], 0
         for w, V, Vinv in zip(self._w, self._V, self._Vinv):
@@ -266,8 +270,11 @@ class ModeSemigroup:
             if not local:
                 factors.append(None)
                 continue
-            real = bool(np.all(np.isin(w[local].conj(), w[local])))
-            factors.append((V[:, local], Vinv[local, :], real))
+            if not np.all(np.isin(w[local].conj(), w[local])):
+                raise RuntimeError(
+                    f"the two slowest eigenvalues at |p| = {self.p_abs:.6g} "
+                    f"split a complex-conjugate pair: {self.w[sel]}")
+            factors.append((V[:, local], Vinv[local, :]))
         return factors
 
     def slow_factors(self):
@@ -368,15 +375,13 @@ class SlowFastBlocks:
         return [S0 - u0 @ (t0 @ S0) - QZ @ t0] + list(blocks[1:])
 
     def fast_blocks(self, blocks):
-        """The sector blocks of S Q~: S_chi - (S_chi a_chi) b_chi, real when
-        a_chi b_chi is, and S_chi in a sector that P~ misses."""
+        """The sector blocks of S Q~: the real part of S_chi - (S_chi a_chi)
+        b_chi (a_chi b_chi is real), and S_chi in a sector that P~ misses."""
         fast = []
         for S, slow in zip(blocks, self._slow):
             if slow is not None:
-                a, b, real = slow
-                S = S - (S @ a) @ b
-                if real:
-                    S = S.real
+                a, b = slow
+                S = (S - (S @ a) @ b).real
             fast.append(S)
         return fast
 
@@ -405,15 +410,10 @@ class BlockResiduals:
     slow_norm: float
 
 
-def _check_modes(kappa, modes):
-    if modes.L is not kappa.model.L:
-        raise ValueError("the mode family is not that of kappa's linear model")
-
-
-def block_decomposition_check(kappa, modes, p_abs, times, cond_limit=1e8):
+def block_decomposition_check(kappa, p_abs, times, direction=None):
     """Residuals of the four propagator blocks against their leading terms,
-    at p = |p| e along the direction of `modes` (a `ModeFamily` of
-    ``kappa.model``'s L).
+    at p = |p| e along ``direction`` (`unit_direction`), for the mode family
+    of ``kappa.model`` (`ModeFamily`).
 
     The slow-slow block is compared to K_t = u k_t to_coef with
     k_t = exp(-t p^2 kappa), the off-diagonal blocks to its compositions with
@@ -428,12 +428,12 @@ def block_decomposition_check(kappa, modes, p_abs, times, cond_limit=1e8):
     weighted operator norms (`SlowFastBlocks`, `h_low_rank_norm`).  The slow
     frame is that of ``kappa.model``.
     """
-    _check_modes(kappa, modes)
     model = kappa.model
     basis, disp = model.basis, model.disp
+    modes = ModeFamily(model, direction)
     p = p_abs * modes.e
     p2 = float(p @ p)
-    sg = ModeSemigroup(modes, p_abs, cond_limit)
+    sg = ModeSemigroup(modes, p_abs)
     blocks = SlowFastBlocks(basis, sg)
     u, to_coef = blocks.u, blocks.to_coef
     Au = slaved_state(model, SlowState(*basis.coeff_map), p).T
@@ -489,15 +489,14 @@ class SemigroupSweep:
     qq_halving_ratios: np.ndarray
 
 
-def semigroup_bound_sweep(kappa, modes, p_values, t_values, cond_limit=1e8):
+def semigroup_bound_sweep(modes, p_values, t_values):
     """Measure the propagator block norms over a (p, t) grid.
 
-    For each p (magnitudes along the direction of `modes`, a `ModeFamily`
-    of ``kappa.model``'s L) and t the sweep records the weighted norms of
-    the full propagator S, the slow-to-fast and fast-to-slow blocks, the
-    fast-fast block, and the spectrally-projected remainder; it then fits
-    the exponential rate from the remainder decay and reports
-    measured-over-envelope ratios.
+    For each p (magnitudes along the direction of `modes`, a `ModeFamily`)
+    and t the sweep records the weighted norms of the full propagator S, the
+    slow-to-fast and fast-to-slow blocks, the fast-fast block, and the
+    spectrally-projected remainder; it then fits the exponential rate from
+    the remainder decay and reports measured-over-envelope ratios.
 
     S is formed per sector block (`ModeSemigroup.propagator_blocks`), and
     S, Q S Q and S Q~ are block-diagonal in the frame, so their norms are
@@ -505,10 +504,9 @@ def semigroup_bound_sweep(kappa, modes, p_values, t_values, cond_limit=1e8):
     `SlowFastBlocks.qq_blocks` and `fast_blocks`).  S in node space gives
     the sup norm and the thin blocks: P S Q and Q S P have rank <= 2 and
     the deflated block QSQ - Q Q~ S Q~ Q rank <= 4 (`h_low_rank_norm`).
-    The slow frame is that of ``kappa.model``.
+    The slow frame is that of ``modes.model``.
     """
-    _check_modes(kappa, modes)
-    basis = kappa.basis
+    basis = modes.model.basis
     disp = basis.disp
     p_values = np.asarray(p_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
@@ -524,7 +522,7 @@ def semigroup_bound_sweep(kappa, modes, p_values, t_values, cond_limit=1e8):
     qtil = np.zeros(shape)
 
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(modes, p_abs, cond_limit)
+        sg = ModeSemigroup(modes, p_abs)
         blocks = SlowFastBlocks(basis, sg)
         for j, t in enumerate(t_values):
             S_blocks = sg.propagator_blocks(t)
@@ -594,7 +592,7 @@ def dispersion_relation_sweep(kappa, p_values, direction=None):
     """Fit the two lowest eigenvalues of the mode operator of
     ``kappa.model``'s L to c * p^2 and compare the coefficients with the
     conductivity eigenvalues."""
-    modes = ModeFamily(kappa.model.L, kappa.model.disp, direction)
+    modes = ModeFamily(kappa.model, direction)
     p_values = np.asarray(p_values, dtype=float)
     lam1 = np.zeros(p_values.size, dtype=complex)
     lam2 = np.zeros(p_values.size, dtype=complex)
@@ -673,15 +671,16 @@ def box_modes(n_x, box_length):
     return TWO_PI * np.fft.fftfreq(n_x, d=box_length / n_x)
 
 
-def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
-    """Propagate each mode with its own semigroup: w(p, t) = exp(-tD(p)) w(p, 0)."""
-    modes = ModeFamily(L, disp, direction)
+def evolve_linear(modes, p_values, w0, times):
+    """Propagate each mode with its own semigroup: w(p, t) = exp(-tD(p)) w(p, 0),
+    p = |p| e along the direction of `modes` (a `ModeFamily`)."""
     p_values = np.asarray(p_values, dtype=float)
     w0 = np.asarray(w0, dtype=complex)
     times = np.asarray(times, dtype=float)
-    states = np.zeros((times.size, p_values.size, disp.grid.size), dtype=complex)
+    states = np.zeros((times.size, p_values.size, modes.model.disp.grid.size),
+                      dtype=complex)
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(modes, p_abs, cond_limit)
+        sg = ModeSemigroup(modes, p_abs)
         for j, t in enumerate(times):
             states[j, i] = sg.propagator(t) @ w0[i]
     return EvolutionTrajectory(
@@ -693,10 +692,11 @@ def evolve_linear(L, disp, p_values, w0, times, direction=None, cond_limit=1e8):
 # nonlinear box evolution (method of lines, spectral transport, RK4)
 
 
-def stable_step(L, disp, n_x, box_length):
-    """Step heuristic: STEP_SAFETY / (collision diagonal rate + transport
-    rate)."""
-    rate_coll = float(np.diag(L).real.max())
+def stable_step(model, n_x, box_length):
+    """Step heuristic: STEP_SAFETY / (collision diagonal rate of the model's
+    L + transport rate)."""
+    disp = model.disp
+    rate_coll = float(np.diag(model.L).real.max())
     rate_trans = (
         np.abs(disp.grad[:, 0]).max() / TWO_PI * np.pi * n_x / box_length
     )
@@ -708,13 +708,13 @@ def _transport_rhs(disp, W, ik):
     return -(disp.grad[:, 0][None, :] / TWO_PI) * dW
 
 
-def evolve_nonlinear(evaluator, L, W0, times, box_length, dt=None):
+def evolve_nonlinear(evaluator, W0, times, box_length, dt):
     """Method-of-lines RK4 for the full equation on a 1-D periodic box.
 
     Transport acts along the first axis only, differentiated spectrally;
-    collisions act per cell through `evaluator.apply_batch`.  The step is
-    `dt`, or `stable_step` of L when dt is None.  Positivity loss aborts with
-    the failing time in the message.
+    collisions act per cell through `evaluator.apply_batch`.  The step is at
+    most `dt` (`stable_step` gives one).  Positivity loss aborts with the
+    failing time in the message.
     """
     disp = evaluator.disp
     W = np.array(W0, dtype=float)
@@ -726,8 +726,6 @@ def evolve_nonlinear(evaluator, L, W0, times, box_length, dt=None):
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0")
-    if dt is None:
-        dt = stable_step(L, disp, n_x, box_length)
     ik = 1j * TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
 
     def rhs(W):
@@ -946,9 +944,11 @@ def _heat_reference(diffusivity, tau0, box_length, t_final, dt):
     return tau
 
 
-def _imex_kinetic(evaluator, L, W0, eps, t_final, dt, box_length):
+def _imex_kinetic(response, W0, eps, t_final, dt, box_length):
     """Rescaled kinetic solve: exact spectral transport at rate 1/eps,
-    backward-Euler collisions at rate 1/eps^2 via frozen-Jacobian Newton."""
+    backward-Euler collisions at rate 1/eps^2 via frozen-Jacobian Newton on
+    the evaluator and the model's L of ``response``."""
+    evaluator = response.evaluator
     disp = evaluator.disp
     W = np.array(W0, dtype=float)
     n_x = W.shape[0]
@@ -962,7 +962,7 @@ def _imex_kinetic(evaluator, L, W0, eps, t_final, dt, box_length):
         -1j * h * p_half[:, None] * disp.grad[:, 0][None, :] / (TWO_PI * eps)
     )
 
-    lu = lu_factor(np.eye(disp.grid.size) + scale * L)
+    lu = lu_factor(np.eye(disp.grid.size) + scale * response.model.L)
     total_newton = 0
     for _ in range(n_steps):
         W = np.fft.irfft(phase * np.fft.rfft(W, axis=0), n=n_x, axis=0)
@@ -997,8 +997,7 @@ def hydro_limit_study(response, tau0, v0_fields, box_length,
     distances shrink monotonically only when there are at least two and each
     is below the one before.
     """
-    model = response.model
-    disp, basis = model.disp, model.basis
+    disp, basis = response.model.disp, response.model.basis
     norm_spec = WeightedNormSpec(d=disp.grid.d)
     tau0 = np.asarray(tau0, dtype=float)
     v0_fields = np.asarray(v0_fields, dtype=float)
@@ -1014,7 +1013,7 @@ def hydro_limit_study(response, tau0, v0_fields, box_length,
 
     grad_ref = np.fft.ifft(ik[:, None] * np.fft.fft(tau_ref, axis=0), axis=0).real
     rhs = -(1.0 / TWO_PI) * disp.grad[:, 0][None, :] * (grad_ref @ U.T)
-    v_ref = response.solve_batch(T_ref, rhs)
+    v_ref, _ = response.solve_batch(T_ref, rhs)
 
     ref_T_modes = np.fft.fft(T_ref, axis=0) / n_x
     ref_v_modes = np.fft.fft(v_ref, axis=0) / n_x
@@ -1026,9 +1025,7 @@ def hydro_limit_study(response, tau0, v0_fields, box_length,
         if W0.min() <= 0:
             raise ValueError("initial data breaks positivity")
         W, n_steps, n_newton = _imex_kinetic(
-            response.evaluator, model.L, W0, eps, t_compare, dt_base * eps,
-            box_length,
-        )
+            response, W0, eps, t_compare, dt_base * eps, box_length)
         w = W - disp.winv[None, :]
         T_eps = basis.project_P(w)
         v_eps = (w - T_eps) / eps

@@ -53,6 +53,7 @@ from pboltz.evolution import (
     find_p0,
     hydro_limit_study,
     semigroup_bound_sweep,
+    stable_step,
 )
 from pboltz.hydrodynamics import (
     LinearModel,
@@ -166,7 +167,7 @@ def kappa24(model24):
 
 
 @pytest.fixture(scope="module")
-def traj12(stack12, fourier12, operators12):
+def traj12(stack12, fourier12, model12):
     """Nonlinear box run started from a small gaussian bump of the first
     conserved field (relative amplitude 1e-2)."""
     _, disp, _ = stack12
@@ -175,7 +176,8 @@ def traj12(stack12, fourier12, operators12):
     bump = 1e-2 * np.exp(-0.5 * ((x - BOX_LENGTH / 2) / (BOX_LENGTH / 16.0)) ** 2)
     W0 = disp.winv[None, :] * (1.0 + bump[:, None])
     times = np.linspace(0.0, 30.0, 9)
-    return evolve_nonlinear(fourier12, operators12[2], W0, times, BOX_LENGTH)
+    return evolve_nonlinear(fourier12, W0, times, BOX_LENGTH,
+                            stable_step(model12, n_x, BOX_LENGTH))
 
 
 # ----------------------------------------------------------------------
@@ -357,13 +359,11 @@ def test_09_mode_curvature_matches_conductivity(kappa24):
 # 10: semigroup block structure
 
 
-def test_10_semigroup_block_bounds(L24, stack24, model24, kappa24):
-    disp = stack24[1]
+def test_10_semigroup_block_bounds(model24):
     gap = model24.summary.gap
-    modes = ModeFamily(L24, disp)
+    modes = ModeFamily(model24)
     p0 = find_p0(modes, gap)
     sweep = semigroup_bound_sweep(
-        kappa24,
         modes,
         p0 * np.array([0.25, 0.5, 1.0]),
         np.array([0.3, 1.0, 3.0]) / gap,

@@ -412,8 +412,8 @@ class TestArtifacts:
         assert code == 0
         step_dt = read_manifest(out)["fitted_constants"]["step_dt"]
         if dt == "auto":
-            L = assemble_L(grid, disp, delta)
-            assert step_dt == stable_step(L, disp, 8, 200.0)
+            model = hydrodynamics.LinearModel(assemble_L(grid, disp, delta), disp)
+            assert step_dt == stable_step(model, 8, 200.0)
             assert len(calls) == 1  # the step is computed once
         else:
             assert step_dt == 0.01
@@ -455,10 +455,22 @@ class TestArtifacts:
         assert manifest["status"] == "numerical-failure"
         assert "positivity" in manifest["diagnostic"]
 
+    def test_semigroup_bounds_at_a_split_conjugate_pair_exits_3(self, tmp_path):
+        # at 10 p0 on this grid the second and third eigenvalues are a
+        # conjugate pair: the spectral projector onto the two slowest would
+        # take one member only
+        code, out = run(tmp_path, "sg", "semigroup-bounds", *FAST,
+                        "--p-factors", "0.5,10")
+        assert code == 3
+        manifest = read_manifest(out)
+        assert manifest["status"] == "numerical-failure"
+        assert "conjugate pair" in manifest["diagnostic"]
+
 
 class TestOneLinearModelPerRun:
     """Each linear subcommand assembles L once and diagonalizes it once: one
-    `LinearModel`, one `spectrum_L` call and one `SlowBasis` per run."""
+    `LinearModel`, one `spectrum_L` call and one `SlowBasis` per run.  Only
+    the subcommands whose outputs read the conductivity solve for it, once."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -487,9 +499,15 @@ class TestOneLinearModelPerRun:
                                 counted("spectrum_L", owner.spectrum_L))
         for cls in (hydrodynamics.LinearModel, hydrodynamics.SlowBasis):
             monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        monkeypatch.setattr(cli, "compute_kappa",
+                            counted("compute_kappa", cli.compute_kappa))
         code, _ = run(tmp_path, "o", argv[0], *FAST, *argv[1:])
         assert code == 0
-        assert calls == {"spectrum_L": 1, "LinearModel": 1, "SlowBasis": 1}
+        kappa_solves = 0 if argv[0] in ("spectrum", "semigroup-bounds",
+                                        "hydro-limit") else 1
+        # a Counter equals another with the zero counts left out
+        assert calls == Counter({"spectrum_L": 1, "LinearModel": 1, "SlowBasis": 1,
+                                 "compute_kappa": kappa_solves})
 
 
 def direct_collision_table(out):

@@ -42,15 +42,15 @@ from pboltz.evolution import (
     unit_direction,
 )
 from pboltz.hydrodynamics import TWO_PI, LinearModel, compute_kappa
-from pboltz.linearized import assemble_L, spectrum_L
+from pboltz.linearized import assemble_L
 from pboltz.torus_grid import TorusGrid
 
 BOX = 200.0
 
 
 @pytest.fixture(scope="module")
-def modes12(operators12, stack12):
-    return ModeFamily(operators12[2], stack12[1])
+def modes12(model12):
+    return ModeFamily(model12)
 
 
 @pytest.fixture(scope="module")
@@ -195,9 +195,11 @@ class TestModeSemigroup:
         with pytest.raises(ValueError):
             sg.propagator(-1.0)
 
-    def test_pade_fallback_matches_the_eigen_path(self, modes12, model12, p0_12):
+    def test_pade_fallback_matches_the_eigen_path(self, monkeypatch, modes12,
+                                                  model12, p0_12):
         sg_eig = ModeSemigroup(modes12, 0.5 * p0_12)
-        sg_pade = ModeSemigroup(modes12, 0.5 * p0_12, cond_limit=0.0)
+        monkeypatch.setattr(evolution, "COND_LIMIT", 0.0)
+        sg_pade = ModeSemigroup(modes12, 0.5 * p0_12)
         assert sg_eig.method == "eig"
         assert sg_pade.method == "expm"
         t = 1.0 / model12.summary.gap
@@ -206,10 +208,26 @@ class TestModeSemigroup:
                                   sg_pade.propagator_blocks(t))])
         assert dev < 1e-9  # measured 7.4e-12
 
+    def test_slow_projector_never_splits_a_conjugate_pair(self, modes12, p0_12):
+        # along axis 0 the two slowest eigenvalues are real at p0 and a
+        # conjugate pair at 1e-7; from |p| ~ 2e-7 on the second and third
+        # are a pair with equal real parts (4.12e-8 +- 2.70e-6i at 1e-6), and
+        # a projector onto one member would depend on LAPACK's order
+        for p_abs in (p0_12, 1e-7):
+            sg = ModeSemigroup(modes12, p_abs)
+            slow = sg.w[np.argsort(sg.w.real, kind="stable")[:2]]
+            assert np.all(slow.imag == 0.0) or slow[0] == slow[1].conj()
+            assert any(f is not None for f in sg.sector_slow_factors())
+        sg = ModeSemigroup(modes12, 1e-6)
+        with pytest.raises(RuntimeError, match="conjugate pair"):
+            sg.sector_slow_factors()
+        with pytest.raises(RuntimeError, match="conjugate pair"):
+            semigroup_bound_sweep(modes12, [1e-6], [1.0])
+
 
 class TestBlockDecomposition:
-    def test_static_identity_at_zero_frequency(self, kappa12, modes12):
-        rows = block_decomposition_check(kappa12, modes12, 0.0, [0.0])
+    def test_static_identity_at_zero_frequency(self, kappa12):
+        rows = block_decomposition_check(kappa12, 0.0, [0.0])
         r = rows[0]
         assert r.pp < 1e-12
         assert r.pq < 1e-12
@@ -220,19 +238,19 @@ class TestBlockDecomposition:
         # component (measured 0.77) before any dynamics happen.
         assert 0.5 < r.qq < 1.0
 
-    def test_relaxation_at_zero_frequency(self, model12, kappa12, modes12):
+    def test_relaxation_at_zero_frequency(self, model12, kappa12):
         # The near-null kernel-width mode decays at ~0.3 of the gap while the
         # closed-form slow block does not decay at p = 0; by one gap time the
         # slow-slow residual has grown to order one (measured 0.79).  This is
         # the frequency-independent channel: it does not shrink with |p|.
         t = 1.0 / model12.summary.gap
-        rows = block_decomposition_check(kappa12, modes12, 0.0, [t])
+        rows = block_decomposition_check(kappa12, 0.0, [t])
         assert 0.3 < rows[0].pp < 1.2
 
     def test_rows_record_times_and_bounded_slow_norms(self, model12, kappa12,
-                                                       modes12, p0_12):
+                                                       p0_12):
         times = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
-        rows = block_decomposition_check(kappa12, modes12, p0_12, times)
+        rows = block_decomposition_check(kappa12, p0_12, times)
         assert [r.t for r in rows] == pytest.approx(list(times))
         for r in rows:
             assert 0.9 < r.slow_norm <= 1.0 + 1e-10
@@ -241,10 +259,10 @@ class TestBlockDecomposition:
 
 
 @pytest.fixture(scope="module")
-def sweep(model12, kappa12, modes12, p0_12):
+def sweep(model12, modes12, p0_12):
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
     t_values = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
-    return semigroup_bound_sweep(kappa12, modes12, p_values, t_values)
+    return semigroup_bound_sweep(modes12, p_values, t_values)
 
 
 class TestSemigroupSweep:
@@ -288,12 +306,12 @@ class TestSemigroupSweep:
 # full SVD
 
 
-def _dense_frame(disp, summary, kappa, p):
+def _dense_frame(model, p):
     """(P, Q, A, B): the slow projection, its complement and the coupling
     operators A = -(i/2pi) Linv diag(p . grad omega) and
     B = -(i/2pi) P diag(p . grad omega) Linv, with Linv the node-space
     matrix of L^-1 on the complement of the two lowest eigenvectors."""
-    basis = kappa.basis
+    disp, summary, basis = model.disp, model.summary, model.basis
     P = basis.u @ basis.to_coef
     Q = np.eye(disp.grid.size) - P
     rest = summary.eigenvectors_sym[:, 2:] / disp.w[:, None]
@@ -311,14 +329,14 @@ def _dense_qtilde(sg):
     return np.eye(sg.w.size) - sg.V[:, sel] @ sg.Vinv[sel, :]
 
 
-def _dense_sweep(modes, summary, kappa, p_values, t_values, cond_limit):
-    disp = modes.disp
+def _dense_sweep(modes, p_values, t_values):
+    disp = modes.model.disp
     norms = {name: np.zeros((p_values.size, t_values.size)) for name in (
         "full_norm", "full_norm_sup", "pq_norm", "qp_norm", "qq_norm",
         "qq_deflated_norm", "qtilde_norm")}
     for i, p_abs in enumerate(p_values):
-        sg = ModeSemigroup(modes, p_abs, cond_limit)
-        P, Q, _, _ = _dense_frame(disp, summary, kappa, p_abs * modes.e)
+        sg = ModeSemigroup(modes, p_abs)
+        P, Q, _, _ = _dense_frame(modes.model, p_abs * modes.e)
         Qtil = _dense_qtilde(sg)
         for j, t in enumerate(t_values):
             S = sg.propagator(t)
@@ -355,10 +373,10 @@ def _dense_sweep(modes, summary, kappa, p_values, t_values, cond_limit):
     )
 
 
-def _dense_block_check(modes, summary, kappa, p_abs, times, cond_limit):
-    disp, p = modes.disp, p_abs * modes.e
-    sg = ModeSemigroup(modes, p_abs, cond_limit)
-    P, Q, A, B = _dense_frame(disp, summary, kappa, p)
+def _dense_block_check(kappa, modes, p_abs, times):
+    disp, p = kappa.model.disp, p_abs * modes.e
+    sg = ModeSemigroup(modes, p_abs)
+    P, Q, A, B = _dense_frame(kappa.model, p)
     Qtil = _dense_qtilde(sg)
     u, to_coef = kappa.basis.u, kappa.basis.to_coef
     rows = []
@@ -378,12 +396,16 @@ def _dense_block_check(modes, summary, kappa, p_abs, times, cond_limit):
 
 
 @pytest.fixture(scope="module")
-def stack3d():
+def kappa3d():
     grid = TorusGrid(3, 8)
     disp = DispersionField(grid, DispersionParams(d=3, r=1.0))
     L = assemble_L(grid, disp, DeltaKernel.auto(grid, disp))
-    model = LinearModel(L, disp)
-    return L, disp, model.summary, compute_kappa(model)
+    return compute_kappa(LinearModel(L, disp))
+
+
+def _slow_scale(kappa):
+    """|p| where p^2 mu_max reaches the gap."""
+    return np.sqrt(kappa.model.summary.gap / np.max(kappa.mu))
 
 
 def _odd_sector_lowered(L, disp, gap):
@@ -399,16 +421,13 @@ def _odd_sector_lowered(L, disp, gap):
 
 @pytest.fixture(scope="module",
                 params=["d2-n12", "d3-n8-oblique", "d2-n12-expm", "d2-n12-split"])
-def oracle_case(request, operators12, stack12, model12, kappa12, modes12, p0_12):
-    """(modes, summary, kappa, p_values, t_values, cond_limit)."""
+def oracle_case(request, operators12, stack12, model12, kappa12, p0_12):
+    """(kappa, direction, p_values, t_values, COND_LIMIT)."""
     if request.param == "d3-n8-oblique":
-        L, disp, summary, kappa = request.getfixturevalue("stack3d")
-        # frequencies on the scale where p^2 mu_max reaches the gap
-        p_star = np.sqrt(summary.gap / np.max(kappa.mu))
-        p_values = np.array([0.5, 1.0]) * p_star
-        t_values = np.array([0.3, 3.0]) / summary.gap
-        modes = ModeFamily(L, disp, [1.0, 2.0, 0.5])
-        return modes, summary, kappa, p_values, t_values, 1e8
+        kappa = request.getfixturevalue("kappa3d")
+        p_values = np.array([0.5, 1.0]) * _slow_scale(kappa)
+        t_values = np.array([0.3, 3.0]) / kappa.model.summary.gap
+        return kappa, [1.0, 2.0, 0.5], p_values, t_values, 1e8
     p_values = np.array([0.25, 0.5, 1.0]) * p0_12
     t_values = np.array([0.3, 1.0, 3.0]) / model12.summary.gap
     if request.param == "d2-n12-split":
@@ -420,35 +439,37 @@ def oracle_case(request, operators12, stack12, model12, kappa12, modes12, p0_12)
         disp = stack12[1]
         model = LinearModel(
             _odd_sector_lowered(operators12[2], disp, model12.summary.gap), disp)
-        modes = ModeFamily(model.L, disp)
+        modes = ModeFamily(model)
         for p_abs in p_values:
             slow = ModeSemigroup(modes, p_abs).sector_slow_factors()
             assert [f is not None for f in slow] == [True, True]
-        return modes, model.summary, compute_kappa(model), p_values, t_values, 1e8
-    cond_limit = 0.0 if request.param == "d2-n12-expm" else 1e8
-    return modes12, model12.summary, kappa12, p_values, t_values, cond_limit
+        return compute_kappa(model), None, p_values, t_values, 1e8
+    limit = 0.0 if request.param == "d2-n12-expm" else 1e8
+    return kappa12, None, p_values, t_values, limit
 
 
 class TestDenseOracleAgreement:
     """The sector-block and thin-factor norms against the dense sandwich
     products."""
 
-    def test_sweep_matches_the_dense_products(self, oracle_case):
-        modes, summary, kappa, p_values, t_values, cond = oracle_case
-        sweep = semigroup_bound_sweep(kappa, modes, p_values, t_values,
-                                      cond_limit=cond)
-        oracle = _dense_sweep(modes, summary, kappa, p_values, t_values, cond)
+    def test_sweep_matches_the_dense_products(self, monkeypatch, oracle_case):
+        kappa, direction, p_values, t_values, cond = oracle_case
+        monkeypatch.setattr(evolution, "COND_LIMIT", cond)
+        modes = ModeFamily(kappa.model, direction)
+        sweep = semigroup_bound_sweep(modes, p_values, t_values)
+        oracle = _dense_sweep(modes, p_values, t_values)
         assert set(oracle) == {f.name for f in dataclasses.fields(sweep)}
         for name, expect in oracle.items():
             np.testing.assert_allclose(getattr(sweep, name), expect,
                                        rtol=1e-12, atol=0.0, err_msg=name)
 
-    def test_block_check_matches_the_dense_products(self, oracle_case):
-        modes, summary, kappa, p_values, t_values, cond = oracle_case
-        rows = block_decomposition_check(kappa, modes, p_values[-1], t_values,
-                                         cond_limit=cond)
-        oracle = _dense_block_check(modes, summary, kappa, p_values[-1],
-                                    t_values, cond)
+    def test_block_check_matches_the_dense_products(self, monkeypatch,
+                                                    oracle_case):
+        kappa, direction, p_values, t_values, cond = oracle_case
+        monkeypatch.setattr(evolution, "COND_LIMIT", cond)
+        rows = block_decomposition_check(kappa, p_values[-1], t_values, direction)
+        oracle = _dense_block_check(kappa, ModeFamily(kappa.model, direction),
+                                    p_values[-1], t_values)
         for row, expect in zip(rows, oracle, strict=True):
             assert set(expect) == {f.name for f in dataclasses.fields(row)}
             for name, value in expect.items():
@@ -475,25 +496,23 @@ def _matched_gap(a, b):
 
 
 @pytest.fixture(scope="module")
-def stack20():
+def model20():
     grid = TorusGrid(2, 20)
     disp = DispersionField(grid, DispersionParams(d=2, r=1.0))
-    L = assemble_L(grid, disp, DeltaKernel.auto(grid, disp))
-    return L, disp, spectrum_L(L, disp)
+    return LinearModel(assemble_L(grid, disp, DeltaKernel.auto(grid, disp)), disp)
 
 
 @pytest.fixture(scope="module", params=[
     "d2-n12-axis0", "d2-n12-axis1", "d3-n8-axis0", "d3-n8-oblique"])
-def frame_case(request, operators12, stack12, p0_12):
+def frame_case(request, model12, p0_12):
     """(modes, p_unit): p_unit on the scale where two slow eigenvalues stay
     below half the gap."""
     if request.param.startswith("d3"):
-        L, disp, summary, kappa = request.getfixturevalue("stack3d")
+        kappa = request.getfixturevalue("kappa3d")
         direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
-        p_unit = np.sqrt(summary.gap / np.max(kappa.mu))
-        return ModeFamily(L, disp, direction), p_unit
+        return ModeFamily(kappa.model, direction), _slow_scale(kappa)
     axis = int(request.param[-1])
-    return ModeFamily(operators12[2], stack12[1], axis), p0_12
+    return ModeFamily(model12, axis), p0_12
 
 
 def _frequency(size, p_unit):
@@ -506,7 +525,7 @@ class TestSymmetryFrame:
         self, frame_case
     ):
         modes, _ = frame_case
-        e, grid = modes.e, modes.disp.grid
+        e, grid = modes.e, modes.model.disp.grid
         frame = grid.symmetry_frame(np.flatnonzero(e == 0.0))
         assert frame is modes.frame
         assert frame is grid.symmetry_frame(tuple(np.flatnonzero(e == 0.0)))
@@ -518,7 +537,7 @@ class TestSymmetryFrame:
     def test_omega_is_constant_on_every_column(self, frame_case):
         modes, _ = frame_case
         B = np.abs(modes.frame.basis.toarray())
-        w = modes.disp.w
+        w = modes.model.disp.w
         w_col = np.concatenate(modes.omega)
         spread = np.abs(B * (w[:, None] - w_col[None, :])).max()
         assert spread < 1e-14 * w.max()
@@ -527,7 +546,7 @@ class TestSymmetryFrame:
     def test_blocks_are_real_with_no_off_block_part(self, frame_case, size):
         modes, p_unit = frame_case
         p_abs = _frequency(size, p_unit)
-        D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+        D = mode_matrix(modes.model.L, modes.model.disp, p_abs * modes.e)
         blocks = modes.blocks(p_abs)
         B = modes.frame.basis.toarray()
         Y = B.conj().T @ D @ B
@@ -542,7 +561,7 @@ class TestSymmetryFrame:
     def test_sector_spectrum_matches_the_dense_one(self, frame_case, size):
         modes, p_unit = frame_case
         p_abs = _frequency(size, p_unit)
-        D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+        D = mode_matrix(modes.model.L, modes.model.disp, p_abs * modes.e)
         ev = spectrum_D(modes, p_abs)
         assert np.all(np.diff(ev.real) >= 0)
         # a conjugate pair has equal real parts: negative imaginary first
@@ -554,21 +573,22 @@ class TestSymmetryFrame:
     def test_node_space_eigendecomposition(self, frame_case):
         modes, p_unit = frame_case
         sg = ModeSemigroup(modes, p_unit)
-        D = mode_matrix(modes.L, modes.disp, p_unit * modes.e)
-        n = modes.disp.grid.size
+        D = mode_matrix(modes.model.L, modes.model.disp, p_unit * modes.e)
+        n = modes.model.disp.grid.size
         # measured <= 6e-15 and <= 8e-15
         assert np.abs(sg.V @ sg.Vinv - np.eye(n)).max() < 1e-10
         resid = np.abs(D @ sg.V - sg.V * sg.w).max()
         assert resid < 1e-13 * np.abs(D).max()
 
-    @pytest.mark.parametrize("cond_limit", [1e8, 0.0])
-    def test_propagator_matches_the_dense_exponential(self, frame_case,
-                                                      cond_limit):
+    @pytest.mark.parametrize("limit", [1e8, 0.0])
+    def test_propagator_matches_the_dense_exponential(self, monkeypatch,
+                                                      frame_case, limit):
         modes, p_unit = frame_case
-        disp = modes.disp
-        sg = ModeSemigroup(modes, p_unit, cond_limit)
-        assert sg.method == ("eig" if cond_limit else "expm")
-        D = mode_matrix(modes.L, disp, p_unit * modes.e)
+        disp = modes.model.disp
+        monkeypatch.setattr(evolution, "COND_LIMIT", limit)
+        sg = ModeSemigroup(modes, p_unit)
+        assert sg.method == ("eig" if limit else "expm")
+        D = mode_matrix(modes.model.L, disp, p_unit * modes.e)
         gap = np.sort(np.linalg.eigvals(D).real)[2]
         for t in (0.3 / gap, 3.0 / gap):
             dense = expm(-t * D)
@@ -577,7 +597,7 @@ class TestSymmetryFrame:
 
     @pytest.mark.parametrize("direction", [0, [1.0, 2.0]])
     def test_symmetry_breaking_perturbation_raises(
-        self, operators12, stack12, p0_12, direction
+        self, operators12, stack12, model12, p0_12, direction
     ):
         # a diagonal bump that is not even in k breaks inversion (and the
         # flip of the other axis); 1e-6 of max |L| is far above SYM_TOL.  The
@@ -587,8 +607,8 @@ class TestSymmetryFrame:
         bump = np.random.default_rng(3).random(disp.grid.size)
         broken = L + 1e-6 * np.abs(L).max() * np.diag(bump)
         with pytest.raises(ValueError, match="L breaks the lattice symmetry"):
-            ModeFamily(broken, disp, direction)
-        ModeFamily(L, disp, direction).blocks(p0_12)
+            ModeFamily(LinearModel(broken, disp), direction)
+        ModeFamily(model12, direction).blocks(p0_12)
 
     def test_symmetry_breaking_phase_raises_at_every_frequency(
         self, operators12, stack12
@@ -600,7 +620,7 @@ class TestSymmetryFrame:
         bent = copy.copy(disp)
         bump = np.random.default_rng(4).random(disp.grad.shape)
         bent.grad = disp.grad + 1e-6 * np.abs(disp.grad).max() * bump
-        modes = ModeFamily(operators12[2], bent)
+        modes = ModeFamily(LinearModel(operators12[2], bent))
         modes.blocks(0.0)
         for p_abs in (0.05, 1.0):
             with pytest.raises(ValueError, match="mode matrix breaks"):
@@ -610,22 +630,20 @@ class TestSymmetryFrame:
 @pytest.fixture(scope="module", params=[
     "d2-n12-axis0", "d2-n12-axis1", "d2-n20-axis0", "d2-n20-axis1",
     "d3-n8-axis0", "d3-n8-oblique"])
-def p0_probes(request, operators12, stack12, model12):
+def p0_probes(request, model12):
     """(p0, p0 of the dense-count bisection, per probe of the latter
     (dense count, sector count)).  Along a lattice axis of the d = 3 cubic
     grid the rotations and reflections about that axis force repeated
     eigenvalues; the oblique direction breaks them."""
     if request.param.startswith("d3"):
-        L, disp, summary, _ = request.getfixturevalue("stack3d")
+        model = request.getfixturevalue("kappa3d").model
         direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
     else:
-        if "n20" in request.param:
-            L, disp, summary = request.getfixturevalue("stack20")
-        else:
-            L, disp, summary = operators12[2], stack12[1], model12.summary
+        model = request.getfixturevalue("model20") if "n20" in request.param else model12
         direction = int(request.param[-1])
-    modes = ModeFamily(L, disp, direction)
-    p0 = find_p0(modes, summary.gap)
+    L, disp, gap = model.L, model.disp, model.summary.gap
+    modes = ModeFamily(model, direction)
+    p0 = find_p0(modes, gap)
     probes = []
 
     def dense_count(modes, p_abs, threshold):
@@ -635,7 +653,7 @@ def p0_probes(request, operators12, stack12, model12):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evolution, "count_slow_eigenvalues", dense_count)
-        p0_dense = find_p0(modes, summary.gap)
+        p0_dense = find_p0(modes, gap)
     return p0, p0_dense, probes
 
 
@@ -665,10 +683,9 @@ def eigvals_calls(monkeypatch):
 
 class TestBendixsonPruning:
     @pytest.fixture(scope="class")
-    def modes3(self, stack3d):
-        L, disp, summary, kappa = stack3d
-        return ModeFamily(L, disp, 0), summary.gap, np.sqrt(
-            summary.gap / np.max(kappa.mu))
+    def modes3(self, kappa3d):
+        return (ModeFamily(kappa3d.model, 0), kappa3d.model.summary.gap,
+                _slow_scale(kappa3d))
 
     def test_floors_bound_every_sector_spectrum(self, frame_case):
         modes, p_unit = frame_case
@@ -693,7 +710,7 @@ class TestBendixsonPruning:
             assert len(eigvals_calls) == len(counted) == 1
             for seen, X in zip(eigvals_calls, counted):
                 assert np.array_equal(seen, X)
-            D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+            D = mode_matrix(modes.model.L, modes.model.disp, p_abs * modes.e)
             assert count == _dense_slow_count(D, half)
 
     def test_threshold_above_every_floor_gives_the_dense_count(
@@ -705,7 +722,7 @@ class TestBendixsonPruning:
             eigvals_calls.clear()
             count = count_slow_eigenvalues(modes, p_abs, threshold)
             assert len(eigvals_calls) == len(modes.frame.sectors)
-            D = mode_matrix(modes.L, modes.disp, p_abs * modes.e)
+            D = mode_matrix(modes.model.L, modes.model.disp, p_abs * modes.e)
             assert count == _dense_slow_count(D, threshold)
 
 
@@ -717,8 +734,7 @@ class TestSectorNorm:
         for p_abs in (0.25 * p0_12, p0_12):
             sg = ModeSemigroup(modes12, p_abs)
             blocks = SlowFastBlocks(kappa12.basis, sg)
-            P, Q, _, _ = _dense_frame(disp, model12.summary, kappa12,
-                                      p_abs * modes12.e)
+            P, Q, _, _ = _dense_frame(model12, p_abs * modes12.e)
             Qtil = _dense_qtilde(sg)
             for t in (0.3 / model12.summary.gap, 3.0 / model12.summary.gap):
                 S_blocks = sg.propagator_blocks(t)
@@ -759,11 +775,11 @@ class TestSectorNorm:
         self, request, case, modes12, p0_12
     ):
         # cond agrees with the dense one to 1e-12 relative, so every
-        # cond_limit farther than that from it picks the same method
+        # COND_LIMIT farther than that from it picks the same method
         if case == "d3-n8-oblique":
-            L, disp, summary, kappa = request.getfixturevalue("stack3d")
-            modes = ModeFamily(L, disp, [1.0, 2.0, 0.5])
-            p_unit = np.sqrt(summary.gap / np.max(kappa.mu))
+            kappa = request.getfixturevalue("kappa3d")
+            modes = ModeFamily(kappa.model, [1.0, 2.0, 0.5])
+            p_unit = _slow_scale(kappa)
         else:
             modes, p_unit = modes12, p0_12
         for factor in (0.0, 0.5, 1.0, 2.0):
@@ -830,41 +846,39 @@ class TestLinearEvolution:
     def test_box_mode_frequencies(self):
         assert np.array_equal(box_modes(8, BOX), TWO_PI * np.fft.fftfreq(8, BOX / 8))
 
-    def test_initial_states_equal_initial_data(self, operators12, stack12, p0_12):
+    def test_initial_states_equal_initial_data(self, stack12, modes12, p0_12):
         _, disp, _ = stack12
         w0 = np.stack([disp.winv, disp.winv2]).astype(complex)
-        traj = evolve_linear(
-            operators12[2], disp, [0.5 * p0_12, p0_12], w0, [0.0, 1.0]
-        )
+        traj = evolve_linear(modes12, [0.5 * p0_12, p0_12], w0, [0.0, 1.0])
         assert traj.representation == "mode"
         assert traj.states.shape == (2, 2, disp.grid.size)
         assert np.allclose(traj.states[0], w0, rtol=0, atol=1e-12)
 
-    def test_modes_evolve_independently(self, operators12, stack12, p0_12):
+    def test_modes_evolve_independently(self, stack12, modes12, p0_12):
         _, disp, _ = stack12
         w0 = np.stack([disp.winv, disp.winv2]).astype(complex)
-        both = evolve_linear(operators12[2], disp, [0.5 * p0_12, p0_12], w0, [0.0, 2.0])
-        single = evolve_linear(operators12[2], disp, [p0_12], w0[1:], [0.0, 2.0])
+        both = evolve_linear(modes12, [0.5 * p0_12, p0_12], w0, [0.0, 2.0])
+        single = evolve_linear(modes12, [p0_12], w0[1:], [0.0, 2.0])
         assert np.array_equal(both.states[:, 1], single.states[:, 0])
 
     def test_zero_frequency_preserves_the_exact_null_component(
-        self, operators12, stack12, model12
+        self, stack12, model12, modes12
     ):
         _, disp, _ = stack12
         rng = np.random.default_rng(7)
         w0 = (disp.winv + 0.1 * rng.standard_normal(disp.grid.size))[None, :]
         times = np.array([0.0, 1.0, 3.0]) / model12.summary.gap
-        traj = evolve_linear(operators12[2], disp, [0.0], w0, times)
+        traj = evolve_linear(modes12, [0.0], w0, times)
         weight = disp.w_sq * disp.winv2 / disp.grid.size
         moments = traj.states[:, 0, :] @ weight
         assert np.allclose(moments, moments[0], rtol=1e-8)
 
-    def test_energy_norm_decays_monotonically(self, operators12, stack12, model12):
+    def test_energy_norm_decays_monotonically(self, stack12, model12, modes12):
         _, disp, _ = stack12
         rng = np.random.default_rng(11)
         w0 = rng.standard_normal(disp.grid.size)[None, :]
         times = np.array([0.0, 0.3, 1.0, 3.0]) / model12.summary.gap
-        traj = evolve_linear(operators12[2], disp, [0.0], w0, times)
+        traj = evolve_linear(modes12, [0.0], w0, times)
         norms = np.sqrt(
             np.abs(traj.states[:, 0, :]) ** 2 @ disp.w_sq / disp.grid.size
         )
@@ -872,7 +886,7 @@ class TestLinearEvolution:
 
 
 @pytest.fixture(scope="module")
-def perturbed_traj(fourier12, operators12, stack12):
+def perturbed_traj(fourier12, model12, stack12):
     """Shared box run: equilibrium plus a 1% standing slow-mode ripple."""
     _, disp, _ = stack12
     n_x = 8
@@ -880,26 +894,26 @@ def perturbed_traj(fourier12, operators12, stack12):
     ripple = 0.01 * np.sin(TWO_PI * x)
     W0 = disp.winv[None, :] * (1.0 + ripple[:, None])
     times = np.array([0.0, 0.5, 1.0])
-    return evolve_nonlinear(fourier12, operators12[2], W0, times, BOX)
+    return evolve_nonlinear(fourier12, W0, times, BOX, stable_step(model12, n_x, BOX))
 
 
 class TestNonlinearEvolution:
-    def test_stable_step_formula(self, operators12, stack12):
+    def test_stable_step_formula(self, model12, stack12):
         _, disp, _ = stack12
-        L = operators12[2]
         expected = 0.4 / (
-            np.diag(L).real.max()
+            np.diag(model12.L).real.max()
             + np.abs(disp.grad[:, 0]).max() / TWO_PI * np.pi * 16 / BOX
         )
-        assert stable_step(L, disp, 16, BOX) == pytest.approx(expected, rel=1e-12)
+        assert stable_step(model12, 16, BOX) == pytest.approx(expected, rel=1e-12)
 
-    def test_equilibrium_is_nearly_stationary(self, fourier12, operators12, stack12):
+    def test_equilibrium_is_nearly_stationary(self, fourier12, model12, stack12):
         # The kernel-width counterterm residual drifts the equilibrium at
         # ~1e-4 per unit time (the equilibration-rate artifact); anything
         # beyond 3e-4 over t = 1 would signal an integrator bug.
         _, disp, _ = stack12
         W0 = np.tile(disp.winv, (8, 1))
-        traj = evolve_nonlinear(fourier12, operators12[2], W0, [0.0, 1.0], BOX)
+        traj = evolve_nonlinear(fourier12, W0, [0.0, 1.0], BOX,
+                                stable_step(model12, 8, BOX))
         drift = np.abs(traj.states[-1] - disp.winv[None, :]).max()
         assert drift < 3e-4
 
@@ -919,32 +933,30 @@ class TestNonlinearEvolution:
         assert np.all(cons[:, 1] < 1e-7)
 
     def test_step_halving_does_not_move_the_answer(
-        self, fourier12, operators12, stack12
+        self, fourier12, model12, stack12
     ):
         _, disp, _ = stack12
         n_x = 8
         x = np.arange(n_x) / n_x
         W0 = disp.winv[None, :] * (1.0 + 0.01 * np.sin(TWO_PI * x)[:, None])
-        dt = stable_step(operators12[2], disp, n_x, BOX)
-        coarse = evolve_nonlinear(fourier12, operators12[2], W0, [0.0, 0.5], BOX, dt=dt)
-        fine = evolve_nonlinear(
-            fourier12, operators12[2], W0, [0.0, 0.5], BOX, dt=0.5 * dt
-        )
+        dt = stable_step(model12, n_x, BOX)
+        coarse = evolve_nonlinear(fourier12, W0, [0.0, 0.5], BOX, dt)
+        fine = evolve_nonlinear(fourier12, W0, [0.0, 0.5], BOX, 0.5 * dt)
         dev = np.abs(coarse.states[-1] - fine.states[-1]).max()
         assert dev < 1e-4 * np.abs(fine.states[-1]).max()  # measured 3e-13
 
-    def test_input_validation(self, fourier12, operators12, stack12):
+    def test_input_validation(self, fourier12, model12, stack12):
         _, disp, _ = stack12
-        L = operators12[2]
+        dt = stable_step(model12, 4, BOX)
         good = np.tile(disp.winv, (4, 1))
         bad_zero = good.copy()
         bad_zero[1, 3] = 0.0
         with pytest.raises(ValueError):
-            evolve_nonlinear(fourier12, L, bad_zero, [0.0, 1.0], BOX)
+            evolve_nonlinear(fourier12, bad_zero, [0.0, 1.0], BOX, dt)
         with pytest.raises(ValueError):
-            evolve_nonlinear(fourier12, L, disp.winv, [0.0, 1.0], BOX)
+            evolve_nonlinear(fourier12, disp.winv, [0.0, 1.0], BOX, dt)
         with pytest.raises(ValueError):
-            evolve_nonlinear(fourier12, L, good, [0.5, 1.0], BOX)
+            evolve_nonlinear(fourier12, good, [0.5, 1.0], BOX, dt)
 
 
 class TestDecayDiagnostics:
@@ -964,14 +976,13 @@ class TestDecayDiagnostics:
         assert np.all(np.isfinite(rep.norm_v))
 
     def test_slow_initial_data_matches_the_reference_at_time_zero(
-        self, operators12, stack12, kappa12, p0_12
+        self, modes12, kappa12, p0_12
     ):
-        _, disp, _ = stack12
         u1 = kappa12.basis.u[:, 0].astype(complex)
         w0 = np.stack([u1, u1])
         p_values = [0.5 * p0_12, p0_12]
         times = [10.0, 1e3, 1e5]
-        traj = evolve_linear(operators12[2], disp, p_values, w0, [0.0] + times)
+        traj = evolve_linear(modes12, p_values, w0, [0.0] + times)
         rep = decay_diagnostics(traj, kappa12, t_min=1.0)
         # purely slow data: the heat-flow reference reproduces it exactly at
         # t = 0, while the fast reference predicts the gradient response the

@@ -236,7 +236,7 @@ class TestCollisionResponse:
         x, diag = response.solve(np.zeros_like(g), g)
         assert diag["residual"] < 1e-10 and applied
         applied.clear()
-        xb = response.solve_batch(np.zeros((1, g.size)), g[None, :])
+        xb, _ = response.solve_batch(np.zeros((1, g.size)), g[None, :])
         assert applied
         assert np.linalg.norm(xb[0] - x) < 1e-9 * np.linalg.norm(x)
 
@@ -258,10 +258,21 @@ class TestCollisionResponse:
         grid, disp, _ = stack12
         Ts = 0.01 * rng.standard_normal((3, 1)) * disp.winv2
         rhs = disp.grad[:, 0] * disp.winv
-        xb = response12.solve_batch(Ts, np.broadcast_to(rhs, (3, grid.size)))
+        xb, diag = response12.solve_batch(Ts, np.broadcast_to(rhs, (3, grid.size)))
         for i in range(3):
             xi, _ = response12.solve(Ts[i], rhs)
             assert np.linalg.norm(xb[i] - xi) < 1e-8 * np.linalg.norm(xi)
+        # the reported residual is the relative weighted norm of the defect
+        # of the returned x, per field; a defect of ~3e-11 relative carries
+        # rounding of ~eps / 3e-11 from the summation order (measured 1.5e-8)
+        ip = disp.weighted_inner()
+        rhs_p = response12.model.project_out_low(rhs)
+        defect = response12.model.project_out_low(
+            rhs_p - (xb @ response12.model.L.T - response12.shift_term(Ts, xb)))
+        expect = [ip.norm(defect[i]) / ip.norm(rhs_p) for i in range(3)]
+        assert diag["residual"].shape == (3,)
+        np.testing.assert_allclose(diag["residual"], expect, rtol=1e-5, atol=0.0)
+        assert np.all(diag["residual"] <= hydrodynamics.RESPONSE_TOL)
 
     def test_rejects_nonpositive_background(self, response12, stack12, rng):
         grid, disp, _ = stack12
@@ -292,6 +303,28 @@ class TestNonlinearDiffusivity:
     def test_rejects_nonpositive_background(self, response12, stack12):
         with pytest.raises(ValueError):
             nonlinear_diffusivity(response12, SlowState(-2.0, 0.0))
+
+    def test_residual_is_the_solvers_own(self, response12, monkeypatch):
+        # the defect is measured once, by the solver: no shift term is
+        # evaluated after it returns
+        shift_term, solve_batch = response12.shift_term, response12.solve_batch
+        calls, seen = [], {}
+
+        def counted(Tfield, v):
+            calls.append(1)
+            return shift_term(Tfield, v)
+
+        def recorded(Tfields, rhs):
+            x, diag = solve_batch(Tfields, rhs)
+            seen.update(diag, calls=len(calls))
+            return x, diag
+
+        monkeypatch.setattr(response12, "shift_term", counted)
+        monkeypatch.setattr(response12, "solve_batch", recorded)
+        K = nonlinear_diffusivity(response12, SlowState(0.01, 0.0))
+        assert len(calls) == seen["calls"] > 0
+        assert K.solve_residual == float(np.max(seen["residual"]))
+        assert K.solve_residual <= hydrodynamics.RHS_TOL
 
     def test_response_surface_matches_direct(self, response12):
         model = DiffusivityModel(response12)
