@@ -277,14 +277,6 @@ class ModeSemigroup:
             factors.append((V[:, local], Vinv[local, :]))
         return factors
 
-    def slow_factors(self):
-        """(a, b) with P~ = a @ b in node space: N x 2 and 2 x N."""
-        pieces = [(c, f) for c, f in enumerate(self.sector_slow_factors())
-                  if f is not None]
-        a = np.hstack([self.frame.sector_columns(c, f[0]) for c, f in pieces])
-        b = np.vstack([self.frame.sector_rows(c, f[1]) for c, f in pieces])
-        return a, b
-
 
 def h_operator_norm(modes, blocks):
     """Operator norm in the omega^2-weighted inner product of a matrix that
@@ -338,21 +330,25 @@ class SlowFastBlocks:
     The slow projection P = u to_coef (`SlowBasis`) is H-orthogonal and of
     rank 2: with D = diag(omega) and u~ = D u / sqrt(N), whose columns are
     l2-orthonormal, D P D^-1 = u~ u~^T.  The spectral projector
-    P~ = a b (`ModeSemigroup.slow_factors`) has rank 2 as well.  So
-    Q = I - P and Q~ = I - P~ act as rank-2 updates, the off-diagonal
-    blocks are P S Q = u (to_coef S Q) and Q S P = (Q S u) to_coef, and no
-    N x N sandwich product is formed.  u and to_coef are even and real, so
-    in the symmetry frame they live in the trivial sector 0 (`u0`, `t0`):
-    Q S Q and S Q~ are block-diagonal there, Q acting on sector 0 only and
-    Q~ on the sectors of its two eigenvalues (`qq_blocks`, `fast_blocks`).
+    P~ = a b (from `ModeSemigroup.sector_slow_factors`, taken once) has
+    rank 2 as well.  So Q = I - P and Q~ = I - P~ act as rank-2 updates,
+    the off-diagonal blocks are P S Q = u (to_coef S Q) and
+    Q S P = (Q S u) to_coef, and no N x N sandwich product is formed.  u and
+    to_coef are even and real, so in the symmetry frame they live in the
+    trivial sector 0 (`u0`, `t0`): Q S Q and S Q~ are block-diagonal there,
+    Q acting on sector 0 only and Q~ on the sectors of its two eigenvalues
+    (`qq_blocks`, `fast_blocks`).
     """
 
     def __init__(self, basis, sg):
         self.u, self.to_coef = basis.u, basis.to_coef
-        self.a, self.b = sg.slow_factors()
         self.u0 = sg.frame.coordinates(basis.u, 0)
         self.t0 = sg.frame.coordinates(basis.to_coef.T, 0).T
         self._slow = sg.sector_slow_factors()
+        # (a, b) with P~ = a @ b in node space: N x 2 and 2 x N
+        pieces = [(c, f) for c, f in enumerate(self._slow) if f is not None]
+        self.a = np.hstack([sg.frame.sector_columns(c, f[0]) for c, f in pieces])
+        self.b = np.vstack([sg.frame.sector_rows(c, f[1]) for c, f in pieces])
 
     def q_left(self, X):
         """Q X for an N x k factor."""

@@ -24,13 +24,11 @@ from .linearized import spectrum_L
 
 TWO_PI = 2.0 * np.pi
 
-# The dropped low pair; the collision-Jacobian step relative to the sup norm
-# of the direction; the shifted-background solves' tolerance and caps; the
+# The dropped low pair; the shifted-background solves' tolerance and caps; the
 # largest low-mode overlap and residual of the conductivity solves; the
 # Fourier-law bound per unit |p| ||T||; the largest relative deviation of a
 # per-axis conductivity; the stencil half-width of `DiffusivityModel`.
 LOW_MODES = 2
-FD_STEP = 1e-3
 RESPONSE_TOL = 1e-10
 GMRES_MAXITER = 200
 MAX_SWEEPS = 60
@@ -400,11 +398,11 @@ class CollisionResponse:
     """Solves (L - m(T, .)) x = rhs on the deflated complement.
 
     ``m(T, v)`` is the background-shift part of the collision Jacobian at
-    W = omega^-1 + T, isolated by central finite differencing of the
-    collision operator at the shifted and unshifted backgrounds (the two
-    difference quotients cancel exactly at T = 0, so the zero-shift solve
-    reduces to the assembled linearized matrix; the four-point rule makes
-    each quotient the exact Jacobian action, see ``_jacobian_fd``).  Single
+    W = omega^-1 + T: the exact Jacobian action (`FourierCollision.jvp`) at
+    the shifted background minus the one at the unshifted background.  The
+    two cancel exactly at T = 0, so the zero-shift solve reduces to the
+    assembled linearized matrix (the unshifted action is -L v only up to
+    roundoff, so adding L v instead would not cancel exactly).  Single
     solves use preconditioned GMRES; batches use the preconditioned
     fixed-point iteration, which contracts at rate O(||T||).  L, its
     deflated inverse (the preconditioner) and the dispersion field are those
@@ -418,30 +416,13 @@ class CollisionResponse:
         self.disp = model.disp
         self._W0 = self.disp.winv
 
-    def _jacobian_fd(self, W, v):
-        """Directional derivative of the collision operator at background W.
-
-        Four-evaluation central rule at +-eps, +-2eps.  The collision rate is
-        an exact quartic polynomial in the state, for which this rule has no
-        truncation error, so the result is the exact Jacobian action up to
-        roundoff — in particular the GMRES matvec built on it is linear to
-        machine precision.
-        """
-        scale = np.max(np.abs(v), axis=-1, keepdims=True)
-        scale = np.where(scale == 0.0, 1.0, scale)
-        eps = FD_STEP / scale
-        C = self.evaluator.apply_batch
-        c1 = C(W + eps * v) - C(W - eps * v)
-        c2 = C(W + 2.0 * eps * v) - C(W - 2.0 * eps * v)
-        return (8.0 * c1 - c2) / (12.0 * eps)
-
     def shift_term(self, Tfield, v):
         """m(T, v): the background-shift part of the collision Jacobian."""
         W = self._W0 + Tfield
         if np.min(W) <= 0.0:
             raise ValueError("shifted background is not positive")
-        base = np.broadcast_to(self._W0, np.shape(W)) if np.ndim(W) > 1 else self._W0
-        return self._jacobian_fd(W, v) - self._jacobian_fd(base, v)
+        jvp = self.evaluator.jvp
+        return jvp(W, v) - jvp(self._W0, v)
 
     def solve(self, Tfield, rhs):
         """GMRES solve of (L - m(T, .)) x = rhs; returns (x, diagnostics)."""

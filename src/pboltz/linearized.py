@@ -38,7 +38,6 @@ from functools import partial
 import numpy as np
 import scipy.fft
 from scipy.linalg import eigh, subspace_angles
-from scipy.optimize import brentq
 
 from .collision import PREFACTOR, _chunked, _cosine_series
 from .dispersion import omega
@@ -320,6 +319,10 @@ def kernel_row_sup(K, grid):
 def _seed_points(Gfun, m=96):
     """Rough points on the level set G = 0, from sign changes along grid
     lines in both axis directions."""
+    # imported here: the validator is its only user, and scipy.optimize
+    # costs every CLI call a noticeable import time
+    from scipy.optimize import brentq
+
     seeds = []
     lines = -np.pi + 2.0 * np.pi * np.arange(m) / m
     ns = 4 * m

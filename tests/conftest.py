@@ -71,3 +71,20 @@ def response12(fourier12, model12):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+def _jacobian_fd(apply_batch, W, v):
+    """Four-point central rule at +-eps, +-2eps, eps = 1e-3 / max|v| per
+    field: no truncation error for the quartic collision rate, so it is the
+    exact Jacobian action up to roundoff.  The oracle of
+    `FourierCollision.jvp`."""
+    scale = np.max(np.abs(v), axis=-1, keepdims=True)
+    eps = 1e-3 / np.where(scale == 0.0, 1.0, scale)
+    c1 = apply_batch(W + eps * v) - apply_batch(W - eps * v)
+    c2 = apply_batch(W + 2.0 * eps * v) - apply_batch(W - 2.0 * eps * v)
+    return (8.0 * c1 - c2) / (12.0 * eps)
+
+
+@pytest.fixture(scope="session")
+def jacobian_fd():
+    return _jacobian_fd

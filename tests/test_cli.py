@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -44,6 +47,16 @@ def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # only the exact-shell validator root-finds, and imports it itself
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pboltz.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigHandling:

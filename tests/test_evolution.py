@@ -299,6 +299,24 @@ class TestSemigroupSweep:
         assert np.all(np.isfinite(ratios))
         assert np.all((0.15 < ratios) & (ratios < 0.6))
 
+    def test_slow_pair_is_selected_once_per_frequency(self, stack8, monkeypatch):
+        grid, disp, delta = stack8
+        model = LinearModel(assemble_L(grid, disp, delta), disp)
+        modes = ModeFamily(model)
+        p0 = find_p0(modes, model.summary.gap)
+        select = ModeSemigroup.sector_slow_factors
+        calls = []
+
+        def counted(sg):
+            calls.append(sg.p_abs)
+            return select(sg)
+
+        monkeypatch.setattr(ModeSemigroup, "sector_slow_factors", counted)
+        p_values = np.array([0.25, 0.5, 1.0]) * p0
+        semigroup_bound_sweep(modes, p_values,
+                              np.array([0.3, 1.0]) / model.summary.gap)
+        assert calls == list(p_values)
+
 
 # ----------------------------------------------------------------------
 # the dense oracle: the sweep and the block check from N x N sandwich

@@ -254,6 +254,20 @@ class TestCollisionResponse:
         m2 = response12.shift_term(Tf, 2.0 * v)
         assert np.allclose(m2, 2.0 * m1, rtol=1e-10)
 
+    def test_shift_term_matches_the_four_point_rule(self, response12, stack12,
+                                                     jacobian_fd):
+        grid, disp, _ = stack12
+        gen = np.random.default_rng(11)
+        Ts = 0.01 * gen.standard_normal((2, 1)) * disp.winv2
+        v = gen.standard_normal((2, grid.size))
+        C = response12.evaluator.apply_batch
+        W0 = np.broadcast_to(disp.winv, v.shape)
+        fd = jacobian_fd(C, W0 + Ts, v) - jacobian_fd(C, W0, v)
+        m = response12.shift_term(Ts, v)
+        # the difference of two rules cancels most of their size, so
+        # their rounding is amplified (measured 7.9e-12)
+        assert np.abs(m - fd).max() <= 1e-10 * np.abs(fd).max()
+
     def test_batch_solve_matches_single(self, response12, stack12, rng):
         grid, disp, _ = stack12
         Ts = 0.01 * rng.standard_normal((3, 1)) * disp.winv2
@@ -263,15 +277,19 @@ class TestCollisionResponse:
             xi, _ = response12.solve(Ts[i], rhs)
             assert np.linalg.norm(xb[i] - xi) < 1e-8 * np.linalg.norm(xi)
         # the reported residual is the relative weighted norm of the defect
-        # of the returned x, per field; a defect of ~3e-11 relative carries
-        # rounding of ~eps / 3e-11 from the summation order (measured 1.5e-8)
+        # of the returned x, per field.  The defect is a difference of terms
+        # of the size of rhs, so another summation order moves it by a few
+        # eps of |rhs| whatever its own size: eps in units of the relative
+        # residual (measured 2e-3 eps at a defect of 3e-11 and 4e-3 eps at
+        # 3.7e-14), far below the step from one iterate to the next
         ip = disp.weighted_inner()
         rhs_p = response12.model.project_out_low(rhs)
         defect = response12.model.project_out_low(
             rhs_p - (xb @ response12.model.L.T - response12.shift_term(Ts, xb)))
         expect = [ip.norm(defect[i]) / ip.norm(rhs_p) for i in range(3)]
         assert diag["residual"].shape == (3,)
-        np.testing.assert_allclose(diag["residual"], expect, rtol=1e-5, atol=0.0)
+        np.testing.assert_allclose(diag["residual"], expect, rtol=0.0,
+                                   atol=np.finfo(float).eps)
         assert np.all(diag["residual"] <= hydrodynamics.RESPONSE_TOL)
 
     def test_rejects_nonpositive_background(self, response12, stack12, rng):
