@@ -79,7 +79,7 @@ SCHEMA = {
     "d": ("int", (2, 3), "2"),
     "n": ("int", (8, INF), "12"),
     "r": ("real", POSITIVE, "1.0"),
-    "delta_shape": (("gaussian", "triangular"), None, "gaussian"),
+    "delta_shape": (("gaussian",), None, "gaussian"),
     "eta": ("real|auto", POSITIVE, "auto"),
     "outdir": ("text", None, "runs"),
     "workers": ("int", (1, INF), "1"),
@@ -118,9 +118,6 @@ RULES = (
      "config: p_min must be below p_max"),
     (("dispersion-relation", "semigroup-bounds"), lambda v: v.axis < v.d,
      "config key 'axis': out of range for the grid"),
-    (("evolve", "hydro-limit"), lambda v: v.delta_shape == "gaussian",
-     "config key 'delta_shape': evolve and hydro-limit run the FFT collision "
-     "evaluator, which needs the gaussian kernel"),
     (("validate-kernel",), lambda v: v.d == 2,
      "config key 'd': validate-kernel's exact-shell reduction is d = 2 only"),
     (("semigroup-bounds",), lambda v: len(set(v.t_factors)) >= 2,
@@ -303,15 +300,14 @@ def build_stack(cfg, clock):
         grid = TorusGrid(cfg.d, cfg.n)
         disp = DispersionField(grid, DispersionParams(cfg.d, cfg.r))
     width = DeltaKernel.auto(grid, disp).width if cfg.eta is None else cfg.eta
-    delta = DeltaKernel(cfg.delta_shape, width)
-    return grid, disp, delta
+    return grid, disp, DeltaKernel(width)
 
 
 def build_linear(cfg, stack, clock):
     """The run's one `LinearModel`: L assembled once and diagonalized once."""
     grid, disp, delta = stack
     with clock.stage("assemble_linearized"):
-        L = assemble_L(grid, disp, delta, workers=cfg.workers)
+        L = assemble_L(grid, disp, delta)
     with clock.stage("spectrum"):
         return LinearModel(L, disp)
 
@@ -391,23 +387,19 @@ def cmd_collision_check(cfg, stack, out, clock):
     grid, disp, delta = stack
     rng = np.random.default_rng(cfg.seed)
     states = [0.2 + 1.3 * rng.random(grid.size) for _ in range(cfg.samples)]
+    # the FFT evaluator is trusted only where it reproduces one direct O(N^3)
+    # evaluation, that of the first sample; `workers` reaches only this one
     direct = CollisionOperator(grid, disp, delta, workers=cfg.workers)
-    if delta.shape == "gaussian":
-        # the FFT evaluator is trusted only where it reproduces one direct
-        # O(N^3) evaluation, that of the first sample
-        with clock.stage("direct_oracle"):
-            reference = direct.apply(states[0])
-        op = FourierCollision(grid, disp, delta)
-    else:
-        # the triangular kernel has no cosine series: only the direct sums serve it
-        reference, op = None, direct
+    with clock.stage("direct_oracle"):
+        reference = direct.apply(states[0])
+    op = FourierCollision(grid, disp, delta)
     with clock.stage("collision_tables"):
         rows = []
         all_number = all_energy = all_entropy = True
         for sample, W in enumerate(states):
             C = op.apply(W)
             sup = float(np.abs(C).max())
-            if sample == 0 and reference is not None:
+            if sample == 0:
                 deviation = float(np.abs(C - reference).max())
                 if not deviation <= DIRECT_ORACLE_RTOL * sup:
                     raise RuntimeError(
@@ -713,9 +705,7 @@ def cmd_validate_kernel(cfg, stack, out, clock):
                              refine_tol=cfg.refine_tol)
             errors = []
             for eta in chain:
-                approx = i1_mollified(
-                    k, kp, disp.params, DeltaKernel(cfg.delta_shape, eta)
-                )
+                approx = i1_mollified(k, kp, disp.params, DeltaKernel(eta))
                 errors.append(abs(approx - exact))
             ratios = [
                 errors[i] / errors[i + 1] if errors[i + 1] > 0 else np.inf

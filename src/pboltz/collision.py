@@ -60,51 +60,51 @@ SERIES_RTOL = 1e-12
 AUTO_WIDTH_COEF = 3.0 * np.pi / 24.0**1.5
 
 
+# Sample count of the trapezoid rule in DeltaKernel.mass.
+MASS_RESOLUTION = 200001
+
+
 @dataclass(frozen=True)
 class DeltaKernel:
-    """Regularized energy delta: unit Lebesgue mass in the energy variable.
+    """Regularized energy delta: a gaussian of standard deviation `width`,
+    with unit Lebesgue mass in the energy variable, truncated at
+    `TRUNCATION` widths (where the lost mass is ~1e-15).
 
-    shapes: "gaussian" (production; truncated at 8 widths, where the lost
-    mass is ~1e-15) or "triangular" (hat of half-width `width`, for
-    cross-checks).
+    Its cosine series (`_cosine_series`) is what every production path
+    evaluates; `weights` is the closed form that the direct sums use.
     """
 
-    shape: str = "gaussian"
-    width: float = 1.0
+    width: float
 
     TRUNCATION = 8.0
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "triangular"):
-            raise ValueError(f"unknown kernel shape {self.shape!r}")
         if not self.width > 0:
             raise ValueError(f"kernel width must be positive, got {self.width}")
 
     def weights(self, u):
+        # exp(-z z / 2) / (sqrt(2 pi) width) where |z| <= TRUNCATION, else 0,
+        # with z = u / width; evaluated in place, one operation at a time in
+        # that order
         u = np.asarray(u, dtype=float)
-        if self.shape == "gaussian":
-            # exp(-z z / 2) / (sqrt(2 pi) width) where |z| <= TRUNCATION,
-            # else 0, with z = u / width; evaluated in place, one operation
-            # at a time in that order
-            z = np.divide(u, self.width, out=np.empty(u.shape))
-            vals = np.multiply(-0.5, z, out=np.empty(u.shape))
-            vals *= z
-            np.exp(vals, out=vals)
-            vals /= np.sqrt(2.0 * np.pi) * self.width
-            vals[~(np.abs(z, out=z) <= self.TRUNCATION)] = 0.0
-            return vals
-        return np.maximum(1.0 - np.abs(u) / self.width, 0.0) / self.width
+        z = np.divide(u, self.width, out=np.empty(u.shape))
+        vals = np.multiply(-0.5, z, out=np.empty(u.shape))
+        vals *= z
+        np.exp(vals, out=vals)
+        vals /= np.sqrt(2.0 * np.pi) * self.width
+        vals[~(np.abs(z, out=z) <= self.TRUNCATION)] = 0.0
+        return vals
 
-    def mass(self, resolution=200001):
+    def mass(self):
         """Quadrature of the kernel over its support (invariant: ~1)."""
         span = self.TRUNCATION * self.width
-        u = np.linspace(-span, span, resolution)
+        u = np.linspace(-span, span, MASS_RESOLUTION)
         return float(np.trapezoid(self.weights(u), u))
 
     @classmethod
-    def auto(cls, grid, disp, coefficient=AUTO_WIDTH_COEF):
-        """Production width rule: coefficient * max|grad omega| * sqrt(n)."""
-        return cls("gaussian", coefficient * disp.max_grad * np.sqrt(grid.n))
+    def auto(cls, grid, disp):
+        """Production width rule: AUTO_WIDTH_COEF * max|grad omega| * sqrt(n)."""
+        return cls(AUTO_WIDTH_COEF * disp.max_grad * np.sqrt(grid.n))
 
 
 # The stationary two-parameter family W_{T,A} = T/(omega + A).
@@ -133,13 +133,13 @@ class CollisionDiagnostics:
         g = self.grid
         return float(g.integrate(C)), float(g.integrate(self.disp.w * C))
 
-    def equilibrium_tolerance(self, family=EQUILIBRIUM_FAMILY):
-        """tau_eq: sup of sup_norm(C(W_{T,A})) over the stationary family.
+    def equilibrium_tolerance(self):
+        """tau_eq: sup of sup_norm(C(W_{T,A})) over `EQUILIBRIUM_FAMILY`.
 
         The floor for every downstream "approximately zero" assertion.
         """
         tau = 0.0
-        for T, A in family:
+        for T, A in EQUILIBRIUM_FAMILY:
             C = self.apply(equilibrium(self.disp, T, A))
             tau = max(tau, float(np.abs(C).max()))
         return tau
@@ -149,8 +149,7 @@ class CollisionOperator(CollisionDiagnostics):
     """Direct O(n^{3d}) evaluator of the collision integral.
 
     The oracle for `FourierCollision` (in the tests, and in
-    `collision-check`, which checks one FFT evaluation against it), and the
-    only evaluator of the triangular kernel (which has no cosine series).
+    `collision-check`, which checks one FFT evaluation against it).
     Parallelizes over output rows (disjoint writes, deterministic for any
     worker count).
     `workers=1` by default; the row loop is vectorized over the (k1, k2)
@@ -266,8 +265,8 @@ class FourierCollision(CollisionDiagnostics):
     becomes circular convolutions evaluated by d-dimensional FFTs:
     O(n_t n^d log n) per field instead of O(n^{3d}) (Mouhot & Pareschi,
     Math. Comp. 75, 2006).  Used by `evolve`, `hydro-limit` and
-    `collision-check` (gaussian kernel); `CollisionOperator` is its oracle
-    in the tests and on `collision-check`'s first sample.
+    `collision-check`; `CollisionOperator` is its oracle in the tests and on
+    `collision-check`'s first sample.
 
     Per node t_j the legs are a = W E / omega, b = E / omega and c = W E
     with E = exp(i t_j omega).  W and 1/omega are real, so the legs at -t_j
@@ -300,8 +299,6 @@ class FourierCollision(CollisionDiagnostics):
     """
 
     def __init__(self, grid, disp, delta):
-        if delta.shape != "gaussian":
-            raise ValueError("fast path implemented for the gaussian kernel only")
         self.grid = grid
         self.disp = disp
         self.delta = delta
@@ -469,9 +466,8 @@ class FourierCollision(CollisionDiagnostics):
 
 
 def _cosine_series(disp, delta):
-    """Nodes t_j and weights c_j of delta_eta(u) ~= sum_j c_j cos(t_j u) for
-    the gaussian kernel, valid for every energy sum |u| <= 2 (max w - min w)
-    of four legs.
+    """Nodes t_j and weights c_j of delta_eta(u) ~= sum_j c_j cos(t_j u),
+    valid for every energy sum |u| <= 2 (max w - min w) of four legs.
 
     Trapezoid rule on the Fourier integral of the gaussian, cut where its
     transform falls below `SERIES_RTOL` of its peak, with a node spacing fine

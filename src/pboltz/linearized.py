@@ -14,12 +14,11 @@ the mollification bias, and has a spectral gap above that pair.
 `spectrum_L` checks that its argument is H-self-adjoint before it
 diagonalizes the omega-similarity transform (`DispersionField.similarity`).
 
-For the gaussian kernel, M, I1 and I2 are assembled from the cosine series
-of `FourierCollision`: every sum over k1 is a lattice convolution of one node
+M, I1 and I2 are assembled from the cosine series of the kernel
+(`FourierCollision`): every sum over k1 is a lattice convolution of one node
 field, so the cost is a few FFTs per series node plus an O(n_t N^2) fill
-(N = n^d) instead of O(N^3) kernel evaluations.  The direct sums stay as
-`_assemble_*_direct`: they are the test oracle and the path taken for the
-triangular kernel, which has no series.
+(N = n^d) instead of O(N^3) kernel evaluations.  The direct O(N^3) sums
+live in the tests, as the oracle of this assembly.
 
 The module also carries two independent validators:
 
@@ -33,13 +32,12 @@ The module also carries two independent validators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.fft
 from scipy.linalg import eigh, subspace_angles
 
-from .collision import PREFACTOR, _chunked, _cosine_series
+from .collision import PREFACTOR, _cosine_series
 from .dispersion import omega
 
 __all__ = [
@@ -79,19 +77,17 @@ class SpectralSummary:
 # ----------------------------------------------------------------------
 # assembly
 #
-# For the gaussian kernel the energy delta is the cosine series
-# delta_eta(u) ~= sum_j c_j cos(t_j u) of `FourierCollision`.  With
-# E_j = exp(i t_j w), b_j = w^-2 conj(E_j) and B_j = fftn(b_j), each sum over
-# k1 is a circular convolution or correlation of b_j on the lattice
-# (indices mod n):
+# The energy delta is the cosine series delta_eta(u) ~= sum_j c_j cos(t_j u)
+# of `FourierCollision`.  With E_j = exp(i t_j w), b_j = w^-2 conj(E_j) and
+# B_j = fftn(b_j), each sum over k1 is a circular convolution or correlation
+# of b_j on the lattice (indices mod n):
 #
 #   M(k)     = (9pi/4) N^-2 Re sum_j c_j E_j(k) S_j(k),        S_j = ifftn(|B_j|^2 B_j)
 #   I1(k,k') = 2 N^-1 Re sum_j c_j E_j(k) conj E_j(k') G_j(k-k'), G_j = ifftn(|B_j|^2)
 #   I2(k,k') = -N^-1 Re sum_j c_j E_j(k) E_j(k') H_j(k+k'),     H_j = ifftn(B_j^2)
 #
 # with N = n^d (Mouhot & Pareschi, Math. Comp. 75, 2006).  The nodes are
-# summed one at a time in node order, so the result does not depend on
-# `workers`, which only the direct loops use.
+# summed one at a time in node order.
 
 
 def _node_spectra(grid, disp, delta):
@@ -120,11 +116,9 @@ def _pair_sum(c, left, right, F, index):
     return out
 
 
-def assemble_M(grid, disp, delta, workers=1):
+def assemble_M(grid, disp, delta):
     """The multiplier: M(k) = (9pi/4) n^{-2d} sum_{k1,k2} (w1 w2 w3)^{-2}
     delta_eta(w+w1-w2-w3), k3 = k+k1-k2.  Strictly positive."""
-    if delta.shape != "gaussian":
-        return _assemble_M_direct(grid, disp, delta, workers)
     c, E, B = _node_spectra(grid, disp, delta)
     S = _node_fields((B.real * B.real + B.imag * B.imag) * B)
     acc = np.zeros(grid.size)
@@ -133,105 +127,34 @@ def assemble_M(grid, disp, delta, workers=1):
     return PREFACTOR * acc / grid.size**2
 
 
-def assemble_I1(grid, disp, delta, workers=1):
+def assemble_I1(grid, disp, delta):
     """I1(k,k') = 2 n^{-d} sum_{k1} (w(k1) w(k1+k-k'))^{-2}
     delta_eta(w(k1) - w(k1+k-k') + w(k) - w(k'))."""
-    if delta.shape != "gaussian":
-        return _assemble_I1_direct(grid, disp, delta, workers)
     c, E, B = _node_spectra(grid, disp, delta)
     G = _node_fields(B.real * B.real + B.imag * B.imag)
     return 2.0 * _pair_sum(c, E, np.conj(E), G, grid.pair_index(-1)) / grid.size
 
 
-def assemble_I2(grid, disp, delta, workers=1):
+def assemble_I2(grid, disp, delta):
     """I2(k,k') = - n^{-d} sum_{k1} (w(k1) w(k+k'-k1))^{-2}
     delta_eta(w(k) + w(k') - w(k1) - w(k+k'-k1))."""
-    if delta.shape != "gaussian":
-        return _assemble_I2_direct(grid, disp, delta, workers)
     c, E, B = _node_spectra(grid, disp, delta)
     H = _node_fields(B * B)
     return -_pair_sum(c, E, E, H, grid.pair_index(1)) / grid.size
 
 
-def _assemble_M_direct(grid, disp, delta, workers=1):
-    """M by the direct O(N^3) double sum, one kernel evaluation per term."""
-    M = np.empty(grid.size)
-    _chunked(partial(_M_direct_rows, grid, disp, delta, M), grid.size, workers)
-    return M
-
-
-def _M_direct_rows(grid, disp, delta, out, rows):
-    """Write M(k) into out[k] for every k in `rows`."""
-    N = grid.size
-    w = disp.w
-    winv2 = disp.winv2
-    diff = grid.pair_index(-1)  # k1 - k2
-    pref12 = winv2[:, None] * winv2[None, :]
-    for i0 in rows:
-        shift = grid.shift(grid.multi_index[i0])  # x[shift][diff] = x[k0 + k1 - k2]
-        u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
-        winv2_3 = winv2[shift][diff]
-        out[i0] = PREFACTOR * np.sum(pref12 * winv2_3 * delta.weights(u)) / N**2
-
-
-def _assemble_I1_direct(grid, disp, delta, workers=1):
-    """I1 by direct sums, one kernel evaluation per term."""
-    I1 = np.empty((grid.size, grid.size))
-    _chunked(partial(_I1_direct_diagonals, grid, disp, delta, I1), grid.size, workers)
-    return I1
-
-
-def _I1_direct_diagonals(grid, disp, delta, out, deltas):
-    """Write I1(k' + D, k') into `out` for every k' and every difference D
-    (flat index) in `deltas`.  All pairs on one diagonal share the
-    k1-profile, so the work vectorizes per diagonal."""
-    N = grid.size
-    w = disp.w
-    winv2 = disp.winv2
-    cols = np.arange(N)
-    for idelta in deltas:
-        S = grid.shift(grid.multi_index[idelta])  # k -> k + D
-        pref = winv2 * winv2[S]
-        du = w - w[S]
-        off = w[S] - w  # w(k) - w(k') along the diagonal, per k'
-        vals = pref[None, :] * delta.weights(du[None, :] + off[:, None])
-        out[S, cols] = 2.0 * vals.sum(axis=1) / N
-
-
-def _assemble_I2_direct(grid, disp, delta, workers=1):
-    """I2 by direct sums, grouped by the sum s = k + k'; note the second
-    argument pairs k1 with s - k1 (the partner within the colliding pair)."""
-    N = grid.size
-    w = disp.w
-    winv2 = disp.winv2
-    I2 = np.empty((N, N))
-
-    def body(sums):
-        for isum in sums:
-            R = grid.flatten(grid.multi_index[isum] - grid.multi_index)  # s - k1
-            pref = winv2 * winv2[R]
-            du = w + w[R]  # w(k1) + w(s-k1)
-            # pairs (k, k') with k + k' = s use the same map: k' = s - k,
-            # and w(k) + w(k') is the same profile du evaluated at k
-            vals = pref[None, :] * delta.weights(du[:, None] - du[None, :])
-            I2[np.arange(N), R] = -vals.sum(axis=1) / N
-
-    _chunked(body, N, workers)
-    return I2
-
-
-def assemble_K(grid, disp, delta, workers=1):
+def assemble_K(grid, disp, delta):
     """The kernel matrix K(k,k') (values, not yet including the measure)."""
-    I1 = assemble_I1(grid, disp, delta, workers)
-    I2 = assemble_I2(grid, disp, delta, workers)
+    I1 = assemble_I1(grid, disp, delta)
+    I2 = assemble_I2(grid, disp, delta)
     winv2 = disp.winv2
     return -PREFACTOR * (winv2[:, None] * winv2[None, :]) * (I1 + I2)
 
 
-def assemble_L(grid, disp, delta, workers=1):
+def assemble_L(grid, disp, delta):
     """L = diag(M) + K with the kernel's omega^2 n^{-d} measure folded in."""
-    M = assemble_M(grid, disp, delta, workers)
-    K = assemble_K(grid, disp, delta, workers)
+    M = assemble_M(grid, disp, delta)
+    K = assemble_K(grid, disp, delta)
     L = K * (disp.w_sq[None, :] / grid.size)
     L[np.diag_indices_from(L)] += M
     return L
@@ -489,21 +412,20 @@ def i1_exact(kpoint, kppoint, params, m=512, refine_tol=1e-6):
     return prev
 
 
-def i1_mollified(kpoint, kppoint, params, delta, m=None):
+def i1_mollified(kpoint, kppoint, params, delta):
     """The same integral with the regularized delta, on an internal fine
-    grid independent of any production lattice.  The default resolution
-    scales like 1/width so the mollified shell stays resolved.
+    grid independent of any production lattice.  The resolution scales like
+    1/width so the mollified shell stays resolved.
 
-    The integrand is separable in 1-D cosine arrays (outer sums), and for
-    the gaussian kernel the exponential is only evaluated on the shell
-    |G| <= 8 width, so large internal grids stay cheap.
+    The integrand is separable in 1-D cosine arrays (outer sums), and the
+    exponential is only evaluated on the shell |G| <= 8 width, so large
+    internal grids stay cheap.
     """
     if params.d != 2:
         raise ValueError("the exact-shell validator is worked out for d=2")
-    if m is None:
-        # ~8 quadrature points across the shell width / |grad G|
-        grad_scale = 16.0 * (2.0 * params.d * 2.0 + params.r)  # ~ 2 max|grad w|
-        m = int(max(1024, np.ceil(8.0 * grad_scale / delta.width)))
+    # ~8 quadrature points across the shell width / |grad G|
+    grad_scale = 16.0 * (2.0 * params.d * 2.0 + params.r)  # ~ 2 max|grad w|
+    m = int(max(1024, np.ceil(8.0 * grad_scale / delta.width)))
     D = np.asarray(kpoint, float) - np.asarray(kppoint, float)
     c = float(omega(kpoint, params) - omega(kppoint, params))
     q = -np.pi + 2.0 * np.pi * np.arange(m) / m
@@ -511,17 +433,13 @@ def i1_mollified(kpoint, kppoint, params, delta, m=None):
     A2 = 2.0 * (1.0 - np.cos(q + D[1]))
     A1s = 2.0 * (1.0 - np.cos(q + D[0]))
     acc = 0.0
-    use_mask = delta.shape == "gaussian"
     for rows in np.array_split(np.arange(m), max(1, m // 512)):
         B1 = A1[rows, None] + A1[None, :] + params.r  # base(q1, q2)
         B2 = A1s[rows, None] + A2[None, :] + params.r  # base(q1 + D1, q2 + D2)
         G = B1 * B1 - B2 * B2 + c
-        if use_mask:
-            mask = np.abs(G) <= delta.TRUNCATION * delta.width
-            if not mask.any():
-                continue
-            vals = delta.weights(G[mask]) / (B1[mask] * B2[mask]) ** 4
-        else:
-            vals = delta.weights(G) / (B1 * B2) ** 4
+        mask = np.abs(G) <= delta.TRUNCATION * delta.width
+        if not mask.any():
+            continue
+        vals = delta.weights(G[mask]) / (B1[mask] * B2[mask]) ** 4
         acc += float(np.sum(vals))
     return 2.0 * acc / m**2

@@ -1,4 +1,5 @@
-"""Shared fixtures: small grids with assembled operators, reused per session."""
+"""Shared fixtures: small grids with assembled operators, reused per session,
+and a seeded generator per test."""
 
 import numpy as np
 import pytest
@@ -68,8 +69,10 @@ def response12(fourier12, model12):
     return CollisionResponse(fourier12, model12)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so what a test draws does not depend on
+    which tests ran before it."""
     return np.random.default_rng(20260823)
 
 

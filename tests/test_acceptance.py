@@ -142,12 +142,12 @@ def tau32(stack32):
 
 @pytest.fixture(scope="module")
 def L16(stack16):
-    return assemble_L(*stack16, workers=WORKERS)
+    return assemble_L(*stack16)
 
 
 @pytest.fixture(scope="module")
 def L24(stack24):
-    return assemble_L(*stack24, workers=WORKERS)
+    return assemble_L(*stack24)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ def model24(L24, stack24):
 
 @pytest.fixture(scope="module")
 def gap32(stack32):
-    L32 = assemble_L(*stack32, workers=WORKERS)
+    L32 = assemble_L(*stack32)
     return spectrum_L(L32, stack32[1]).gap
 
 
@@ -266,8 +266,8 @@ def test_05_conserved_pair_and_gap(model24, tau24, gap32):
 
 def test_06_kernel_row_identity(stack16, stack24):
     grid24, disp24, delta24 = stack24
-    M24 = assemble_M(grid24, disp24, delta24, workers=WORKERS)
-    K24 = assemble_K(grid24, disp24, delta24, workers=WORKERS)
+    M24 = assemble_M(grid24, disp24, delta24)
+    K24 = assemble_K(grid24, disp24, delta24)
     rowres = row_identity_residual(M24, K24, grid24, disp24)
     # The diagonal weight pairs each row against the energy profile of the
     # *other* leg of the pair kernel; the two quadratures agree only up to
@@ -276,7 +276,7 @@ def test_06_kernel_row_identity(stack16, stack24):
     identity_ok = rowres <= 1e-8
 
     grid16, disp16, delta16 = stack16
-    K16 = assemble_K(grid16, disp16, delta16, workers=WORKERS)
+    K16 = assemble_K(grid16, disp16, delta16)
     s16 = kernel_row_sup(K16, grid16)
     s24 = kernel_row_sup(K24, grid24)
     ratio = s24 / s16
@@ -306,7 +306,7 @@ def test_07_reduced_integral_convergence(params):
     for k, kp in pairs:
         exact = i1_exact(k, kp, params, m=1024, refine_tol=1e-8)
         errs = [
-            abs(i1_mollified(k, kp, params, DeltaKernel("gaussian", eta)) - exact)
+            abs(i1_mollified(k, kp, params, DeltaKernel(eta)) - exact)
             for eta in etas
         ]
         for e_coarse, e_fine in zip(errs, errs[1:]):

@@ -49,6 +49,15 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def run_gaussian_config_file(tmp_path):
+    """A spectrum run whose config file names the kernel shape."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta_shape = gaussian\nn = 8\n", encoding="utf-8")
+    code, out = run(tmp_path, "o", "spectrum", "--config", str(cfg))
+    assert code == 0
+    return out
+
+
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     # only the exact-shell validator root-finds, and imports it itself
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -116,6 +125,8 @@ class TestConfigHandling:
             ["spectrum", "--r", "inf"],
             ["evolve", "--ripple", "nan"],
             ["hydro-limit", "--tau-amplitude", "nan"],
+            ["spectrum", "--delta-shape", "triangular"],
+            ["collision-check", "--delta-shape", "triangular"],
             ["evolve", "--delta-shape", "triangular"],
             ["hydro-limit", "--delta-shape", "triangular"],
             ["validate-kernel", "--d", "3"],
@@ -128,6 +139,7 @@ class TestConfigHandling:
             ["semigroup-bounds", "--p-factors", "0.5,0.5"],
         ],
         ids=["d", "n-odd", "n-small", "r-inf", "ripple-nan", "tau-amplitude-nan",
+             "spectrum-triangular", "collision-check-triangular",
              "evolve-triangular", "hydro-triangular", "validate-kernel-d3",
              "p-factors-empty-entry", "eps-list-empty-entry",
              "eta-chain-empty-entry", "t-factors-single",
@@ -163,6 +175,21 @@ class TestConfigHandling:
                       "--tau-amplitude", "1.0")
         assert code == 2
         assert out.is_dir() and not any(out.iterdir())
+
+    def test_gaussian_delta_shape_in_a_config_file_runs(self, tmp_path):
+        out = run_gaussian_config_file(tmp_path)
+        manifest = read_manifest(out)
+        assert manifest["status"] == "ok"
+        assert manifest["config"]["delta_shape"] == "gaussian"
+        assert manifest["delta"]["shape"] == "gaussian"
+
+    def test_manifest_config_rebuilds_the_stack(self, tmp_path):
+        # what the benchmark's collision checker does with a run's manifest
+        manifest = read_manifest(run_gaussian_config_file(tmp_path))
+        grid, disp, delta = cli.build_stack(manifest["config"], cli.StageClock())
+        assert (grid.d, grid.n) == (2, 8)
+        assert disp.params.r == 1.0
+        assert delta == DeltaKernel(manifest["delta"]["eta"])
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -227,12 +254,11 @@ def assert_preconditions(command, v):
     assert v.d in (2, 3) and type(v.d) is int
     assert v.n >= 8 and v.n % 2 == 0 and type(v.n) is int
     assert positive(v.r)
-    assert v.delta_shape in ("gaussian", "triangular")
+    assert v.delta_shape == "gaussian"
     assert v.eta is None or positive(v.eta)
     assert type(v.workers) is int and v.workers >= 1
     assert type(v.seed) is int and v.seed >= 0
     if command in ("evolve", "hydro-limit"):
-        assert v.delta_shape == "gaussian"
         assert type(v.n_x) is int and v.n_x >= 2
         assert positive(v.box_length)
     if command == "collision-check":
@@ -546,9 +572,8 @@ def direct_collision_table(out):
 
 
 class TestCollisionCheckOracle:
-    """collision-check runs the FFT evaluator for the gaussian kernel and the
-    direct one for the triangular kernel; both are checked against the
-    direct sums here, independently of the benchmark's own check."""
+    """collision-check runs the FFT evaluator; its table is checked against
+    the direct sums here, independently of the benchmark's own check."""
 
     ARGS = ["collision-check", *FAST, "--samples", "2", "--seed", "3"]
 
@@ -568,16 +593,6 @@ class TestCollisionCheckOracle:
             assert tuple(row[5:]) == ref[5:]
         got_tau = manifest["fitted_constants"]["equilibrium_tolerance"]
         assert abs(got_tau - tau) <= 1e-12 * tau
-
-    def test_triangular_table_is_the_direct_one(self, tmp_path):
-        code, out = run(tmp_path, "tri", *self.ARGS, "--delta-shape", "triangular")
-        assert code == 0
-        _, rows = read_csv(out / "collision_checks.csv")
-        expect, tau, manifest = direct_collision_table(out)
-        assert [[float(c) for c in row[:5]] + row[5:] for row in rows] == [
-            list(ref) for ref in expect
-        ]
-        assert manifest["fitted_constants"]["equilibrium_tolerance"] == tau
 
     def test_disagreement_with_the_direct_sum_exits_3(self, tmp_path, monkeypatch):
         fft_apply = FourierCollision.apply
@@ -619,15 +634,13 @@ class TestDeterminism:
         assert first_manifest == second_manifest
 
     def test_worker_count_does_not_change_outputs(self, tmp_path):
-        base = ["spectrum", *FAST]
+        # `workers` threads only collision-check's direct oracle
+        base = ["collision-check", *FAST, "--samples", "2"]
         code, out1 = run(tmp_path, "w1", *base, "--workers", "1")
         code2, out2 = run(tmp_path, "w2", *base, "--workers", "3")
         assert code == 0 and code2 == 0
-        assert (out1 / "eigenvalues.csv").read_bytes() == (
-            out2 / "eigenvalues.csv"
-        ).read_bytes()
-        assert (out1 / "spectrum_summary.csv").read_bytes() == (
-            out2 / "spectrum_summary.csv"
+        assert (out1 / "collision_checks.csv").read_bytes() == (
+            out2 / "collision_checks.csv"
         ).read_bytes()
         m1, m2 = read_manifest(out1), read_manifest(out2)
         for manifest in (m1, m2):

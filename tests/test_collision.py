@@ -6,7 +6,6 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pboltz import linearized
 from pboltz.collision import (
     _CHUNK_VALUES,
     AUTO_WIDTH_COEF,
@@ -21,26 +20,22 @@ from pboltz.collision import (
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.torus_grid import TorusGrid, sup_norm
 
+import direct_sums
+
 
 class TestDeltaKernel:
     def test_gaussian_has_unit_mass(self):
-        k = DeltaKernel("gaussian", 2.0)
+        k = DeltaKernel(2.0)
         assert np.isclose(k.mass(), 1.0, rtol=1e-8)
 
-    def test_triangular_has_unit_mass(self):
-        k = DeltaKernel("triangular", 2.0)
-        assert np.isclose(k.mass(), 1.0, rtol=1e-6)
-
     def test_gaussian_truncated_beyond_eight_widths(self):
-        k = DeltaKernel("gaussian", 1.0)
+        k = DeltaKernel(1.0)
         assert k.weights(np.array([8.5]))[0] == 0.0
         assert k.weights(np.array([7.5]))[0] > 0.0
 
-    def test_rejects_bad_width_and_shape(self):
+    def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            DeltaKernel("gaussian", 0.0)
-        with pytest.raises(ValueError):
-            DeltaKernel("boxcar", 1.0)
+            DeltaKernel(0.0)
 
     def test_auto_width_rule(self, stack8):
         grid, disp, delta = stack8
@@ -237,12 +232,6 @@ class TestFourierPath:
         CollisionOperator(grid, disp, delta)._rows(W, rows, out)
         direct = PREFACTOR * out[rows] / grid.size**2
         assert sup_norm(fast[rows] - direct) <= 1e-10 * sup_norm(fast)
-
-    def test_requires_gaussian_shape(self, stack12):
-        grid, disp, _ = stack12
-        tri = DeltaKernel("triangular", 2.0)
-        with pytest.raises(ValueError):
-            FourierCollision(grid, disp, tri)
 
 
 def _stack(d, n):
@@ -475,7 +464,7 @@ def _arithmetic_entropy(op, W):
 
 
 def _arithmetic_M_rows(grid, disp, delta, out, rows):
-    """`linearized._M_direct_rows` with the arithmetic index."""
+    """`direct_sums.M_rows` with the arithmetic index."""
     N = grid.size
     w, winv2 = disp.w, disp.winv2
     pref12 = winv2[:, None] * winv2[None, :]
@@ -490,7 +479,7 @@ class TestGatheredLegThree:
     the one of the per-axis arithmetic index with the same operations."""
 
     def test_gaussian_weights_are_the_closed_form(self):
-        k = DeltaKernel("gaussian", 0.7)
+        k = DeltaKernel(0.7)
         u = np.concatenate([
             np.random.default_rng(6).standard_normal(4096) * 3.0,
             [0.0, -0.0, 5.6, -5.6, 5.6000001, 1e-300, -1e300, np.inf, -np.inf, np.nan],
@@ -504,11 +493,8 @@ class TestGatheredLegThree:
         assert k.weights(u[0]).shape == ()
 
     @pytest.mark.parametrize("n", [8, 12])
-    @pytest.mark.parametrize("shape", ["gaussian", "triangular"])
-    def test_apply_and_entropy_match_the_arithmetic_index(self, n, shape):
+    def test_apply_and_entropy_match_the_arithmetic_index(self, n):
         grid, disp, delta = _stack(2, n)
-        if shape == "triangular":
-            delta = DeltaKernel("triangular", 2.0)
         op = CollisionOperator(grid, disp, delta)
         W = 0.1 + np.random.default_rng(n).random(grid.size)
         out = np.empty(grid.size)
@@ -529,12 +515,11 @@ class TestGatheredLegThree:
 
     @pytest.mark.parametrize("d, n, count", [(2, 8, None), (2, 12, None), (3, 8, 8)])
     def test_direct_M_rows_match_the_arithmetic_index(self, d, n, count):
-        grid, disp, _ = _stack(d, n)
-        tri = DeltaKernel("triangular", 2.0)
+        grid, disp, delta = _stack(d, n)
         rows = np.arange(grid.size)
         if count is not None:
             rows = np.random.default_rng(9).choice(grid.size, size=count, replace=False)
         got, expect = np.zeros(grid.size), np.zeros(grid.size)
-        linearized._M_direct_rows(grid, disp, tri, got, rows)
-        _arithmetic_M_rows(grid, disp, tri, expect, rows)
+        direct_sums.M_rows(grid, disp, delta, got, rows)
+        _arithmetic_M_rows(grid, disp, delta, expect, rows)
         assert np.array_equal(got, expect)
