@@ -33,9 +33,10 @@ class TestDeltaKernel:
         assert k.weights(np.array([8.5]))[0] == 0.0
         assert k.weights(np.array([7.5]))[0] > 0.0
 
-    def test_rejects_bad_width(self):
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+    def test_rejects_bad_width(self, width):
         with pytest.raises(ValueError):
-            DeltaKernel(0.0)
+            DeltaKernel(width)
 
     def test_auto_width_rule(self, stack8):
         grid, disp, delta = stack8
@@ -178,6 +179,16 @@ class TestFourierPath:
             direct = collision12.apply(W)
             fast = fourier12.apply(W)
             assert sup_norm(fast - direct) <= 1e-10 * max(sup_norm(direct), 1e-300)
+
+    def test_matches_direct_evaluator_for_a_narrow_kernel(self, stack12, rng):
+        # a width a third of the auto rule's or less, whose cosine series
+        # needs more than twice the t-nodes
+        grid, disp, _ = stack12
+        narrow = DeltaKernel(2.0)
+        W = 0.1 + rng.random(grid.size)
+        direct = CollisionOperator(grid, disp, narrow).apply(W)
+        fast = FourierCollision(grid, disp, narrow).apply(W)
+        assert sup_norm(fast - direct) <= 1e-10 * sup_norm(direct)
 
     def test_kernel_series_matches_gaussian(self, stack12, fourier12):
         _, _, delta = stack12
@@ -493,8 +504,11 @@ class TestGatheredLegThree:
         assert k.weights(u[0]).shape == ()
 
     @pytest.mark.parametrize("n", [8, 12])
-    def test_apply_and_entropy_match_the_arithmetic_index(self, n):
+    @pytest.mark.parametrize("width", ["auto", "narrow"])
+    def test_apply_and_entropy_match_the_arithmetic_index(self, n, width):
         grid, disp, delta = _stack(2, n)
+        if width == "narrow":  # more of the weights truncated
+            delta = DeltaKernel(2.0)
         op = CollisionOperator(grid, disp, delta)
         W = 0.1 + np.random.default_rng(n).random(grid.size)
         out = np.empty(grid.size)

@@ -88,6 +88,16 @@ class TestSeriesAssembly:
             monkeypatch.setattr(linearized, f"assemble_{term}", direct)
         assert _rel(L, assemble_L(grid, disp, delta)) <= 1e-12
 
+    def test_narrow_kernel_matches_direct_sums(self, stack8):
+        # a width a third of the auto rule's or less, whose cosine series
+        # needs more than twice the t-nodes
+        grid, disp, _ = stack8
+        narrow = DeltaKernel(2.0)
+        for term in TERMS:
+            series = getattr(linearized, f"assemble_{term}")(grid, disp, narrow)
+            direct = getattr(direct_sums, f"assemble_{term}")(grid, disp, narrow)
+            assert _rel(series, direct) <= 1e-12
+
 
 class TestThreeDimensions:
     """The linearization at d = 3, n = 8 (N = 512)."""
