@@ -99,10 +99,9 @@ class ModeFamily:
     R^T diag(phase) R is added (`blocks`), so the blocks are the real
     parts of B^H D B.  The symmetry check is split the same way: the part
     of L's image that B^H L B would put off the blocks or into their
-    imaginary parts is measured once and raises ValueError beyond `SYM_TOL`
-    of max |L|; at each |p| it is added to the phase image's part and held
-    to `SYM_TOL` of max |D|.  An L without the lattice symmetry is never
-    split.
+    imaginary parts is measured once (`spectrum_L` has rejected an L that
+    breaks the axis flips); at each |p| it is added to the phase image's
+    part and held to `SYM_TOL` of max |D|.
 
     omega is constant on the support of every frame column (`omega`, one
     array per sector), so diag(omega_chi) X_chi diag(omega_chi)^-1 is the
@@ -122,12 +121,6 @@ class ModeFamily:
         self._L_leak = frame.leak(image)
         self._L_max = float(np.abs(L).max())
         self._L_diag = np.diag(L)
-        if self._L_leak > SYM_TOL * self._L_max:
-            raise ValueError(
-                f"L breaks the lattice symmetry: residual "
-                f"{self._L_leak / self._L_max:.2e} of max |L| exceeds "
-                f"{SYM_TOL:.0e}"
-            )
         w = frame.column_values(disp.w)
         self.omega = [w[sector] for sector in frame.sectors]
         self.floors = []
@@ -722,6 +715,8 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("time grid must start at 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("time grid must be strictly increasing")
     ik = 1j * TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
 
     def rhs(W):

@@ -2,11 +2,13 @@
 
 The two conserved directions omega^-1 and omega^-2 span the slow subspace E.
 One `LinearModel` per run holds L at equilibrium, its spectrum (the one
-diagonalization), the one slow frame `SlowBasis` (the H-orthogonal
-projection onto E) and the one deflated inverse (L^-1 on the complement of
-the two lowest eigenvectors).  On it this module builds the slaving map
--(i/2pi) L^-1 (p . grad omega) of a slow mode, the diffusion matrix
-(2 pi)^-2 <g_a, L^-1 g_b>_H, observables and currents, the per-mode
+diagonalization, one block per sector of the axis sign flips), the one
+slow frame `SlowBasis` (the H-orthogonal projection onto E) and the one
+deflated inverse (L^-1 on the complement of the two lowest eigenvectors
+over all sectors, solved sector by sector, so that it keeps the per-axis
+parity of its right-hand side exactly).  On it this module builds the
+slaving map -(i/2pi) L^-1 (p . grad omega) of a slow mode, the diffusion
+matrix (2 pi)^-2 <g_a, L^-1 g_b>_H, observables and currents, the per-mode
 Fourier-law residual, and the state-dependent diffusivity at a shifted
 background.  L is a plain (N, N) array, used only through products
 ``L @ x``; `ConductivityMatrix` carries the model it was solved with, and
@@ -24,11 +26,10 @@ from .linearized import spectrum_L
 
 TWO_PI = 2.0 * np.pi
 
-# The dropped low pair; the shifted-background solves' tolerance and caps; the
-# largest low-mode overlap and residual of the conductivity solves; the
-# Fourier-law bound per unit |p| ||T||; the largest relative deviation of a
-# per-axis conductivity; the stencil half-width of `DiffusivityModel`.
-LOW_MODES = 2
+# The shifted-background solves' tolerance and caps; the largest low-mode
+# overlap and residual of the conductivity solves; the Fourier-law bound per
+# unit |p| ||T||; the largest relative deviation of a per-axis conductivity;
+# the stencil half-width of `DiffusivityModel`.
 RESPONSE_TOL = 1e-10
 GMRES_MAXITER = 200
 MAX_SWEEPS = 60
@@ -102,25 +103,6 @@ class SlowBasis:
 # observables and currents
 
 
-def axis_parity(d, axis):
-    """Parity of d_axis omega times an even field: odd in ``axis`` only."""
-    return tuple(-1 if j == axis else +1 for j in range(d))
-
-
-def enforce_parity(grid, f, parity):
-    """Project onto the subspace with the given per-axis reflection parity.
-
-    ``parity`` holds +1 (even) or -1 (odd) per axis.  The result satisfies
-    f(R_j k) = parity[j] * f(k) exactly in floating point, which lets
-    downstream quadratures cancel odd integrands exactly.
-    """
-    f = np.asarray(f)
-    for axis, s in enumerate(parity):
-        perm = grid.axis_reflection(axis)
-        f = 0.5 * (f + s * f[..., perm])
-    return f
-
-
 def observables(disp, w):
     """Conserved-field coordinates: T_a = inner_H(omega^-a, w), a = 1, 2."""
     ip = disp.weighted_inner()
@@ -161,12 +143,13 @@ class LinearModel:
 
     Holds L, the dispersion field, the spectral summary of L (`spectrum_L`,
     its one diagonalization) and the slow frame ``basis`` (`SlowBasis`).  It
-    is also the inverse of L on the complement of its low pair: in the
-    omega-similarity coordinates, where L is symmetric, the two lowest
-    eigenvectors (the conserved directions) are projected out of the
-    right-hand side, the rest is inverted by the eigendecomposition, and the
-    result is mapped back to node fields.  The eigenvector blocks are views
-    of the summary's: the model copies neither L nor its eigenvectors.
+    is also the inverse of L on the complement of its low pair (the two
+    smallest eigenvalues over all sectors), solved sector by sector in the
+    summary's real frame coordinates times omega (the omega-similarity
+    transform: omega is constant on every frame column).  A right-hand side
+    of definite parity in every axis has exactly zero coordinates in the
+    other sectors, and so has its solution.  The eigenvector blocks are
+    views of the summary's: the model copies neither L nor its eigenvectors.
     """
 
     def __init__(self, L, disp):
@@ -174,31 +157,27 @@ class LinearModel:
         self.disp = disp
         self.summary = spectrum_L(L, disp)
         self.basis = SlowBasis(disp)
-        self._V_low = self.summary.eigenvectors_sym[:, :LOW_MODES]
-        self._V_rest = self.summary.eigenvectors_sym[:, LOW_MODES:]
-        self._lam_rest = self.summary.eigenvalues[LOW_MODES:]
+        self._frame = frame = self.summary.frame
+        self._w = frame.column_values(disp.w)
+        pairs = list(zip(frame.sectors, self.summary.sectors, self.summary.low))
+        self._low = [(s, U[:, :k]) for s, (_, U), k in pairs]
+        self._rest = [(s, U[:, k:], lam[k:]) for s, (lam, U), k in pairs]
 
     def low_mode_overlap(self, g):
         """Relative overlap of ``g`` with the dropped low modes."""
-        gs = np.asarray(g) * self.disp.w
-        num = np.linalg.norm(gs @ self._V_low, axis=-1)
-        den = np.linalg.norm(gs, axis=-1)
+        y = self._frame.real_coordinates(g) * self._w
+        num = np.linalg.norm(np.concatenate(
+            [y[..., s] @ V for s, V in self._low], axis=-1), axis=-1)
+        den = np.linalg.norm(y, axis=-1)
         return num / np.where(den == 0.0, 1.0, den)
 
-    def apply(self, g, parity=None):
-        """Solve L x = g on the deflated complement (batched over leading axes).
-
-        When the right-hand side has definite per-axis reflection parity,
-        pass it as ``parity``: the operator commutes with the reflections, so
-        the solution shares the parity, and enforcing it removes the parity
-        leakage that roundoff amplifies through the near-null directions.
-        """
-        gs = np.asarray(g) * self.disp.w
-        coef = (gs @ self._V_rest) / self._lam_rest
-        x = (coef @ self._V_rest.T) / self.disp.w
-        if parity is not None:
-            x = enforce_parity(self.disp.grid, x, parity)
-        return x
+    def apply(self, g):
+        """Solve L x = g on the deflated complement (batched over leading axes)."""
+        y = self._frame.real_coordinates(g) * self._w
+        x = np.empty_like(y)
+        for s, U, lam in self._rest:
+            x[..., s] = ((y[..., s] @ U) / lam) @ U.T
+        return self._frame.from_real_coordinates(x / self._w)
 
     def residual(self, x, g):
         """Weighted relative residual of the solve."""
@@ -207,9 +186,10 @@ class LinearModel:
 
     def project_out_low(self, f):
         """Projection onto the complement of the dropped low modes."""
-        fs = np.asarray(f) * self.disp.w
-        fs = fs - (fs @ self._V_low) @ self._V_low.T
-        return fs / self.disp.w
+        y = self._frame.real_coordinates(f) * self._w
+        for s, V in self._low:
+            y[..., s] -= (y[..., s] @ V) @ V.T
+        return self._frame.from_real_coordinates(y / self._w)
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +198,11 @@ class LinearModel:
 
 def axis_response(model, axis):
     """Right-hand sides g_b = d_axis omega * e_b and deflated solves
-    X_b = L^-1 g_b of the slow pair, as (N, 2) columns; each g_b has the
-    parity `axis_parity(d, axis)`, which the solve enforces."""
-    disp = model.disp
-    g = disp.grad[:, axis][:, None] * model.basis.e
-    parity = axis_parity(disp.grid.d, axis)
-    X = np.stack([model.apply(g[:, b], parity=parity) for b in (0, 1)], axis=1)
-    return g, X
+    X_b = L^-1 g_b of the slow pair, as (N, 2) columns."""
+    g = model.disp.grad[:, axis][:, None] * model.basis.e
+    # one solve per column: the arithmetic of `slaved_state`'s solve of the
+    # same right-hand side, so `fourier_law_check` compares like with like
+    return g, np.stack([model.apply(g[:, b]) for b in (0, 1)], axis=1)
 
 
 def pairing(basis, g, X):
@@ -320,20 +298,18 @@ def compute_kappa(model, axis=0):
 def slaved_state(model, state, p):
     """Fast component enslaved to a slow mode: -(i/2pi) L^-1 (p . grad omega) T.
 
-    Solved axis by axis so each piece of the right-hand side has definite
+    Solved axis by axis: each piece of the right-hand side has definite
     reflection parity (odd in the gradient axis, even in the rest), which the
-    model's deflated inverse then enforces exactly.
+    model's sector-wise inverse keeps exactly.
     """
     disp = model.disp
-    d = disp.grid.d
     p = np.atleast_1d(np.asarray(p, dtype=float))
     Tfield = state.as_field(disp)
     x = np.zeros(np.shape(Tfield), dtype=complex)
-    for i in range(d):
+    for i in range(disp.grid.d):
         if p[i] == 0.0:
             continue
-        x = x + p[i] * model.apply(disp.grad[:, i] * Tfield,
-                                   parity=axis_parity(d, i))
+        x = x + p[i] * model.apply(disp.grad[:, i] * Tfield)
     return -1j / TWO_PI * x
 
 

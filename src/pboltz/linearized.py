@@ -11,8 +11,9 @@ where I1 and I2 are one-lattice-sum integrals over the interaction set (see
 omega^2-weighted inner product, annihilates span{1/omega, 1/omega^2} up to
 the mollification bias, and has a spectral gap above that pair.
 `assemble_K` and `assemble_L` return plain (N, N) arrays in the node basis;
-`spectrum_L` checks that its argument is H-self-adjoint before it
-diagonalizes the omega-similarity transform (`DispersionField.similarity`).
+`spectrum_L` checks that L is H-self-adjoint and commutes with the axis
+sign flips, then diagonalizes the omega-similarity transform
+(`DispersionField.similarity`) one real block per sector of the flips.
 
 M, I1 and I2 are assembled from the cosine series of the kernel
 (`FourierCollision`): every sum over k1 is a lattice convolution of one node
@@ -35,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import eigh, subspace_angles
+from scipy.linalg import block_diag, eigh, subspace_angles
 
 from .collision import PREFACTOR, _cosine_series
 from .dispersion import omega
+from .torus_grid import SymmetryFrame
 
 __all__ = [
     "SpectralSummary",
@@ -63,15 +65,18 @@ class SpectralSummary:
     """Eigenvalues of L (sorted), zero-mode residuals, and the gap.
 
     `zero_mode_residuals` holds ||L w^-a||_H / ||w^-a||_H for a = 1, 2; the
-    `gap` is the third-smallest eigenvalue.  `eigenvectors_sym` are the
-    orthonormal eigenvectors of the symmetrized matrix (columns); divide by
-    omega to return to node fields.
+    `gap` is the third-smallest eigenvalue.  `sectors` holds per sector of
+    `frame` (the axis flips) the ascending eigenvalues and eigenvectors
+    (columns, real frame coordinates) of its omega-similarity block; `low`
+    counts the two smallest eigenvalues per sector (its leading ones).
     """
 
     eigenvalues: np.ndarray
     zero_mode_residuals: tuple
     gap: float
-    eigenvectors_sym: np.ndarray
+    frame: SymmetryFrame
+    sectors: list
+    low: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -170,33 +175,52 @@ SYM_TOL = 1e-8
 
 
 def spectrum_L(L, disp):
-    """Eigen-decomposition of the symmetrized L plus zero-mode residuals.
-    Raises ValueError when L is not H-self-adjoint to `SYM_TOL` relative."""
+    """Eigen-decomposition of the symmetrized L per sector of the axis flips,
+    plus zero-mode residuals.  Raises ValueError when L is not H-self-adjoint
+    to `SYM_TOL` relative, or leaks off the sector blocks by `SYM_TOL` max |L|."""
     B = disp.similarity(L)
     defect = np.linalg.norm(B - B.T) / max(np.linalg.norm(B), 1e-300)
     if defect > SYM_TOL:
         raise ValueError(
             f"symmetrization residual {defect:.2e} exceeds {SYM_TOL:.0e}"
         )
-    ev, U = eigh(0.5 * (B + B.T))
+    frame = disp.grid.symmetry_frame(range(disp.grid.d))
+    image = frame.image(L)
+    leak = frame.leak(image) / max(float(np.abs(L).max()), 1e-300)
+    if leak > SYM_TOL:
+        raise ValueError(
+            f"L breaks the lattice symmetry: axis-flip leak {leak:.2e} of "
+            f"max |L| exceeds {SYM_TOL:.0e}"
+        )
+    w = frame.column_values(disp.w)  # omega is constant on every column
+    sectors = []
+    for s, block in zip(frame.sectors, frame.sector_blocks(image)):
+        block = (w[s, None] / w[None, s]) * block
+        sectors.append(eigh(0.5 * (block + block.T)))
+    ev = np.concatenate([lam for lam, _ in sectors])
+    order = np.argsort(ev, kind="stable")
+    owner = np.repeat(np.arange(len(sectors)), [lam.size for lam, _ in sectors])
     hs = disp.weighted_inner()
     res = []
     for mode in (disp.winv, disp.winv2):
         res.append(hs.norm(L @ mode) / hs.norm(mode))
     return SpectralSummary(
-        eigenvalues=ev,
+        eigenvalues=ev[order],
         zero_mode_residuals=(res[0], res[1]),
-        gap=float(ev[2]),
-        eigenvectors_sym=U,
+        gap=float(ev[order[2]]),
+        frame=frame,
+        sectors=sectors,
+        low=np.bincount(owner[order[:2]], minlength=len(sectors)),
     )
 
 
 def null_space_angle(summary, disp):
     """Principal angle (radians) between the two lowest eigenvectors and the
-    analytic pair {1/omega, 1/omega^2} (compared in symmetrized coordinates,
-    where the weighted geometry is plain)."""
-    A = np.stack([np.ones_like(disp.w), disp.winv], axis=1)  # omega * {w^-1, w^-2}
-    angles = subspace_angles(A, summary.eigenvectors_sym[:, :2])
+    analytic pair {1/omega, 1/omega^2} (compared in real frame coordinates
+    of the symmetrized problem, where the weighted geometry is plain)."""
+    A = np.stack([np.ones_like(disp.w), disp.winv])  # omega * {w^-1, w^-2}
+    V = [U[:, :k] for (_, U), k in zip(summary.sectors, summary.low)]
+    angles = subspace_angles(summary.frame.real_coordinates(A).T, block_diag(*V))
     return float(np.max(angles))
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "SymmetryFrame",
     "WeightedInnerProduct",
     "sup_norm",
-    "parity_split",
 ]
 
 
@@ -258,6 +257,16 @@ class SymmetryFrame:
         column, so that its frame coordinates are real."""
         return (self._sector_bases[sector].conj().T @ X).real
 
+    def real_coordinates(self, F):
+        """F R for node fields F (N or k x N), basis = R diag(eps).  Each
+        coordinate is a signed sum over one orbit, so the parts of F with
+        another sector's parity cancel in it exactly."""
+        return (self._real_t @ np.asarray(F).T).T
+
+    def from_real_coordinates(self, Y):
+        """Y R^T: node fields of real frame coordinates Y (N or k x N)."""
+        return (self._real @ np.asarray(Y).T).T
+
     def sector_columns(self, sector, X):
         """basis[:, sector] X: node rows of frame columns of one sector."""
         return self._sector_bases[sector] @ X
@@ -311,9 +320,3 @@ class WeightedInnerProduct:
 def sup_norm(f):
     """Max over nodes of |f| (the discrete C^0 norm)."""
     return float(np.max(np.abs(f)))
-
-
-def parity_split(grid, f):
-    """Even/odd parts of a field under k -> -k (exact index reflection)."""
-    fr = np.asarray(f)[..., grid.reflection()]
-    return 0.5 * (f + fr), 0.5 * (f - fr)

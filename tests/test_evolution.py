@@ -328,14 +328,17 @@ def _dense_frame(model, p):
     """(P, Q, A, B): the slow projection, its complement and the coupling
     operators A = -(i/2pi) Linv diag(p . grad omega) and
     B = -(i/2pi) P diag(p . grad omega) Linv, with Linv the node-space
-    matrix of L^-1 on the complement of the two lowest eigenvectors."""
-    disp, summary, basis = model.disp, model.summary, model.basis
+    matrix of L^-1 on the complement of the two lowest eigenvectors of one
+    dense eigh of the omega-similarity transform."""
+    disp, basis = model.disp, model.basis
     P = basis.u @ basis.to_coef
     Q = np.eye(disp.grid.size) - P
-    rest = summary.eigenvectors_sym[:, 2:] / disp.w[:, None]
+    B = disp.similarity(model.L)
+    lam, V = np.linalg.eigh(0.5 * (B + B.T))
+    rest = V[:, 2:] / disp.w[:, None]
     # the symmetric-problem eigenvectors are orthonormal in plain l2, so
     # the dual coefficients carry w^2 with no 1/N mean normalization
-    Linv = (rest / summary.eigenvalues[2:]) @ (rest * disp.w_sq[:, None]).T
+    Linv = (rest / lam[2:]) @ (rest * disp.w_sq[:, None]).T
     phase = (disp.grad @ np.asarray(p, dtype=float))[None, :]
     A = (-1j / TWO_PI) * (Linv * phase)
     B = (-1j / TWO_PI) * ((P * phase) @ Linv)
@@ -619,7 +622,7 @@ class TestSymmetryFrame:
     ):
         # a diagonal bump that is not even in k breaks inversion (and the
         # flip of the other axis); 1e-6 of max |L| is far above SYM_TOL.  The
-        # L part of the check runs once, when the family is built.
+        # L part of the check runs once, when the model is built.
         _, disp, _ = stack12
         L = operators12[2]
         bump = np.random.default_rng(3).random(disp.grid.size)
@@ -975,6 +978,20 @@ class TestNonlinearEvolution:
             evolve_nonlinear(fourier12, disp.winv, [0.0, 1.0], BOX, dt)
         with pytest.raises(ValueError):
             evolve_nonlinear(fourier12, good, [0.5, 1.0], BOX, dt)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    def test_rejects_a_time_grid_that_does_not_increase_before_any_step(
+        self, fourier12, model12, stack12, monkeypatch, times
+    ):
+        _, disp, _ = stack12
+
+        def refuse(W):
+            raise AssertionError("collision evaluated before the grid check")
+
+        monkeypatch.setattr(fourier12, "apply_batch", refuse)
+        W0 = np.tile(disp.winv, (4, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evolve_nonlinear(fourier12, W0, times, BOX, stable_step(model12, 4, BOX))
 
 
 class TestDecayDiagnostics:

@@ -193,10 +193,13 @@ class TestSpectrum:
         # the lowest eigenvector aligns with the exact null direction;
         # the two-dimensional principal angle to the slow span is O(1)
         # because the quasi-null bias exceeds the gap (diagnostic only)
+        # (in real frame coordinates: the pair lies in the even sector)
         _, disp, _ = stack12
-        V0 = model12.summary.eigenvectors_sym[:, 0]
-        target = disp.w * disp.winv2
-        target = target / np.linalg.norm(target)
+        summary = model12.summary
+        assert summary.low[0] == 2
+        V0 = summary.sectors[0][1][:, 0]
+        target = summary.frame.real_coordinates(disp.w * disp.winv2)
+        target = target[summary.frame.sectors[0]] / np.linalg.norm(target)
         assert abs(abs(V0 @ target) - 1.0) < 1e-8
 
     def test_rejects_a_matrix_that_is_not_h_self_adjoint(self, operators12, stack12):
@@ -205,6 +208,27 @@ class TestSpectrum:
         _, K, _ = operators12
         with pytest.raises(ValueError, match="symmetrization residual"):
             spectrum_L(K, disp)
+
+    def test_rejects_a_matrix_that_breaks_the_axis_flips(self, operators12, stack12, rng):
+        # a diagonal is H-self-adjoint; a random one commutes with no flip
+        grid, disp, _ = stack12
+        L = operators12[2]
+        bent = L + np.diag(1e-6 * np.abs(L).max() * rng.random(grid.size))
+        with pytest.raises(ValueError, match="axis-flip leak"):
+            spectrum_L(bent, disp)
+
+    @pytest.mark.parametrize("d,n", [(2, 12), (2, 24), (3, 8)])
+    def test_sector_spectra_match_the_dense_eigh(self, d, n):
+        # the oracle: one dense eigh of the whole omega-similarity transform
+        grid, disp, delta = _stack(d, n)
+        L = assemble_L(grid, disp, delta)
+        B = disp.similarity(L)
+        dense = np.linalg.eigvalsh(0.5 * (B + B.T))
+        summary = spectrum_L(L, disp)
+        scale = np.abs(dense).max()
+        assert np.abs(summary.eigenvalues - dense).max() <= 1e-13 * scale
+        assert abs(summary.gap - dense[2]) <= 1e-13 * scale
+        assert len(summary.sectors) == 2**d
 
     def test_null_space_angle_reports(self, model12, stack12):
         _, disp, _ = stack12

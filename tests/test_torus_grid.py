@@ -9,7 +9,6 @@ from pboltz.dispersion import DispersionField, DispersionParams, omega
 from pboltz.torus_grid import (
     TorusGrid,
     WeightedInnerProduct,
-    parity_split,
     sup_norm,
 )
 
@@ -148,6 +147,26 @@ class TestPermutations:
         assert np.array_equal(index, expect)
 
 
+class TestRealFrameCoordinates:
+    def test_round_trip(self, rng):
+        grid = TorusGrid(2, 8)
+        frame = grid.symmetry_frame(range(2))
+        f = rng.standard_normal((3, grid.size))
+        back = frame.from_real_coordinates(frame.real_coordinates(f))
+        assert np.abs(back - f).max() < 1e-14
+
+    def test_a_field_of_definite_parity_fills_one_sector_exactly(self, rng):
+        # odd in axis 0, even in axis 1: the character of sector 1
+        grid = TorusGrid(2, 8)
+        frame = grid.symmetry_frame(range(2))
+        f = rng.standard_normal(grid.size)
+        f = f - f[grid.axis_reflection(0)]
+        f = f + f[grid.axis_reflection(1)]
+        y = frame.real_coordinates(f)
+        for k, s in enumerate(frame.sectors):
+            assert np.all(y[s] == 0.0) != (k == 1)
+
+
 class TestWeightedInnerProduct:
     def test_weight_must_be_positive(self):
         grid = TorusGrid(2, 8)
@@ -175,12 +194,3 @@ class TestHelpers:
     def test_sup_norm(self, rng):
         f = rng.standard_normal(32)
         assert sup_norm(f) == np.abs(f).max()
-
-    def test_parity_split_reassembles(self, rng):
-        grid = TorusGrid(2, 8)
-        f = rng.standard_normal(grid.size)
-        even, odd = parity_split(grid, f)
-        assert np.allclose(even + odd, f)
-        perm = grid.reflection()
-        assert np.allclose(even[perm], even)
-        assert np.allclose(odd[perm], -odd)
