@@ -92,7 +92,9 @@ class DeltaKernel:
         vals *= z
         np.exp(vals, out=vals)
         vals /= np.sqrt(2.0 * np.pi) * self.width
-        vals[~(np.abs(z, out=z) <= self.TRUNCATION)] = 0.0
+        # zero where not |z| <= TRUNCATION, so a NaN z gives 0 too
+        outside = np.logical_not(np.abs(z, out=z) <= self.TRUNCATION)
+        np.copyto(vals, 0.0, where=outside)
         return vals
 
     def mass(self):
@@ -146,7 +148,7 @@ class CollisionDiagnostics:
 
 
 class CollisionOperator(CollisionDiagnostics):
-    """Direct O(n^{3d}) evaluator of the collision integral.
+    """Direct evaluator of the collision integral, over half the triples.
 
     The oracle for `FourierCollision` (in the tests, and in
     `collision-check`, which checks one FFT evaluation against it).
@@ -155,14 +157,20 @@ class CollisionOperator(CollisionDiagnostics):
     `workers=1` by default; the row loop is vectorized over the (k1, k2)
     plane either way.
 
+    The summand S(k0, k1, k2) of row k0, with k3 = k0 + k1 - k2, is
+    symmetric under the exchange k0 <-> k1 of the incoming pair: the weight,
+    the delta and the bracket keep their values (Spohn, J. Stat. Phys. 124,
+    2006).  So with the pair sums T(k0, k1) = sum over k2 of S(k0, k1, k2),
+    C(k0) = sum over k1 of T(k0, k1) needs T only on k1 >= k0: the rows and
+    the columns of that triangle, with its diagonal counted once.  That is
+    N^2 (N + 1) / 2 triples instead of N^3 (N = n^d).
+
     Rows are indexed by gathers, not by per-axis arithmetic: the operator
-    holds one (N, N) table, the flat index of k1 - k2 (`TorusGrid.pair_index`,
-    N = n^d), and translation by k0 is the index permutation
-    `grid.shift(k0)`, so the leg-3 values of row k0 are x[shift][table] for
-    every per-node field x.  Each row evaluates the bracket with the same
-    operations in the same order and sums the (k1, k2) plane in one
-    `np.sum`; only products that do not depend on k0 are taken out of the
-    loop.
+    holds one (N, N) table, the flat index of k1 - k2 (`TorusGrid.pair_index`),
+    and translation by k0 is the index permutation `grid.shift(k0)`, so the
+    leg-3 values of row k0 are x[shift][table] for every per-node field x.
+    Each row evaluates the bracket with the same operations in the same
+    order; only products that do not depend on k0 are taken out of the loop.
     """
 
     def __init__(self, grid, disp, delta, workers=1):
@@ -174,58 +182,62 @@ class CollisionOperator(CollisionDiagnostics):
         self.workers = max(1, int(workers))
         self._diff = grid.pair_index(-1)
 
-    def _rows(self, W, i0_list, out):
+    def _rows(self, W, i0_list, T):
+        """Write the pair sums T[k0, k1], k1 >= k0, for every k0 in
+        `i0_list`."""
         w = self.disp.w
         winv = self.disp.winv
-        W1 = W[:, None]
-        W2 = W[None, :]
         # W1 * W2 * W3 is (W1 * W2) * W3, so W1 * W2 is shared by all rows;
         # W0 * W1 * W2 * W3 is ((W0 * W1) * W2) * W3 and stays in the loop
-        W12 = W1 * W2
+        W12 = W[:, None] * W[None, :]
         bw12 = winv[:, None] * winv[None, :]
-        w1 = w[:, None]
+        W2 = W[None, :]
         w2 = w[None, :]
         # leg-3 planes and scratch of this call only, so threaded chunks
-        # never share them
-        W3, w3, winv3, u, F, T = (np.empty(self._diff.shape) for _ in range(6))
+        # never share them; row k0 uses their first N - k0 rows
+        planes = [np.empty(self._diff.shape) for _ in range(6)]
         for i0 in i0_list:
+            W3, w3, winv3, u, F, S = (x[: len(w) - i0] for x in planes)
+            diff = self._diff[i0:]
+            W1 = W[i0:, None]
             # x[k0 + k1 - k2] = x[shift by k0][k1 - k2]; every index is in
             # range, so mode="wrap" only skips numpy's buffered bounds check
             shift = self.grid.shift(self.grid.multi_index[i0])
-            np.take(W[shift], self._diff, out=W3, mode="wrap")
-            np.take(w[shift], self._diff, out=w3, mode="wrap")
-            np.take(winv[shift], self._diff, out=winv3, mode="wrap")
+            np.take(W[shift], diff, out=W3, mode="wrap")
+            np.take(w[shift], diff, out=w3, mode="wrap")
+            np.take(winv[shift], diff, out=winv3, mode="wrap")
             W0 = W[i0]
             # u = (w0 + w1) - (w2 + w3)
             np.add(w2, w3, out=u)
-            np.subtract(w[i0] + w1, u, out=u)
+            np.subtract(w[i0] + w[i0:, None], u, out=u)
             dlt = self.delta.weights(u)
             # F = W1 W2 W3 - W0 (W1 W2 + W1 W3 - W2 W3)
-            np.multiply(W1, W3, out=T)
-            np.add(W12, T, out=T)
+            np.multiply(W1, W3, out=S)
+            np.add(W12[i0:], S, out=S)
             np.multiply(W2, W3, out=F)
-            np.subtract(T, F, out=T)
-            np.multiply(W0, T, out=T)
-            np.multiply(W12, W3, out=F)
-            np.subtract(F, T, out=F)
+            np.subtract(S, F, out=S)
+            np.multiply(W0, S, out=S)
+            np.multiply(W12[i0:], W3, out=F)
+            np.subtract(F, S, out=F)
             # G = F - (W0 W1 W2 W3) u, in F
-            np.multiply(W0 * W1, W2, out=T)
-            np.multiply(T, W3, out=T)
-            np.multiply(T, u, out=T)
-            np.subtract(F, T, out=F)
+            np.multiply(W0 * W1, W2, out=S)
+            np.multiply(S, W3, out=S)
+            np.multiply(S, u, out=S)
+            np.subtract(F, S, out=F)
             # (winv0 winv1 winv2 winv3) dlt G
-            np.multiply(winv[i0], bw12, out=T)
-            np.multiply(T, winv3, out=T)
-            np.multiply(T, dlt, out=T)
-            np.multiply(T, F, out=T)
-            out[i0] = np.sum(T)
+            np.multiply(winv[i0], bw12[i0:], out=S)
+            np.multiply(S, winv3, out=S)
+            np.multiply(S, dlt, out=S)
+            np.multiply(S, F, out=S)
+            np.sum(S, axis=1, out=T[i0, i0:])
 
     def apply(self, W):
         """collision_C: the collision integral of a real field W."""
         W = _field(self.grid, W)
         N = self.grid.size
-        out = np.empty(N)
-        _chunked(lambda rows: self._rows(W, rows, out), N, self.workers)
+        T = np.zeros((N, N))
+        _chunked(lambda rows: self._rows(W, rows, T), N, self.workers)
+        out = T.sum(axis=1) + T.sum(axis=0) - np.diagonal(T)
         return PREFACTOR * out / N**2
 
     def entropy_production(self, W):
@@ -234,6 +246,8 @@ class CollisionOperator(CollisionDiagnostics):
             n^{-3d} sum (prod_i W_i / w_i) delta_eta(u) (1/W0+1/W1-1/W2-1/W3)^2,
 
         zero exactly when 1/W is a collisional invariant; requires W > 0.
+        The summand is symmetric under k0 <-> k1, so the sum runs over
+        k1 >= k0 with the off-diagonal pairs counted twice.
         """
         W = _field(self.grid, W, positive=True)
         w = self.disp.w
@@ -245,11 +259,13 @@ class CollisionOperator(CollisionDiagnostics):
         acc = 0.0
         for i0 in range(self.grid.size):
             shift = self.grid.shift(self.grid.multi_index[i0])
-            u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][self._diff])
+            diff = self._diff[i0:]
+            u = (w[i0] + w[i0:, None]) - (w[None, :] + w[shift][diff])
             dlt = self.delta.weights(u)
-            J = (R[i0] + J12) - R[shift][self._diff]
-            P = x[i0] * P12 * x[shift][self._diff]
-            acc += np.sum(P * dlt * J * J)
+            J = (R[i0] + J12[i0:]) - R[shift][diff]
+            P = x[i0] * P12[i0:] * x[shift][diff]
+            S = P * dlt * J * J
+            acc += 2.0 * np.sum(S) - np.sum(S[0])
         return float(acc / self.grid.size**3)
 
 
@@ -502,13 +518,15 @@ def _field(grid, W, positive=False):
 def _chunked(loop_body, count, workers):
     """Run loop_body(index_array) over range(count), optionally threaded.
 
-    Output slices written by distinct indices are disjoint, so threading is
-    deterministic.
+    The indices are dealt round-robin into 4 * workers chunks, so that rows
+    of a triangle, whose cost falls with the index, give every chunk an
+    equal share.  Output slices written by distinct indices are disjoint, so
+    threading is deterministic.
     """
     if workers <= 1:
         loop_body(np.arange(count))
         return
-    chunks = np.array_split(np.arange(count), 4 * workers)
+    chunks = [np.arange(c, count, 4 * workers) for c in range(4 * workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for f in [pool.submit(loop_body, c) for c in chunks]:
             f.result()

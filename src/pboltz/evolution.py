@@ -719,8 +719,10 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
         raise ValueError("time grid must be strictly increasing")
     ik = 1j * TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
 
-    def rhs(W):
-        return _transport_rhs(disp, W, ik) + evaluator.apply_batch(W)
+    def rhs(W, C=None):
+        if C is None:
+            C = evaluator.apply_batch(W)
+        return _transport_rhs(disp, W, ik) + C
 
     slow = np.stack([disp.winv, disp.winv2], axis=1)
     pair = slow * disp.w_sq[:, None] / disp.grid.size  # (N, 2): field -> (T1, T2)
@@ -733,26 +735,28 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
         "current_sup": np.zeros(times.size),
     }
 
-    def record(j, W):
+    def record(j, W, C):
         states[j] = W
         T = W @ pair  # (n_x, 2)
         diag["T_mean"][j] = T.mean(axis=0)
         diag["T_sup"][j] = np.abs(T - T.mean(axis=0)).max(axis=0)
-        C = evaluator.apply_batch(W)
         r0 = np.abs(C.mean(axis=1)).max()
         r1 = np.abs(C @ disp.w).max() / disp.grid.size
         diag["conservation_sup"][j] = (r0, r1)
         jcur = (W * disp.w_sq) @ disp.grad[:, 0] / disp.grid.size / TWO_PI
         diag["current_sup"][j] = np.abs(jcur).max()
 
-    record(0, W)
+    # C(W) of the current state serves both its record and the first RK4
+    # stage of the step that leaves it
+    C = evaluator.apply_batch(W)
+    record(0, W, C)
     t = 0.0
     for j in range(1, times.size):
         span = times[j] - t
         n_sub = max(1, int(np.ceil(span / dt)))
         h = span / n_sub
         for _ in range(n_sub):
-            k1 = rhs(W)
+            k1 = rhs(W, C)
             k2 = rhs(W + 0.5 * h * k1)
             k3 = rhs(W + 0.5 * h * k2)
             k4 = rhs(W + h * k3)
@@ -762,7 +766,8 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
                 raise FloatingPointError(
                     f"state positivity lost at t = {t:.6g}"
                 )
-        record(j, W)
+            C = evaluator.apply_batch(W)
+        record(j, W, C)
     return EvolutionTrajectory(
         times=times,
         states=states,

@@ -1,6 +1,9 @@
 """The direct O(N^3) sums of the linearized operator's terms, one kernel
 evaluation per term: the oracle of the cosine-series assembly in
-`pboltz.linearized` (same signatures as its `assemble_M/I1/I2`)."""
+`pboltz.linearized` (same signatures as its `assemble_M/I1/I2`); and the
+collision integral and its entropy production summed over the full
+(k1, k2) plane of every row: the oracle of the triangular sums of
+`pboltz.collision.CollisionOperator`."""
 
 import numpy as np
 
@@ -68,3 +71,45 @@ def assemble_I2(grid, disp, delta):
         vals = pref[None, :] * delta.weights(du[:, None] - du[None, :])
         I2[np.arange(N), R] = -vals.sum(axis=1) / N
     return I2
+
+
+def collision_apply(grid, disp, delta, W, rows=None):
+    """The collision integral of W at the nodes `rows` (default: all), each
+    row k0 summed over the whole (k1, k2) plane in one `np.sum`."""
+    rows = np.arange(grid.size) if rows is None else np.asarray(rows)
+    out = np.empty(rows.size)
+    w = disp.w
+    winv = disp.winv
+    diff = grid.pair_index(-1)  # k1 - k2
+    W1 = W[:, None]
+    W2 = W[None, :]
+    W12 = W1 * W2
+    bw12 = winv[:, None] * winv[None, :]
+    for r, i0 in enumerate(rows):
+        shift = grid.shift(grid.multi_index[i0])  # x[shift][diff] = x[k0 + k1 - k2]
+        W3 = W[shift][diff]
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
+        W0 = W[i0]
+        F = W12 * W3 - W0 * ((W12 + W1 * W3) - W2 * W3)
+        G = F - ((W0 * W1) * W2 * W3) * u
+        out[r] = np.sum(winv[i0] * bw12 * winv[shift][diff] * delta.weights(u) * G)
+    return PREFACTOR * out / grid.size**2
+
+
+def entropy_production(grid, disp, delta, W):
+    """The entropy production of W, summed over every triple."""
+    w = disp.w
+    winv = disp.winv
+    diff = grid.pair_index(-1)
+    R = 1.0 / W
+    x = winv * W
+    P12 = x[:, None] * x[None, :]
+    J12 = R[:, None] - R[None, :]
+    acc = 0.0
+    for i0 in range(grid.size):
+        shift = grid.shift(grid.multi_index[i0])
+        u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
+        J = (R[i0] + J12) - R[shift][diff]
+        P = x[i0] * P12 * x[shift][diff]
+        acc += np.sum(P * delta.weights(u) * J * J)
+    return float(acc / grid.size**3)

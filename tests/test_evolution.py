@@ -918,7 +918,67 @@ def perturbed_traj(fourier12, model12, stack12):
     return evolve_nonlinear(fourier12, W0, times, BOX, stable_step(model12, n_x, BOX))
 
 
+class _CountingEvaluator:
+    """An evaluator that counts its `apply_batch` calls."""
+
+    def __init__(self, evaluator):
+        self.disp = evaluator.disp
+        self._evaluator = evaluator
+        self.calls = 0
+
+    def apply_batch(self, W):
+        self.calls += 1
+        return self._evaluator.apply_batch(W)
+
+
+def _rk4_fresh_collisions(evaluator, W0, times, box_length, dt):
+    """The states and conservation residuals of `evolve_nonlinear`, with
+    C(W) evaluated anew for every record and every RK4 stage."""
+    disp = evaluator.disp
+    W = np.array(W0, dtype=float)
+    ik = 1j * TWO_PI * np.fft.rfftfreq(W.shape[0], d=box_length / W.shape[0])
+
+    def rhs(W):
+        return evolution._transport_rhs(disp, W, ik) + evaluator.apply_batch(W)
+
+    def record(W):
+        C = evaluator.apply_batch(W)
+        return W, (np.abs(C.mean(axis=1)).max(),
+                   np.abs(C @ disp.w).max() / disp.grid.size)
+
+    rows = [record(W)]
+    t = 0.0
+    for t_next in times[1:]:
+        n_sub = max(1, int(np.ceil((t_next - t) / dt)))
+        h = (t_next - t) / n_sub
+        for _ in range(n_sub):
+            k1 = rhs(W)
+            k2 = rhs(W + 0.5 * h * k1)
+            k3 = rhs(W + 0.5 * h * k2)
+            k4 = rhs(W + h * k3)
+            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+        rows.append(record(W))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
 class TestNonlinearEvolution:
+    def test_record_and_first_stage_share_one_evaluation(
+        self, fourier12, model12, stack12
+    ):
+        _, disp, _ = stack12
+        n_x = 4
+        x = np.arange(n_x) / n_x
+        W0 = disp.winv[None, :] * (1.0 + 0.01 * np.sin(TWO_PI * x)[:, None])
+        times = np.array([0.0, 0.2, 3.0, 3.5])  # two steps in the second span
+        dt = stable_step(model12, n_x, BOX)
+        shared, fresh = _CountingEvaluator(fourier12), _CountingEvaluator(fourier12)
+        traj = evolve_nonlinear(shared, W0, times, BOX, dt)
+        states, cons = _rk4_fresh_collisions(fresh, W0, times, BOX, dt)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.diagnostics["conservation_sup"], cons)
+        assert shared.calls == fresh.calls - (times.size - 1)
+
     def test_stable_step_formula(self, model12, stack12):
         _, disp, _ = stack12
         expected = 0.4 / (
