@@ -825,9 +825,10 @@ def decay_diagnostics(traj, kappa, t_min=10.0, contamination=0.1):
     initial slow data (sharp cutoff at |p| = 1), the fast part against the
     slaved gradient response of that flow, L^-1 (d_1 omega * u), which is
     the conductivity's own solve: ``kappa`` must be taken along the
-    transport axis 0.  Log-log decay slopes are fitted on times in
-    [t_min, t_box] after removing the log(1+t) factor; an empty window is
-    reported as such, with slopes NaN.
+    transport axis 0.  At t = 0 the slow distance is exactly the part of
+    the data that the cutoff removes.  Log-log decay slopes are fitted on
+    times in [t_min, t_box] after removing the log(1+t) factor; an empty
+    window is reported as such, with slopes NaN.
     """
     if kappa.axis != 0:
         raise ValueError(f"kappa must be taken along axis 0, not {kappa.axis}")
@@ -851,8 +852,13 @@ def decay_diagnostics(traj, kappa, t_min=10.0, contamination=0.1):
     for j, t in enumerate(traj.times):
         Tfields = kappa.basis.project_P(modes[j])
         vfields = modes[j] - Tfields
-        decay = np.exp(-t * p_abs[:, None] ** 2 * muv[None, :])
-        coef_ref = ((coef0 @ O) * decay) @ O.T
+        if t == 0:
+            # the data itself: decay is 1 there, but O O^T is the identity
+            # only up to rounding
+            coef_ref = coef0
+        else:
+            decay = np.exp(-t * p_abs[:, None] ** 2 * muv[None, :])
+            coef_ref = ((coef0 @ O) * decay) @ O.T
         T0fields = coef_ref @ U.T
         v0fields = (-1j / TWO_PI) * p_values[:, None] * (coef_ref @ slave.T)
         norm_T[j] = norm_spec.norm_t(p_abs, Tfields - T0fields, t)

@@ -2,7 +2,7 @@
 evaluation per term: the oracle of the cosine-series assembly in
 `pboltz.linearized` (same signatures as its `assemble_M/I1/I2`); and the
 collision integral and its entropy production summed over the full
-(k1, k2) plane of every row: the oracle of the triangular sums of
+(k1, k2) plane of every row: the oracle of the momentum-shell sums of
 `pboltz.collision.CollisionOperator`."""
 
 import numpy as np

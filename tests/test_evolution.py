@@ -1082,10 +1082,23 @@ class TestDecayDiagnostics:
         # purely slow data: the heat-flow reference reproduces it exactly at
         # t = 0, while the fast reference predicts the gradient response the
         # actual state has not yet built up
-        assert rep.norm_T[0] < 1e-13
+        assert rep.norm_T[0] == 0.0
         assert rep.norm_v[0] > 0.0
         assert not rep.window_empty
         assert np.isfinite(rep.slope_T) and np.isfinite(rep.slope_v)
+
+    def test_slow_distance_at_time_zero_is_the_part_beyond_the_cutoff(
+        self, modes12, kappa12, p0_12
+    ):
+        u1 = kappa12.basis.u[:, 0].astype(complex)
+        p_values = [p0_12, 0.5, 2.0]  # the last one beyond |p| = 1
+        traj = evolve_linear(modes12, p_values, np.stack([u1] * 3), [0.0, 1.0])
+        rep = decay_diagnostics(traj, kappa12, t_min=1.0)
+        cut_part = kappa12.basis.project_P(traj.states[0][2:])
+        norm_spec = WeightedNormSpec(d=2)
+        expected = norm_spec.norm_t(np.array([2.0]), cut_part, 0.0)
+        assert expected > 0.0
+        assert rep.norm_T[0] == pytest.approx(expected, rel=1e-14)
 
     def test_needs_the_transport_axis_conductivity(self, perturbed_traj, model12):
         # the fast reference is the conductivity's own solve along axis 0
