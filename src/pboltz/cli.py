@@ -19,8 +19,10 @@ stderr, nothing written), 3 numerical failure (diagnostic recorded in the
 manifest).
 
 Determinism: identical config and seed reproduce every CSV byte-for-byte,
-for any worker count.  The manifest's ``execution`` section (worker count
-and wall-clock seconds per stage) is the only volatile content.
+for any worker count.  Every subcommand takes ``workers``, but it reaches
+only `collision-check`'s direct evaluation; elsewhere it changes nothing.
+The manifest's ``execution`` section (worker count and wall-clock seconds
+per stage) is the only volatile content.
 """
 
 import argparse

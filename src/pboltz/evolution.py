@@ -5,17 +5,19 @@ the linear dynamics into the dense complex array D(p) = L + (i/2pi)
 diag(p . grad omega) (`mode_matrix`, L a plain array).  Along one direction
 e, D(|p| e) commutes with the sign flips of the axes where e vanishes and,
 because omega is even and grad omega odd, with inversion k -> -k composed
-with complex conjugation.  So in the symmetry frame of e
-(`TorusGrid.symmetry_frame`) it splits into real blocks, one per character
-of the flips.  `ModeFamily(model, direction)` holds what does not depend on
-|p|: the image of the model's L in that frame, the L part of the `SYM_TOL`
-check and each sector's Bendixson floor; per |p| only the sparse image of
-the phase is added and checked.  The spectrum, the slow-eigenvalue count
-(which never diagonalizes a sector whose floor clears the threshold) and
-the semigroup are taken block by block (`spectrum_D`,
-`count_slow_eigenvalues`, `ModeSemigroup`), and so are the weighted norms
-of the propagator and of its fast blocks (`h_operator_norm`); the complex
-eigendecomposition of the full D(p) is only the tests' oracle.
+with complex conjugation.  So in the view of the grid's one symmetry frame
+(`TorusGrid.symmetry_frame`) that merges the characters of the flips of the
+axes where e does not vanish (`SymmetryFrame.merged`) it splits into real
+blocks, one per group of characters.  `ModeFamily(model, direction)` holds
+what does not depend on |p|: the image of the model's L in that view, the
+L part of the `SYM_TOL` check and each sector's Bendixson floor, read off
+L's sector spectra; per |p| only the sparse image of the phase is added and
+checked.  The spectrum, the slow-eigenvalue count (which never
+diagonalizes a sector whose floor clears the threshold) and the semigroup
+are taken block by block (`spectrum_D`, `count_slow_eigenvalues`,
+`ModeSemigroup`), and so are the weighted norms of the propagator and of
+its fast blocks (`h_operator_norm`); the complex eigendecomposition of the
+full D(p) is only the tests' oracle.
 
 The run's `LinearModel` is the one source of L, omega and the slow frame:
 `semigroup_bound_sweep` and `evolve_linear` read it from the family,
@@ -91,8 +93,10 @@ def mode_matrix(L, disp, p):
 class ModeFamily:
     """The mode matrices D(|p| e) of the L of ``model`` (`LinearModel`) along
     one direction e (`unit_direction`), as real blocks
-    X_chi = B_chi^H D(|p| e) B_chi in the symmetry frame of the sign flips of
-    the axes where e vanishes (`TorusGrid.symmetry_frame`).
+    X_chi = B_chi^H D(|p| e) B_chi in the view of the model's symmetry frame
+    (`TorusGrid.symmetry_frame`, the flips of all axes) in which the sectors
+    that differ only in the characters of the axes where e does not vanish
+    are one (`SymmetryFrame.merged`).
 
     With B = R diag(eps), the p-independent image R^T L R is formed once
     and split into the L parts of the blocks; per |p| only the sparse image
@@ -108,14 +112,17 @@ class ModeFamily:
     block of the omega-similarity form H + iK, whose symmetric part is that
     of L's block alone: the block of iK is antisymmetric (up to rounding).
     Its smallest eigenvalue (`floors`) bounds from below the real part of
-    every eigenvalue of the sector at every |p| (Bendixson).
+    every eigenvalue of the sector at every |p| (Bendixson).  L's block is
+    block-diagonal in the merged characters, so the floor is the least of
+    their lowest eigenvalues, which `spectrum_L` has computed
+    (``model.summary.sectors``).
     """
 
     def __init__(self, model, direction=None):
         self.model = model
         L, disp = model.L, model.disp
         self.e = unit_direction(disp.grid.d, direction)
-        self.frame = frame = disp.grid.symmetry_frame(np.flatnonzero(self.e == 0.0))
+        self.frame = frame = model.summary.frame.merged(np.flatnonzero(self.e))
         image = frame.image(L)
         self._L_blocks = frame.sector_blocks(image)
         self._L_leak = frame.leak(image)
@@ -123,11 +130,8 @@ class ModeFamily:
         self._L_diag = np.diag(L)
         w = frame.column_values(disp.w)
         self.omega = [w[sector] for sector in frame.sectors]
-        self.floors = []
-        for X, w_chi in zip(self._L_blocks, self.omega):
-            H = (w_chi[:, None] / w_chi[None, :]) * X
-            low = eigvalsh(0.5 * (H + H.T), subset_by_index=[0, 0])
-            self.floors.append(float(low[0]))
+        lows = [lam[0] for lam, _ in model.summary.sectors]
+        self.floors = [float(min(lows[t] for t in group)) for group in frame.groups]
 
     def blocks(self, p_abs):
         """The real sector blocks of D(|p| e).  Raises ValueError when the

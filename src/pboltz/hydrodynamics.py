@@ -89,10 +89,6 @@ class SlowBasis:
         """Weighted-orthogonal projection onto the slow pair (batched)."""
         return (np.asarray(f) @ self.to_coef.T) @ self.u.T
 
-    def project_Q(self, f):
-        """Projection onto the complement of the slow pair."""
-        return np.asarray(f) - self.project_P(f)
-
     def state_from_field(self, w):
         """Coefficients of the slow part of ``w`` (batched)."""
         t = (np.asarray(w) @ self.to_coef.T) @ self.coeff_map.T
@@ -239,11 +235,6 @@ class ConductivityMatrix:
     @property
     def basis(self):
         return self.model.basis
-
-    def convert_ab_to_op(self):
-        """Gram round-trip: rebuild kappa_op from kappa_ab."""
-        S = self.basis.coeff_map
-        return S.T @ self.kappa_ab @ S
 
 
 def compute_kappa(model, axis=0):

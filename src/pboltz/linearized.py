@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import block_diag, eigh, subspace_angles
+from scipy.linalg import eigh
 
 from .collision import PREFACTOR, _cosine_series
 from .dispersion import omega
@@ -52,7 +52,6 @@ __all__ = [
     "spectrum_L",
     "fd_linearization_check",
     "row_identity_residual",
-    "conjugate_row_identity_residual",
     "kernel_row_sup",
     "i1_exact",
     "i1_mollified",
@@ -184,7 +183,7 @@ def spectrum_L(L, disp):
         raise ValueError(
             f"symmetrization residual {defect:.2e} exceeds {SYM_TOL:.0e}"
         )
-    frame = disp.grid.symmetry_frame(range(disp.grid.d))
+    frame = disp.grid.symmetry_frame()
     image = frame.image(L)
     leak = frame.leak(image) / max(float(np.abs(L).max()), 1e-300)
     if leak > SYM_TOL:
@@ -214,16 +213,6 @@ def spectrum_L(L, disp):
     )
 
 
-def null_space_angle(summary, disp):
-    """Principal angle (radians) between the two lowest eigenvectors and the
-    analytic pair {1/omega, 1/omega^2} (compared in real frame coordinates
-    of the symmetrized problem, where the weighted geometry is plain)."""
-    A = np.stack([np.ones_like(disp.w), disp.winv])  # omega * {w^-1, w^-2}
-    V = [U[:, :k] for (_, U), k in zip(summary.sectors, summary.low)]
-    angles = subspace_angles(summary.frame.real_coordinates(A).T, block_diag(*V))
-    return float(np.max(angles))
-
-
 def fd_linearization_check(collision_op, L, directions=10, eps=1e-5, seed=1234):
     """Max relative error of -L f against the centered finite difference
     (C(W0 + eps f) - C(W0 - eps f)) / (2 eps) at W0 = 1/omega."""
@@ -244,13 +233,6 @@ def fd_linearization_check(collision_op, L, directions=10, eps=1e-5, seed=1234):
 def row_identity_residual(M, K, grid, disp):
     """Relative residual of the row identity M(k) = sum_{k'} K(k,k') w(k')^2 n^{-d}."""
     rows = K @ disp.w_sq / grid.size
-    return float(np.abs(rows - M).max() / np.abs(M).max())
-
-
-def conjugate_row_identity_residual(M, K, grid, disp):
-    """Relative residual of the discrete-zero-mode row identity
-    M(k) = -w(k)^2 sum_{k'} K(k,k') n^{-d} (equivalent to L w^-2 = 0)."""
-    rows = -disp.w_sq * (K.sum(axis=1) / grid.size)
     return float(np.abs(rows - M).max() / np.abs(M).max())
 
 

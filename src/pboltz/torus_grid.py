@@ -14,9 +14,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, diags_array
 
 __all__ = [
     "TorusGrid",
@@ -92,8 +94,10 @@ class TorusGrid:
         return self.flatten(mi)
 
     def axis_permutation(self, perm):
-        """Index permutation realizing k -> (k_{perm[0]}, k_{perm[1]}, ...)."""
-        assert sorted(perm) == list(range(self.d))
+        """Index permutation realizing k -> (k_{perm[0]}, k_{perm[1]}, ...).
+        Raises ValueError unless `perm` is a permutation of range(d)."""
+        if sorted(perm) != list(range(self.d)):
+            raise ValueError(f"{perm} is not a permutation of the {self.d} axes")
         return self.flatten(self.multi_index[:, list(perm)])
 
     def shift(self, delta_multi):
@@ -109,54 +113,73 @@ class TorusGrid:
             index += (m[:, None] + sign * m[None, :]) % self.n * stride
         return index
 
-    def symmetry_frame(self, axes):
-        """The `SymmetryFrame` of the sign flips of `axes`, cached per set
-        of axes."""
-        axes = tuple(sorted({int(b) for b in axes}))
-        frames = self.__dict__.setdefault("_frames", {})
-        if axes not in frames:
-            frames[axes] = SymmetryFrame(self, axes)
-        return frames[axes]
+    def symmetry_frame(self):
+        """The `SymmetryFrame` of the sign flips of all axes, cached."""
+        frame = getattr(self, "_frame", None)
+        if frame is None:
+            frame = self._frame = SymmetryFrame.of_flips(self)
+        return frame
 
 
 class SymmetryFrame:
     """Unitary basis of C^N in which a matrix commuting with the sign flips
-    of some axes and with inversion-plus-conjugation is real and
+    of the axes and with inversion-plus-conjugation is real and
     block-diagonal.
 
-    The flips of `axes` form an abelian group G of order 2^len(axes).  Each
-    character chi of G (one per subset T of the axes, chi(g) = -1 when g
-    flips an odd number of axes in T) is one sector.  In it, the G-orbit
-    O_r of a representative node r (its smallest index) gives the unit
-    vector v_r = |O_r|^-1/2 sum_x chi(g_x) e_x over x in O_r, g_x the flip
-    taking r to x; v_r vanishes, and r is skipped, unless chi is trivial on
-    the flips that fix r.  Inversion k -> -k maps v_r to s v_r', where r'
-    represents the orbit of -r and s = chi(g_{-r}), so the antiunitary
-    J v = conj(v)[-k] keeps each sector and fixes the columns
+    The flips of the d axes form an abelian group G of order 2^d, element g
+    flipping the axes of the set bits of g.  Each character chi_t of G
+    (chi_t(g) = -1 when t & g has an odd number of set bits) is one sector
+    t (`of_flips`).  In it, the G-orbit O_r of a representative node r (its
+    smallest index) gives the unit column v_r = |O_r|^-1/2 sum_x
+    chi_t(g_x) e_x over x in O_r, g_x the flip taking r to x; v_r vanishes,
+    and r is skipped, unless chi_t is trivial on the flips that fix r.
+    Inversion k -> -k is the product of all the flips, so it maps v_r to
+    (-1)^popcount(t) v_r, and the antiunitary J v = conj(v)[-k] fixes the
+    column v_r for even popcount(t) and i v_r for odd.
 
-        (v_r + s v_r') / sqrt(2) and i (v_r - s v_r') / sqrt(2)   (r < r'),
-        v_r (s = 1) or i v_r (s = -1)                             (r = r').
-
-    Each column lives on one or two orbits, so `basis` (N x N, columns
-    grouped by sector, `sectors` their slices) is sparse, and each is real
-    or i times real: basis = R diag(eps) with R real and eps in {1, i}.
-    The mode matrix D(p) commutes with the flips of the axes where p
-    vanishes, and with J because omega is even and grad omega odd; so
+    Each column lives on one orbit, so `basis` (N x N, columns grouped by
+    sector, `sectors` their slices) is sparse, and each is real or i times
+    real: basis = R diag(eps) with R real and eps in {1, i}.  A matrix that
+    commutes with the flips of some axes only is block-diagonal in a view of
+    the frame that merges the sectors differing only in the characters of
+    the other axes (`merged`; `groups` lists the characters t of each
+    sector).  The mode matrix D(p) commutes with the flips of the axes
+    where p vanishes, and with J because omega is even and grad omega odd;
+    so in the view that merges the axes where p does not vanish,
     basis^H D(p) basis is block-diagonal with real blocks.  For a real M,
     basis^H M basis = conj(eps) eps^T * `image`(M) and
     basis^H i diag(f) basis = i conj(eps) eps^T * `diagonal_image`(f); the
     entries of conj(eps) eps^T are 1 or +-i, so each real block entry is an
     entry of the image or its negative (`sector_blocks`).  A field constant
-    on orbits of the flips and of inversion, like omega, is constant on the
-    support of every column (`column_values`).  Built from the index maps
-    `axis_reflection` and `reflection` only.
+    on orbits of the flips, like omega, is constant on the support of every
+    column (`column_values`).
     """
 
-    def __init__(self, grid, axes):
-        self.axes = tuple(axes)
+    def __init__(self, real, eps, sizes, groups):
+        self.eps = eps
+        self.groups = groups
+        self._real = real
+        self._real_t = real.T.tocsr()
+        self.basis = real @ diags_array(eps)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        self.sectors = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._sector_bases = [self.basis[:, s] for s in self.sectors]
+        self._sector_of = np.repeat(np.arange(len(self.sectors)), sizes)
+        self._is_imag = self.eps.imag != 0.0
+        self._vanish = {}  # per `leak` kind, the entries that must vanish
+        # real and imaginary parts of conj(eps) eps^T per sector: 0 or +-1
+        self._units = []
+        for s in self.sectors:
+            unit = np.outer(self.eps[s].conj(), self.eps[s])
+            self._units.append((unit.real.copy(), unit.imag.copy()))
+
+    @classmethod
+    def of_flips(cls, grid):
+        """The frame of the flips of all axes of `grid`, sector t the
+        character chi_t.  Built from the index maps `axis_reflection`."""
         nodes = np.arange(grid.size)
         perms = [nodes]  # element g flips the axes of the set bits of g
-        for axis in self.axes:
+        for axis in range(grid.d):
             flip = grid.axis_reflection(axis)
             perms += [flip[q] for q in perms]
         perms = np.array(perms)
@@ -165,60 +188,42 @@ class SymmetryFrame:
         flip_to = np.argmax(perms[:, rep] == nodes, axis=0)  # g_x
         orbit_size = np.bincount(rep, minlength=grid.size)[rep]
         fixes = perms == nodes  # (order, N): g fixes x
-        partner = rep[grid.reflection()]  # representative of -x's orbit
-        lead = np.minimum(rep, partner)
-        single = rep == partner
-        second = rep > partner
-        is_lead = (rep == nodes) & ~second
-        inv_flip = flip_to[grid.reflection()]
 
-        rows, cols, vals, imag, bounds = [], [], [], [], [0]
+        rows, cols, vals, sizes = [], [], [], []
+        eps = np.ones(grid.size, dtype=complex)
         for t in range(order):
             chi = np.array([1 - 2 * (bin(t & g).count("1") % 2)
                             for g in range(order)])
             keep = ~np.any(fixes & (chi < 0)[:, None], axis=0)
-            # one column per lead of a single orbit, two per lead of a pair
-            width = np.where(single, 1, 2) * (keep & is_lead)
-            start = bounds[-1] + np.cumsum(width) - width
+            lead = keep & (rep == nodes)  # one column per kept orbit
+            start = sum(sizes)
+            col = start + np.cumsum(lead) - 1
             x = nodes[keep]
-            c = chi[flip_to[x]] / np.sqrt(orbit_size[x])
-            col = start[lead[x]]
-            one = single[x]
-            # real parts of the pair columns: v_r + s v_r' and v_r - s v_r'
-            s = chi[inv_flip[lead[x]]]
-            half = c / np.sqrt(2.0)
-            plus = np.where(second[x], s, 1) * half
-            minus = np.where(second[x], -s, 1) * half
-            rows += [x[one], x[~one], x[~one]]
-            cols += [col[one], col[~one], col[~one] + 1]
-            vals += [c[one], plus[~one], minus[~one]]
-            # the columns that are i times their real part
-            r = nodes[keep & is_lead]
-            imag += [start[r[single[r] & (chi[inv_flip[r]] < 0)]],
-                     start[r[~single[r]]] + 1]
-            bounds.append(bounds[-1] + int(width.sum()))
-        if bounds[-1] != grid.size:
+            rows.append(x)
+            cols.append(col[rep[x]])
+            vals.append(chi[flip_to[x]] / np.sqrt(orbit_size[x]))
+            sizes.append(int(lead.sum()))
+            if bin(t).count("1") % 2:  # inversion is odd: J fixes i v_r
+                eps[start:start + sizes[-1]] = 1j
+        if sum(sizes) != grid.size:
             raise RuntimeError("symmetry frame is not a basis")
         rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-        # basis = real diag(eps): every column is real or i times real
-        self.eps = np.ones(grid.size, dtype=complex)
-        self.eps[np.concatenate(imag)] = 1j
-        shape = (grid.size, grid.size)
-        self._real = csr_array((vals, (rows, cols)), shape=shape)
-        self._real_t = self._real.T.tocsr()
-        self.basis = csr_array((vals * self.eps[cols], (rows, cols)), shape=shape)
-        self.sectors = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])
-                        if b > a]
-        self._sector_bases = [self.basis[:, s] for s in self.sectors]
-        self._sector_of = np.repeat(np.arange(len(self.sectors)),
-                                    [s.stop - s.start for s in self.sectors])
-        self._is_imag = self.eps.imag != 0.0
-        self._vanish = {}  # per `leak` kind, the entries that must vanish
-        # real and imaginary parts of conj(eps) eps^T per sector: 0 or +-1
-        self._units = []
-        for s in self.sectors:
-            unit = np.outer(self.eps[s].conj(), self.eps[s])
-            self._units.append((unit.real.copy(), unit.imag.copy()))
+        real = csr_array((vals, (rows, cols)), shape=(grid.size, grid.size))
+        return cls(real, eps, sizes, [(t,) for t in range(order)])
+
+    def merged(self, axes):
+        """The view of this frame of all the flips (`of_flips`) in which
+        the sectors whose characters differ only on the flips of `axes`
+        (equal t & ~mask, mask the bits of `axes`) are one.  The sectors
+        are ordered by that key and by t inside, so the trivial sector
+        stays in sector 0; the columns are the same, reordered."""
+        mask = sum(1 << int(b) for b in axes)
+        order = sorted(range(len(self.sectors)), key=lambda t: (t & ~mask, t))
+        groups = [tuple(g) for _, g in groupby(order, key=lambda t: t & ~mask)]
+        cols = [np.r_[tuple(self.sectors[t] for t in g)] for g in groups]
+        perm = np.concatenate(cols)
+        return SymmetryFrame(self._real[:, perm], self.eps[perm],
+                             [c.size for c in cols], groups)
 
     def image(self, M):
         """R^T M R for a real N x N M (dense), basis = R diag(eps)."""

@@ -431,11 +431,11 @@ def _slow_scale(kappa):
 
 def _odd_sector_lowered(L, disp, gap):
     """L - gap P_1, P_1 = B_1 B_1^H the projector onto sector 1 of the
-    frame of axis 0.  P_1 commutes with the flips, with inversion-plus-
-    conjugation and with diag(omega), so the result keeps the lattice
-    symmetry and is still H-self-adjoint; only the spectrum of sector 1
-    moves, down by one gap."""
-    frame = disp.grid.symmetry_frame([1])
+    view along axis 0 (the characters odd in axis 1).  P_1 commutes with
+    the flips, with inversion-plus-conjugation and with diag(omega), so the
+    result keeps the lattice symmetry and is still H-self-adjoint; only the
+    spectrum of sector 1 moves, down by one gap."""
+    frame = disp.grid.symmetry_frame().merged([0])
     B1 = frame.basis[:, frame.sectors[1]].toarray()
     return L - gap * (B1 @ B1.conj().T).real
 
@@ -523,14 +523,19 @@ def model20():
     return LinearModel(assemble_L(grid, disp, DeltaKernel.auto(grid, disp)), disp)
 
 
+D3_DIRECTIONS = {"axis0": 0, "plane": [1.0, 2.0, 0.0], "oblique": [1.0, 2.0, 0.5]}
+
+
 @pytest.fixture(scope="module", params=[
-    "d2-n12-axis0", "d2-n12-axis1", "d3-n8-axis0", "d3-n8-oblique"])
+    "d2-n12-axis0", "d2-n12-axis1", "d3-n8-axis0", "d3-n8-plane",
+    "d3-n8-oblique"])
 def frame_case(request, model12, p0_12):
     """(modes, p_unit): p_unit on the scale where two slow eigenvalues stay
-    below half the gap."""
+    below half the gap.  At d = 3 the view merges the sectors in groups of
+    2 along an axis, of 4 in a coordinate plane and of all 8 obliquely."""
     if request.param.startswith("d3"):
         kappa = request.getfixturevalue("kappa3d")
-        direction = 0 if request.param.endswith("axis0") else [1.0, 2.0, 0.5]
+        direction = D3_DIRECTIONS[request.param.split("-")[-1]]
         return ModeFamily(kappa.model, direction), _slow_scale(kappa)
     axis = int(request.param[-1])
     return ModeFamily(model12, axis), p0_12
@@ -547,13 +552,30 @@ class TestSymmetryFrame:
     ):
         modes, _ = frame_case
         e, grid = modes.e, modes.model.disp.grid
-        frame = grid.symmetry_frame(np.flatnonzero(e == 0.0))
-        assert frame is modes.frame
-        assert frame is grid.symmetry_frame(tuple(np.flatnonzero(e == 0.0)))
+        full, frame = grid.symmetry_frame(), modes.frame
+        assert full is grid.symmetry_frame() is modes.model.summary.frame
         assert len(frame.sectors) == 2 ** int(np.count_nonzero(e == 0.0))
+        # the view holds the columns of the one frame, reordered by group
+        order = [t for group in frame.groups for t in group]
+        assert sorted(order) == list(range(2**grid.d))
         B = frame.basis.toarray()
+        assert np.array_equal(
+            B, full.basis.toarray()[:, np.r_[tuple(full.sectors[t] for t in order)]])
         assert np.abs(B.conj().T @ B - np.eye(grid.size)).max() < 1e-15
         assert np.abs(B.conj()[grid.reflection()] - B).max() == 0.0
+
+    def test_view_merges_the_sectors_that_differ_on_the_moving_axes(
+        self, frame_case
+    ):
+        modes, _ = frame_case
+        mask = sum(1 << int(b) for b in np.flatnonzero(modes.e))
+        groups = modes.frame.groups
+        assert groups[0][0] == 0  # the trivial sector stays in sector 0
+        keys = [{t & ~mask for t in group} for group in groups]
+        assert all(len(key) == 1 for key in keys)
+        assert [min(key) for key in keys] == sorted({t & ~mask for t in range(
+            2**modes.e.size)})
+        assert all(list(group) == sorted(group) for group in groups)
 
     def test_omega_is_constant_on_every_column(self, frame_case):
         modes, _ = frame_case
@@ -714,6 +736,20 @@ class TestBendixsonPruning:
             for X, floor in zip(modes.blocks(p_abs), modes.floors, strict=True):
                 low = np.linalg.eigvals(X).real.min()
                 assert low >= floor - 1e-12 * np.abs(X).max()
+
+    def test_floors_are_the_lowest_fine_sector_eigenvalues(self, frame_case):
+        # each floor is read off L's sector spectra, and is the lowest
+        # eigenvalue of the symmetric part of the view's omega-similarity
+        # L block
+        modes, _ = frame_case
+        summary = modes.model.summary
+        for group, w, X, floor in zip(modes.frame.groups, modes.omega,
+                                      modes.blocks(0.0), modes.floors,
+                                      strict=True):
+            assert floor == min(summary.sectors[t][0][0] for t in group)
+            H = (w[:, None] / w[None, :]) * X
+            low = np.linalg.eigvalsh(0.5 * (H + H.T))[0]
+            assert abs(low - floor) < 1e-13 * summary.eigenvalues[-1]
 
     def test_sectors_above_the_threshold_never_reach_eigvals(
         self, modes3, eigvals_calls

@@ -44,7 +44,7 @@ class TestSlowBasis:
         f = rng.standard_normal(basis12.e.shape[0])
         Pf = basis12.project_P(f)
         assert np.allclose(basis12.project_P(Pf), Pf, atol=1e-14)
-        assert abs(basis12.inner.inner(Pf, basis12.project_Q(f))) < 1e-12
+        assert abs(basis12.inner.inner(Pf, f - basis12.project_P(f))) < 1e-12
 
     def test_projects_members_to_themselves(self, stack12, basis12):
         _, disp, _ = stack12
@@ -197,9 +197,6 @@ class TestKappa:
 
     def test_cross_direction_elements_vanish(self, kappa12):
         assert kappa12.cross_direction_sup < 1e-8 * np.abs(kappa12.kappa_ab).max()
-
-    def test_gram_round_trip(self, kappa12):
-        assert np.allclose(kappa12.convert_ab_to_op(), kappa12.kappa_op)
 
     def test_solve_residual_small(self, kappa12):
         assert kappa12.solve_residual < 1e-8

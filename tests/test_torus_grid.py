@@ -131,6 +131,12 @@ class TestPermutations:
         perm = grid.axis_permutation((1, 0))
         assert np.allclose(grid.coords[perm][:, 0], grid.coords[:, 1])
 
+    @pytest.mark.parametrize("perm", [(0, 0), (0, 2)])
+    def test_axis_permutation_rejects_a_non_permutation(self, perm):
+        # a repeated axis and an axis outside range(d)
+        with pytest.raises(ValueError, match="not a permutation"):
+            TorusGrid(2, 8).axis_permutation(perm)
+
     def test_flatten_wraps_modulo(self):
         grid = TorusGrid(2, 8)
         mi = grid.multi_index
@@ -150,7 +156,7 @@ class TestPermutations:
 class TestRealFrameCoordinates:
     def test_round_trip(self, rng):
         grid = TorusGrid(2, 8)
-        frame = grid.symmetry_frame(range(2))
+        frame = grid.symmetry_frame()
         f = rng.standard_normal((3, grid.size))
         back = frame.from_real_coordinates(frame.real_coordinates(f))
         assert np.abs(back - f).max() < 1e-14
@@ -158,7 +164,7 @@ class TestRealFrameCoordinates:
     def test_a_field_of_definite_parity_fills_one_sector_exactly(self, rng):
         # odd in axis 0, even in axis 1: the character of sector 1
         grid = TorusGrid(2, 8)
-        frame = grid.symmetry_frame(range(2))
+        frame = grid.symmetry_frame()
         f = rng.standard_normal(grid.size)
         f = f - f[grid.axis_reflection(0)]
         f = f + f[grid.axis_reflection(1)]
