@@ -111,11 +111,12 @@ class ModeFamily:
     array per sector), so diag(omega_chi) X_chi diag(omega_chi)^-1 is the
     block of the omega-similarity form H + iK, whose symmetric part is that
     of L's block alone: the block of iK is antisymmetric (up to rounding).
-    Its smallest eigenvalue (`floors`) bounds from below the real part of
-    every eigenvalue of the sector at every |p| (Bendixson).  L's block is
-    block-diagonal in the merged characters, so the floor is the least of
-    their lowest eigenvalues, which `spectrum_L` has computed
-    (``model.summary.sectors``).
+    Its smallest eigenvalue bounds from below the real part of every
+    eigenvalue of the sector at every |p| (Bendixson).  L's block is
+    block-diagonal in the merged characters up to the axis-flip leak, so
+    the floor (`floors`) is the least of their lowest eigenvalues, which
+    `spectrum_L` has computed (``model.summary.sectors``), less the
+    Frobenius norm of the symmetrized entries between them (Weyl).
     """
 
     def __init__(self, model, direction=None):
@@ -130,8 +131,17 @@ class ModeFamily:
         self._L_diag = np.diag(L)
         w = frame.column_values(disp.w)
         self.omega = [w[sector] for sector in frame.sectors]
-        lows = [lam[0] for lam, _ in model.summary.sectors]
-        self.floors = [float(min(lows[t] for t in group)) for group in frame.groups]
+        fine = model.summary.sectors
+        self.floors = []
+        for X, w, group in zip(self._L_blocks, self.omega, frame.groups):
+            # Weyl: the entries between fine sectors (the axis-flip leak
+            # that `spectrum_L` admits) lower the least eigenvalue by at
+            # most their Frobenius norm
+            H = (w[:, None] / w[None, :]) * X
+            owner = np.repeat(np.arange(len(group)), [fine[t][0].size for t in group])
+            cross = 0.5 * (H + H.T)[owner[:, None] != owner[None, :]]
+            low = min(fine[t][0][0] for t in group)
+            self.floors.append(float(low - np.linalg.norm(cross)))
 
     def blocks(self, p_abs):
         """The real sector blocks of D(|p| e).  Raises ValueError when the

@@ -79,14 +79,6 @@ class TorusGrid:
         """Flat index of per-axis integer coordinates (taken mod n)."""
         return (np.asarray(multi) % self.n) @ self.strides
 
-    def reflection(self):
-        """Index permutation realizing k -> -k (an involution)."""
-        perm = getattr(self, "_reflection", None)
-        if perm is None:
-            perm = self.flatten(-self.multi_index)
-            self._reflection = perm
-        return perm
-
     def axis_reflection(self, axis):
         """Index permutation flipping the sign of one coordinate only."""
         mi = self.multi_index.copy()
@@ -212,16 +204,24 @@ class SymmetryFrame:
         return cls(real, eps, sizes, [(t,) for t in range(order)])
 
     def merged(self, axes):
-        """The view of this frame of all the flips (`of_flips`) in which
-        the sectors whose characters differ only on the flips of `axes`
-        (equal t & ~mask, mask the bits of `axes`) are one.  The sectors
-        are ordered by that key and by t inside, so the trivial sector
-        stays in sector 0; the columns are the same, reordered."""
+        """The view of this frame in which the sectors whose characters
+        differ only on the flips of `axes` (equal key t & ~mask, mask the
+        bits of `axes`) are one.  The sectors are ordered by that key and
+        by characters inside, so the trivial sector stays in sector 0; the
+        columns are the same, reordered.  Raises ValueError when a sector
+        of this frame already merges characters of different keys."""
         mask = sum(1 << int(b) for b in axes)
-        order = sorted(range(len(self.sectors)), key=lambda t: (t & ~mask, t))
-        groups = [tuple(g) for _, g in groupby(order, key=lambda t: t & ~mask)]
-        cols = [np.r_[tuple(self.sectors[t] for t in g)] for g in groups]
+        if any(len({t & ~mask for t in g}) != 1 for g in self.groups):
+            raise ValueError(f"axes {list(axes)} do not cover this view's merges")
+
+        def key(s):
+            return self.groups[s][0] & ~mask
+
+        order = sorted(range(len(self.sectors)), key=lambda s: (key(s), self.groups[s]))
+        merged = [list(g) for _, g in groupby(order, key=key)]
+        cols = [np.r_[tuple(self.sectors[s] for s in g)] for g in merged]
         perm = np.concatenate(cols)
+        groups = [sum((self.groups[s] for s in g), ()) for g in merged]
         return SymmetryFrame(self._real[:, perm], self.eps[perm],
                              [c.size for c in cols], groups)
 

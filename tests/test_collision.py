@@ -137,7 +137,7 @@ class TestCollisionOperator:
     def test_commutes_with_reflection(self, stack12, collision12, rng):
         grid, _, _ = stack12
         W = 0.1 + rng.random(grid.size)
-        for perm in (grid.reflection(), grid.axis_reflection(0)):
+        for perm in (grid.flatten(-grid.multi_index), grid.axis_reflection(0)):
             lhs = collision12.apply(W[perm])
             rhs = collision12.apply(W)[perm]
             assert np.allclose(lhs, rhs, atol=1e-15 + 1e-12 * sup_norm(rhs))

@@ -75,7 +75,7 @@ class TestGradient:
         grid = TorusGrid(2, 8)
         p = DispersionParams(2, 1.0)
         g = grad_omega(grid.coords, p)
-        perm = grid.reflection()
+        perm = grid.flatten(-grid.multi_index)
         assert np.allclose(g[perm], -g, atol=1e-12)
 
 

@@ -562,7 +562,15 @@ class TestSymmetryFrame:
         assert np.array_equal(
             B, full.basis.toarray()[:, np.r_[tuple(full.sectors[t] for t in order)]])
         assert np.abs(B.conj().T @ B - np.eye(grid.size)).max() < 1e-15
-        assert np.abs(B.conj()[grid.reflection()] - B).max() == 0.0
+        assert np.abs(B.conj()[grid.flatten(-grid.multi_index)] - B).max() == 0.0
+
+    def test_a_view_of_a_view_is_the_view_of_both_axes(self):
+        frame = TorusGrid(3, 8).symmetry_frame()
+        twice, once = frame.merged([0]).merged([0, 1]), frame.merged([0, 1])
+        assert twice.groups == once.groups == [(0, 1, 2, 3), (4, 5, 6, 7)]
+        assert (twice.basis != once.basis).nnz == 0
+        with pytest.raises(ValueError, match="do not cover"):
+            frame.merged([0]).merged([1])
 
     def test_view_merges_the_sectors_that_differ_on_the_moving_axes(
         self, frame_case
@@ -746,10 +754,37 @@ class TestBendixsonPruning:
         for group, w, X, floor in zip(modes.frame.groups, modes.omega,
                                       modes.blocks(0.0), modes.floors,
                                       strict=True):
-            assert floor == min(summary.sectors[t][0][0] for t in group)
+            lowest = min(summary.sectors[t][0][0] for t in group)
+            assert lowest - 1e-13 * summary.eigenvalues[-1] < floor <= lowest
             H = (w[:, None] / w[None, :]) * X
             low = np.linalg.eigvalsh(0.5 * (H + H.T))[0]
             assert abs(low - floor) < 1e-13 * summary.eigenvalues[-1]
+
+    def test_floors_bound_an_l_that_couples_the_merged_sectors(self, kappa3d):
+        # move sector 7's lowest eigenvalue onto sector 4's and couple the two
+        # eigenvectors by 1e-9 max |L|, a leak that `spectrum_L` admits: in
+        # the plane view both sectors are real parts of one block, whose
+        # least eigenvalue drops below both fine ones to first order
+        model = kappa3d.model
+        L, disp, summary = model.L, model.disp, model.summary
+
+        def lowest_vector(t):  # real or imaginary in node space
+            frame, U = summary.frame, summary.sectors[t][1]
+            x = frame.basis[:, frame.sectors[t]] @ U[:, 0]
+            return x.real + x.imag
+
+        u, v = lowest_vector(4), lowest_vector(7)
+        shift = summary.sectors[4][0][0] - summary.sectors[7][0][0]
+        E = shift * np.outer(v, v) + 1e-9 * np.abs(L).max() * (
+            np.outer(u, v) + np.outer(v, u))
+        leaky = LinearModel(L + (E / disp.w[:, None]) * disp.w[None, :], disp)
+        modes = ModeFamily(leaky, [1.0, 2.0, 0.0])
+        assert modes.frame.groups[1] == (4, 5, 6, 7)
+        X, w = modes.blocks(0.0)[1], modes.omega[1]
+        H = (w[:, None] / w[None, :]) * X
+        low = np.linalg.eigvalsh(0.5 * (H + H.T))[0]
+        assert low < min(leaky.summary.sectors[t][0][0] for t in (4, 5, 6, 7))
+        assert modes.floors[1] <= low
 
     def test_sectors_above_the_threshold_never_reach_eigvals(
         self, modes3, eigvals_calls

@@ -100,7 +100,7 @@ class TestObservables:
         # the global sum, leaving roundoff at the 1e-15 level
         grid, disp, _ = stack12
         f = rng.standard_normal(grid.size)
-        even = 0.5 * (f + f[grid.reflection()])
+        even = 0.5 * (f + f[grid.flatten(-grid.multi_index)])
         j1, j2 = currents(disp, even)
         assert np.abs(j1).max() < 1e-12
         assert np.abs(j2).max() < 1e-12
