@@ -39,6 +39,7 @@ import numpy as np
 import scipy
 
 from .collision import CollisionOperator, DeltaKernel, FourierCollision
+from .collision import exchange_conserved
 from .dispersion import DispersionField, DispersionParams
 from .evolution import (  # count_slow_eigenvalues: bench/tracer.py wraps it here
     ModeFamily,
@@ -318,7 +319,8 @@ def build_linear(cfg, stack, clock):
 # subcommands
 #
 # Each takes (cfg, stack, out, clock), writes its tables into ``out`` and
-# returns (artifact names, fitted constants, checks) for the manifest.
+# returns (artifact names, fitted constants, checks) for the manifest.  A check
+# that the acceptance suite also asserts is a predicate of the result it judges.
 
 
 def cmd_spectrum(cfg, stack, out, clock):
@@ -372,10 +374,8 @@ def cmd_kappa(cfg, stack, out, clock):
         "solve_residual": kappa.solve_residual,
     }
     checks = {
-        "positive_definite": bool(mu[0] > 0.0),
-        "axis_isotropy": bool(
-            kappa.cross_direction_sup < 1e-6 * np.abs(kappa.kappa_op).max()
-        ),
+        "positive_definite": kappa.positive_definite,
+        "axis_isotropy": kappa.cross_free,
     }
     return ["kappa.json"], fitted, checks
 
@@ -397,7 +397,6 @@ def cmd_collision_check(cfg, stack, out, clock):
     op = FourierCollision(grid, disp, delta)
     with clock.stage("collision_tables"):
         rows = []
-        all_number = all_energy = all_entropy = True
         for sample, W in enumerate(states):
             C = op.apply(W)
             sup = float(np.abs(C).max())
@@ -411,24 +410,11 @@ def cmd_collision_check(cfg, stack, out, clock):
                     )
             r_number, r_energy = op.conservation_residuals(W, C)
             sigma = op.entropy_production(W)
-            ok_number = abs(r_number) <= 1e-10 * sup
-            ok_energy = abs(r_energy) <= 1e-10 * sup
-            ok_entropy = sigma >= -1e-15
-            all_number &= ok_number
-            all_energy &= ok_energy
-            all_entropy &= ok_entropy
-            rows.append(
-                (
-                    sample,
-                    sup,
-                    r_number,
-                    r_energy,
-                    sigma,
-                    ok_number,
-                    ok_energy,
-                    ok_entropy,
-                )
-            )
+            # acceptance 03 asks sigma >= 0 instead; this sign test stays its
+            # own, since bench/outputs.py re-derives pass_entropy with -1e-15
+            rows.append((sample, sup, r_number, r_energy, sigma,
+                         exchange_conserved(r_number, sup),
+                         exchange_conserved(r_energy, sup), sigma >= -1e-15))
     write_csv(
         out / "collision_checks.csv",
         [
@@ -444,11 +430,9 @@ def cmd_collision_check(cfg, stack, out, clock):
         rows,
     )
     fitted = {"equilibrium_tolerance": op.equilibrium_tolerance()}
-    checks = {
-        "number_conserved": bool(all_number),
-        "energy_conserved": bool(all_energy),
-        "entropy_nonnegative": bool(all_entropy),
-    }
+    names = ("number_conserved", "energy_conserved", "entropy_nonnegative")
+    checks = {name: all(row[col] for row in rows)
+              for col, name in enumerate(names, start=5)}
     return ["collision_checks.csv"], fitted, checks
 
 
@@ -483,9 +467,8 @@ def cmd_dispersion_relation(cfg, stack, out, clock):
         "rel_err_2": float(sweep.rel_err[1]),
     }
     checks = {
-        "quadratic_coefficients_match_conductivity": bool(
-            np.all(sweep.rel_err <= 0.05)
-        ),
+        "quadratic_coefficients_match_conductivity":
+            sweep.quadratic_coefficients_match_conductivity,
     }
     return ["dispersion_relation.csv"], fitted, checks
 
@@ -503,22 +486,11 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
     t_values = np.array(cfg.t_factors) / gap
     with clock.stage("norm_sweep"):
         sweep = semigroup_bound_sweep(modes, p_values, t_values)
-    rows = []
-    for i, p in enumerate(sweep.p_values):
-        for j, t in enumerate(sweep.t_values):
-            rows.append(
-                (
-                    p,
-                    t,
-                    sweep.full_norm[i, j],
-                    sweep.full_norm_sup[i, j],
-                    sweep.pq_norm[i, j],
-                    sweep.qp_norm[i, j],
-                    sweep.qq_norm[i, j],
-                    sweep.qq_deflated_norm[i, j],
-                    sweep.qtilde_norm[i, j],
-                )
-            )
+    norms = (sweep.full_norm, sweep.full_norm_sup, sweep.pq_norm, sweep.qp_norm,
+             sweep.qq_norm, sweep.qq_deflated_norm, sweep.qtilde_norm)
+    rows = [(p, t, *(norm[i, j] for norm in norms))
+            for i, p in enumerate(sweep.p_values)
+            for j, t in enumerate(sweep.t_values)]
     write_csv(
         out / "semigroup_bounds.csv",
         [
@@ -534,13 +506,11 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
         ],
         rows,
     )
-    halving_rows = []
-    for i in range(sweep.qq_halving_ratios.shape[0]):
-        for j, t in enumerate(sweep.t_values):
-            halving_rows.append(
-                (sweep.p_values[i], sweep.p_values[i + 1], t,
-                 sweep.qq_halving_ratios[i, j])
-            )
+    halving_rows = [
+        (sweep.p_values[i], sweep.p_values[i + 1], t, sweep.qq_halving_ratios[i, j])
+        for i in range(sweep.qq_halving_ratios.shape[0])
+        for j, t in enumerate(sweep.t_values)
+    ]
     write_csv(
         out / "semigroup_halving.csv",
         [
@@ -551,7 +521,6 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
         ],
         halving_rows,
     )
-    ratios = sweep.qq_halving_ratios
     fitted = {
         "gap_a": gap,
         "p0": p0,
@@ -566,9 +535,7 @@ def cmd_semigroup_bounds(cfg, stack, out, clock):
         "energy_norm_contraction": bool(
             np.all(sweep.full_norm <= 1.0 + 1e-10)
         ),
-        "fast_block_scales_with_p_squared": bool(
-            ratios.size > 0 and np.all((0.7 <= ratios) & (ratios <= 1.3))
-        ),
+        "fast_block_scales_with_p_squared": sweep.fast_block_scales_with_p_squared,
     }
     return ["semigroup_bounds.csv", "semigroup_halving.csv"], fitted, checks
 
@@ -594,16 +561,8 @@ def cmd_evolve(cfg, stack, out, clock):
         )
     diag = traj.diagnostics
     rows = [
-        (
-            t,
-            report.norm_T[j],
-            report.norm_v[j],
-            diag["T_sup"][j, 0],
-            diag["T_sup"][j, 1],
-            diag["conservation_sup"][j, 0],
-            diag["conservation_sup"][j, 1],
-            diag["current_sup"][j],
-        )
+        (t, report.norm_T[j], report.norm_v[j], *diag["T_sup"][j],
+         *diag["conservation_sup"][j], diag["current_sup"][j])
         for j, t in enumerate(traj.times)
     ]
     write_csv(
@@ -628,12 +587,8 @@ def cmd_evolve(cfg, stack, out, clock):
     }
     checks = {
         "fit_window_nonempty": bool(not report.window_empty),
-        "slow_decay_rate": bool(
-            not report.window_empty and abs(report.slope_T + 1.0) <= 0.15
-        ),
-        "fast_decay_rate": bool(
-            not report.window_empty and abs(report.slope_v + 1.5) <= 0.15
-        ),
+        "slow_decay_rate": report.slow_decay_rate,
+        "fast_decay_rate": report.fast_decay_rate,
     }
     return ["trajectory.csv"], fitted, checks
 
@@ -683,9 +638,7 @@ def cmd_hydro_limit(cfg, stack, out, clock):
     }
     checks = {
         "distances_shrink_monotonically": bool(study.monotone),
-        "distance_scales_with_eps": bool(
-            study.monotone and study.final_vs_first <= 0.5
-        ),
+        "distance_scales_with_eps": study.distance_scales_with_eps,
     }
     return ["hydro_limit.csv"], fitted, checks
 
@@ -695,7 +648,6 @@ def cmd_validate_kernel(cfg, stack, out, clock):
     rng = np.random.default_rng(cfg.seed)
     chain = cfg.eta_chain
     rows = []
-    all_pass = True
     with clock.stage("quadrature_cross_check"):
         accepted = 0
         while accepted < cfg.pairs:
@@ -705,22 +657,14 @@ def cmd_validate_kernel(cfg, stack, out, clock):
                 continue
             exact = i1_exact(k, kp, disp.params, m=cfg.quad_m,
                              refine_tol=cfg.refine_tol)
-            errors = []
-            for eta in chain:
-                approx = i1_mollified(k, kp, disp.params, DeltaKernel(eta))
-                errors.append(abs(approx - exact))
+            errors = [abs(i1_mollified(k, kp, disp.params, DeltaKernel(eta)) - exact)
+                      for eta in chain]
             ratios = [
                 errors[i] / errors[i + 1] if errors[i + 1] > 0 else np.inf
                 for i in range(len(errors) - 1)
             ]
             ok = all(ratio >= WIDTH_HALVING_MIN_RATIO for ratio in ratios)
-            all_pass &= ok
-            rows.append(
-                (accepted, k[0], k[1], kp[0], kp[1], exact)
-                + tuple(errors)
-                + tuple(ratios)
-                + (ok,)
-            )
+            rows.append((accepted, *k, *kp, exact, *errors, *ratios, ok))
             accepted += 1
     header = (
         ["pair [-]", "k_1 [1/length]", "k_2 [1/length]",
@@ -734,7 +678,7 @@ def cmd_validate_kernel(cfg, stack, out, clock):
         [row[6 + len(chain):6 + 2 * len(chain) - 1] for row in rows], dtype=float
     )
     fitted = {"mean_error_ratio": float(ratio_cols.mean())}
-    checks = {"width_refinement_second_order": bool(all_pass)}
+    checks = {"width_refinement_second_order": all(row[-1] for row in rows)}
     return ["kernel_validation.csv"], fitted, checks
 
 

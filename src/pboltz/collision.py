@@ -129,6 +129,16 @@ def equilibrium(disp, T, A):
     return T / (disp.w + A)
 
 
+# An exchange (one of `conservation_residuals`) counts as conserved when it is
+# at most this fraction of sup|C|.
+CONSERVATION_RTOL = 1e-10
+
+
+def exchange_conserved(residual, sup):
+    """Whether |residual| <= `CONSERVATION_RTOL` * sup, sup being sup|C|."""
+    return bool(abs(residual) <= CONSERVATION_RTOL * sup)
+
+
 class CollisionDiagnostics:
     """The checks shared by both evaluators; they need only `apply`, `grid`
     and `disp`."""

@@ -48,6 +48,16 @@ STEP_SAFETY = 0.4
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 12
 
+# Bounds of the checks that the results below carry: the band of the halving
+# ratios per p^2 (a |p|^2 law reads 1); the relative curvature error; the box
+# decay laws as (slope, tolerance), the t^(-d/2) and t^(-(d+1)/2) rates at
+# d = 1, the box being 1-D in x; last over first of a monotone eps sequence.
+P_SQUARED_BAND = (0.7, 1.3)
+CURVATURE_RTOL = 0.05
+SLOW_DECAY_LAW = (-0.5, 0.15)
+FAST_DECAY_LAW = (-1.0, 0.2)
+EPS_SCALING_MAX_RATIO = 1.0 / 3.0
+
 
 # ----------------------------------------------------------------------
 # mode matrix and spectrum
@@ -491,6 +501,11 @@ class SemigroupSweep:
     bound_ratio_full: np.ndarray
     qq_halving_ratios: np.ndarray
 
+    @property
+    def fast_block_scales_with_p_squared(self):
+        (lo, hi), ratios = P_SQUARED_BAND, self.qq_halving_ratios
+        return bool(ratios.size > 0 and np.all((lo <= ratios) & (ratios <= hi)))
+
 
 def semigroup_bound_sweep(modes, p_values, t_values):
     """Measure the propagator block norms over a (p, t) grid.
@@ -590,6 +605,10 @@ class DispersionRelationSweep:
     mu: np.ndarray
     rel_err: np.ndarray
 
+    @property
+    def quadratic_coefficients_match_conductivity(self):
+        return bool(np.all(self.rel_err <= CURVATURE_RTOL))
+
 
 def dispersion_relation_sweep(kappa, p_values, direction=None):
     """Fit the two lowest eigenvalues of the mode operator of
@@ -627,16 +646,14 @@ def dispersion_relation_sweep(kappa, p_values, direction=None):
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
-    """Envelope (1 + (t+1) p^2)^(-n_w) and the induced sup-over-modes norm."""
+    """Envelope (1 + (t+1) p^2)^(-n_w) and the induced sup-over-modes norm,
+    with n_w = d // 2 + 1, the least integer above d/2."""
 
     d: int
-    n_w: int = 0
 
-    def __post_init__(self):
-        if self.n_w == 0:
-            object.__setattr__(self, "n_w", self.d // 2 + 1)
-        if 2 * self.n_w <= self.d:
-            raise ValueError("weight exponent must exceed d/2")
+    @property
+    def n_w(self):
+        return self.d // 2 + 1
 
     def envelope(self, p_abs, t):
         p_abs = np.asarray(p_abs, dtype=float)
@@ -718,6 +735,11 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
     collisions act per cell through `evaluator.apply_batch`.  The step is at
     most `dt` (`stable_step` gives one).  Positivity loss aborts with the
     failing time in the message.
+
+    ``diagnostics["current_sup"]`` is, per recorded time, the largest over
+    cells of |int omega^2 d_0 omega W dk| / 2 pi: the transport flux of
+    int omega^2 W dk (the H-pairing of the flux with 1), not a current of
+    the conserved pair, which `currents` pairs with omega^-1 and omega^-2.
     """
     disp = evaluator.disp
     W = np.array(W0, dtype=float)
@@ -803,7 +825,7 @@ class DecayReport:
     Slopes are fitted on log-log axes after dividing out the planar
     logarithmic correction; `t_box` is where the largest-box-mode decay
     first exceeds the contamination budget, and the fit window is the
-    trajectory times inside [t_min, t_box].
+    trajectory times inside [t_min, t_box], which a decay law needs nonempty.
     """
 
     times: np.ndarray
@@ -815,6 +837,18 @@ class DecayReport:
     slope_v: float
     window_empty: bool
     contamination: float
+
+    def _follows(self, slope, law):
+        target, tol = law
+        return bool(not self.window_empty and abs(slope - target) <= tol)
+
+    @property
+    def slow_decay_rate(self):
+        return self._follows(self.slope_T, SLOW_DECAY_LAW)
+
+    @property
+    def fast_decay_rate(self):
+        return self._follows(self.slope_v, FAST_DECAY_LAW)
 
 
 def loglog_slope(ts, ys):
@@ -927,6 +961,10 @@ class HydroStudy:
     t_compare: float
     monotone: bool
     final_vs_first: float
+
+    @property
+    def distance_scales_with_eps(self):
+        return bool(self.monotone and self.final_vs_first < EPS_SCALING_MAX_RATIO)
 
 
 def _heat_reference(diffusivity, tau0, box_length, t_final, dt):

@@ -28,8 +28,9 @@ TWO_PI = 2.0 * np.pi
 
 # The shifted-background solves' tolerance and caps; the largest low-mode
 # overlap and residual of the conductivity solves; the Fourier-law bound per
-# unit |p| ||T||; the largest relative deviation of a per-axis conductivity;
-# the stencil half-width of `DiffusivityModel`.
+# unit |p| ||T||; the largest relative deviation of a per-axis conductivity,
+# and of the cross-direction pairing (`ConductivityMatrix.cross_free`); the
+# stencil half-width of `DiffusivityModel`.
 RESPONSE_TOL = 1e-10
 GMRES_MAXITER = 200
 MAX_SWEEPS = 60
@@ -235,6 +236,17 @@ class ConductivityMatrix:
     @property
     def basis(self):
         return self.model.basis
+
+    @property
+    def positive_definite(self):
+        return bool(self.mu.min() > 0.0)
+
+    @property
+    def cross_free(self):
+        """The pairings against the other gradient axes (`cross_direction_sup`)
+        are at most `ISOTROPY_TOL` of max|kappa_ab|."""
+        scale = np.abs(self.kappa_ab).max()
+        return bool(self.cross_direction_sup <= ISOTROPY_TOL * scale)
 
 
 def compute_kappa(model, axis=0):

@@ -92,10 +92,6 @@ class TorusGrid:
             raise ValueError(f"{perm} is not a permutation of the {self.d} axes")
         return self.flatten(self.multi_index[:, list(perm)])
 
-    def shift(self, delta_multi):
-        """Index permutation realizing k -> k + delta for a lattice vector."""
-        return self.flatten(self.multi_index + np.asarray(delta_multi))
-
     def pair_index(self, sign):
         """(size, size) table: flat index of k + sign k' (per axis mod n)
         for every pair (k, k')."""

@@ -10,6 +10,11 @@ import numpy as np
 from pboltz.collision import PREFACTOR
 
 
+def shift_permutation(grid, delta_multi):
+    """Index permutation realizing k -> k + delta for a lattice vector."""
+    return grid.flatten(grid.multi_index + np.asarray(delta_multi))
+
+
 def assemble_M(grid, disp, delta):
     """M by the direct double sum."""
     M = np.empty(grid.size)
@@ -25,7 +30,8 @@ def M_rows(grid, disp, delta, out, rows):
     diff = grid.pair_index(-1)  # k1 - k2
     pref12 = winv2[:, None] * winv2[None, :]
     for i0 in rows:
-        shift = grid.shift(grid.multi_index[i0])  # x[shift][diff] = x[k0 + k1 - k2]
+        # x[shift][diff] = x[k0 + k1 - k2]
+        shift = shift_permutation(grid, grid.multi_index[i0])
         u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
         winv2_3 = winv2[shift][diff]
         out[i0] = PREFACTOR * np.sum(pref12 * winv2_3 * delta.weights(u)) / N**2
@@ -47,7 +53,7 @@ def I1_diagonals(grid, disp, delta, out, deltas):
     winv2 = disp.winv2
     cols = np.arange(N)
     for idelta in deltas:
-        S = grid.shift(grid.multi_index[idelta])  # k -> k + D
+        S = shift_permutation(grid, grid.multi_index[idelta])  # k -> k + D
         pref = winv2 * winv2[S]
         du = w - w[S]
         off = w[S] - w  # w(k) - w(k') along the diagonal, per k'
@@ -86,7 +92,8 @@ def collision_apply(grid, disp, delta, W, rows=None):
     W12 = W1 * W2
     bw12 = winv[:, None] * winv[None, :]
     for r, i0 in enumerate(rows):
-        shift = grid.shift(grid.multi_index[i0])  # x[shift][diff] = x[k0 + k1 - k2]
+        # x[shift][diff] = x[k0 + k1 - k2]
+        shift = shift_permutation(grid, grid.multi_index[i0])
         W3 = W[shift][diff]
         u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
         W0 = W[i0]
@@ -107,7 +114,7 @@ def entropy_production(grid, disp, delta, W):
     J12 = R[:, None] - R[None, :]
     acc = 0.0
     for i0 in range(grid.size):
-        shift = grid.shift(grid.multi_index[i0])
+        shift = shift_permutation(grid, grid.multi_index[i0])
         u = (w[i0] + w[:, None]) - (w[None, :] + w[shift][diff])
         J = (R[i0] + J12) - R[shift][diff]
         P = x[i0] * P12 * x[shift][diff]

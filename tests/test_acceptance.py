@@ -28,8 +28,14 @@ energy invariant, the row identity, the macroscopic curvature match, the
 uniform block prefactor, and the box decay window all carry finite-width
 floors that the stated bounds do not meet at these scales.  Comments on the
 individual tests record the measured values.
+
+A check that a CLI subcommand also writes into its manifest (02, 07-11, 13)
+has one definition, which the subcommand and the test both call: a predicate
+of the result it judges, such as `DecayReport.slow_decay_rate`, with its
+bound a module constant beside it; 07 runs `validate-kernel` itself.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -37,11 +43,12 @@ import pytest
 
 from pboltz.cli import main as cli_main
 from pboltz.collision import (
+    CONSERVATION_RTOL,
     EQUILIBRIUM_FAMILY,
     CollisionOperator,
     DeltaKernel,
-    FourierCollision,
     equilibrium,
+    exchange_conserved,
 )
 from pboltz.dispersion import DispersionField
 from pboltz.evolution import (
@@ -56,6 +63,7 @@ from pboltz.evolution import (
     stable_step,
 )
 from pboltz.hydrodynamics import (
+    ISOTROPY_TOL,
     LinearModel,
     SlowState,
     compute_kappa,
@@ -64,13 +72,10 @@ from pboltz.hydrodynamics import (
     slaved_state,
 )
 from pboltz.linearized import (
-    WIDTH_HALVING_MIN_RATIO,
     assemble_K,
     assemble_L,
     assemble_M,
     fd_linearization_check,
-    i1_exact,
-    i1_mollified,
     kernel_row_sup,
     row_identity_residual,
     spectrum_L,
@@ -204,12 +209,14 @@ def test_01_equilibrium_annihilation(stack16, op16, tau16, tau32):
 
 def test_02_collision_invariants(stack16, op16):
     grid, disp, _ = stack16
+    conserved = True
     worst = 0.0
     for W in random_states(grid):
         C = op16.apply(W)
-        r0, r1 = op16.conservation_residuals(W, C)
-        bound = 1e-10 * sup_norm(C)
-        worst = max(worst, abs(r0) / bound, abs(r1) / bound)
+        sup = sup_norm(C)
+        for residual in op16.conservation_residuals(W, C):
+            conserved &= exchange_conserved(residual, sup)
+            worst = max(worst, abs(residual) / (CONSERVATION_RTOL * sup))
     # The plain-number invariant cancels exactly (~1e-12 of the bound); the
     # energy-weighted one carries the finite-width smearing of the energy
     # constraint, which on rough random states is a few percent of sup|C| —
@@ -217,7 +224,7 @@ def test_02_collision_invariants(stack16, op16):
     report(
         2,
         "collision-invariants",
-        worst <= 1.0,
+        conserved,
         f"worst residual = {worst:.2e} x bound",
     )
 
@@ -225,6 +232,9 @@ def test_02_collision_invariants(stack16, op16):
 def test_03_entropy_production(stack16, op16, tau16):
     grid, disp, _ = stack16
     sigmas = [op16.entropy_production(W) for W in random_states(grid)]
+    # collision-check's entropy_nonnegative allows sigma >= -1e-15 instead;
+    # the two sign tests stay apart, since bench/outputs.py re-derives that
+    # pass column with -1e-15
     nonneg = all(s >= 0.0 for s in sigmas)
     flat = all(
         op16.entropy_production(equilibrium(disp, T, A)) <= tau16
@@ -296,28 +306,27 @@ def test_06_kernel_row_identity(stack16, stack24):
 # 07: quadrature of the pair reduction
 
 
-def test_07_reduced_integral_convergence(params):
-    rng = np.random.default_rng(3)
-    pairs = []
-    while len(pairs) < 10:
-        k = rng.uniform(-np.pi, np.pi, 2)
-        kp = rng.uniform(-np.pi, np.pi, 2)
-        if np.all(np.abs(np.sin((k - kp) / 2.0)) > 0.3):
-            pairs.append((k, kp))
-    etas = (0.25, 0.125, 0.0625)
-    worst = np.inf
-    for k, kp in pairs:
-        exact = i1_exact(k, kp, params, m=1024, refine_tol=1e-8)
-        errs = [
-            abs(i1_mollified(k, kp, params, DeltaKernel(eta)) - exact)
-            for eta in etas
-        ]
-        for e_coarse, e_fine in zip(errs, errs[1:]):
-            worst = min(worst, e_coarse / e_fine)
+def test_07_reduced_integral_convergence(tmp_path):
+    # validate-kernel at 10 seeded pairs with |sin((k - k')/2)| > 0.3 per
+    # axis, widths 0.25, 0.125, 0.0625 and the exact reduction at m = 1024,
+    # refined to 1e-8
+    out = tmp_path / "kernel"
+    code = cli_main([
+        "validate-kernel", "--d", "2", "--r", "1.0", "--seed", "3",
+        "--pairs", "10", "--min-sin", "0.3", "--eta-chain", "0.25,0.125,0.0625",
+        "--quad-m", "1024", "--refine-tol", "1e-8", "--outdir", str(out),
+    ])
+    assert code == 0
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        passed = json.load(fh)["checks"]["width_refinement_second_order"]
+    with open(out / "kernel_validation.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    worst = min(float(v) for row in rows for key, v in row.items()
+                if key.startswith("error_ratio_"))
     report(
         7,
         "reduced-integral-convergence",
-        worst >= WIDTH_HALVING_MIN_RATIO,
+        passed,
         f"min error ratio per width halving = {worst:.2f}",
     )
 
@@ -329,7 +338,6 @@ def test_07_reduced_integral_convergence(params):
 def test_08_conductivity_matrix(model24, kappa24):
     K = kappa24.kappa_op
     sym = np.max(np.abs(K - K.T)) <= 1e-8 * np.max(np.abs(K))
-    spd = bool(np.all(np.linalg.eigvalsh(0.5 * (K + K.T)) > 0))
     other = compute_kappa(model24, axis=1)
     scale = np.max(np.abs(kappa24.kappa_ab))
     axis_dev = np.max(np.abs(other.kappa_ab - kappa24.kappa_ab)) / scale
@@ -337,7 +345,8 @@ def test_08_conductivity_matrix(model24, kappa24):
     report(
         8,
         "conductivity-matrix",
-        sym and spd and axis_dev <= 1e-8 and cross <= 1e-8,
+        sym and kappa24.positive_definite and axis_dev <= ISOTROPY_TOL
+        and kappa24.cross_free,
         f"eigs = {np.linalg.eigvalsh(K)}, axis dev = {axis_dev:.1e}, "
         f"cross = {cross:.1e}",
     )
@@ -349,11 +358,10 @@ def test_09_mode_curvature_matches_conductivity(kappa24):
     # below |p| ~ 0.02, so their fitted curvature is orders of magnitude
     # smaller than the conductivity eigenvalues (helper-level tests cover the
     # small-|p| regime where the quadratic law does hold).
-    worst = float(np.max(sweep.rel_err))
     report(
         9,
         "mode-curvature-vs-conductivity",
-        worst <= 0.05,
+        sweep.quadratic_coefficients_match_conductivity,
         f"rel err = {sweep.rel_err}, quad = {sweep.quad_coef}, mu = {sweep.mu}",
     )
 
@@ -376,13 +384,14 @@ def test_10_semigroup_block_bounds(model24):
     # at the slow rate), so no such prefactor exists.
     ratio_max = float(np.max(sweep.bound_ratio_pq))
     cross_ok = sweep.c_hat > 0 and ratio_max <= 1e3
+    # The halving ratios are divided by (p_high / p_low)^2, so a |p|^2 law
+    # reads 1; they cluster near 1/4 (measured 0.25-0.32), the mark of a
+    # frequency-independent fast tail, so the law fails too.
     ratios = sweep.qq_halving_ratios
-    lo, hi = 1.0 / (4.0 * 1.3), 1.0 / (4.0 * 0.7)
-    psq_ok = bool(np.all((ratios >= lo) & (ratios <= hi)))
     report(
         10,
         "semigroup-block-bounds",
-        cross_ok and psq_ok,
+        cross_ok and sweep.fast_block_scales_with_p_squared,
         f"c_hat = {sweep.c_hat:.2e}, max cross ratio = {ratio_max:.1e}, "
         f"qq halving in [{ratios.min():.3f}, {ratios.max():.3f}]",
     )
@@ -397,15 +406,10 @@ def test_11_box_decay_exponents(traj12, kappa12):
     # The box-validity horizon t_box ~ 1/(p_min^2 mu_min) is ~1e-5 here
     # (macroscopic diffusion is fast because the gap is tiny), so the
     # requested fit window [10, t_box] is empty and the slopes are NaN.
-    slopes_ok = (
-        not rep.window_empty
-        and abs(rep.slope_T + 0.5) <= 0.15
-        and abs(rep.slope_v + 1.0) <= 0.2
-    )
     report(
         11,
         "box-decay-exponents",
-        slopes_ok,
+        rep.slow_decay_rate and rep.fast_decay_rate,
         f"t_box = {rep.t_box:.2e}, slope_T = {rep.slope_T}, "
         f"slope_v = {rep.slope_v}",
     )
@@ -481,7 +485,7 @@ def test_13_hydrodynamic_limit(stack12, response12):
     report(
         13,
         "hydrodynamic-limit",
-        study.monotone and study.final_vs_first < 1.0 / 3.0,
+        study.distance_scales_with_eps,
         f"distances = {np.array(dists)}, final/first = {study.final_vs_first:.2f}",
     )
 

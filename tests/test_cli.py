@@ -49,6 +49,19 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def captured(monkeypatch, name):
+    """The results of the calls of ``cli.<name>`` made while the test runs."""
+    results = []
+    original = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, recording)
+    return results
+
+
 def run_gaussian_config_file(tmp_path):
     """A spectrum run whose config file names the kernel shape."""
     cfg = tmp_path / "run.cfg"
@@ -363,7 +376,8 @@ class TestArtifacts:
         for _, cell in rows:
             assert cell == f"{float(cell):.17g}"
 
-    def test_kappa_json(self, tmp_path):
+    def test_kappa_json(self, tmp_path, monkeypatch):
+        kappas = captured(monkeypatch, "compute_kappa")
         code, out = run(tmp_path, "kap", "kappa", *FAST)
         assert code == 0
         with open(out / "kappa.json", encoding="utf-8") as fh:
@@ -373,8 +387,11 @@ class TestArtifacts:
         assert np.allclose(op, op.T, rtol=1e-10)
         mu = np.array(payload["mu"])
         assert np.all(mu > 0)
-        manifest = read_manifest(out)
-        assert manifest["checks"]["positive_definite"] is True
+        checks = read_manifest(out)["checks"]
+        assert checks["positive_definite"] is True
+        (kappa,) = kappas
+        assert checks == {"positive_definite": kappa.positive_definite,
+                          "axis_isotropy": kappa.cross_free}
 
     def test_collision_check_table(self, tmp_path):
         code, out = run(
@@ -393,7 +410,8 @@ class TestArtifacts:
         assert manifest["checks"]["number_conserved"] is True
         assert manifest["checks"]["entropy_nonnegative"] is True
 
-    def test_dispersion_relation_table(self, tmp_path):
+    def test_dispersion_relation_table(self, tmp_path, monkeypatch):
+        sweeps = captured(monkeypatch, "dispersion_relation_sweep")
         code, out = run(
             tmp_path, "dr", "dispersion-relation", *FAST, "--p-count", "4"
         )
@@ -404,8 +422,12 @@ class TestArtifacts:
         fc = manifest["fitted_constants"]
         assert fc["quad_coef_1"] <= fc["quad_coef_2"]
         assert fc["mu_1"] > 0
+        (sweep,) = sweeps
+        assert (manifest["checks"]["quadratic_coefficients_match_conductivity"]
+                == sweep.quadratic_coefficients_match_conductivity)
 
-    def test_semigroup_bounds_tables(self, tmp_path):
+    def test_semigroup_bounds_tables(self, tmp_path, monkeypatch):
+        sweeps = captured(monkeypatch, "semigroup_bound_sweep")
         code, out = run(tmp_path, "sg", "semigroup-bounds", *FAST)
         assert code == 0
         _, rows = read_csv(out / "semigroup_bounds.csv")
@@ -418,8 +440,12 @@ class TestArtifacts:
         assert fc["rate_c"] > 0
         checks = read_manifest(out)["checks"]
         assert checks["energy_norm_contraction"] is True
+        (sweep,) = sweeps
+        assert (checks["fast_block_scales_with_p_squared"]
+                == sweep.fast_block_scales_with_p_squared)
 
-    def test_evolve_trajectory(self, tmp_path):
+    def test_evolve_trajectory(self, tmp_path, monkeypatch):
+        reports = captured(monkeypatch, "decay_diagnostics")
         code, out = run(
             tmp_path, "ev", "evolve", *FAST,
             "--n-x", "8", "--t-max", "2.0", "--n-times", "4",
@@ -432,6 +458,9 @@ class TestArtifacts:
         assert manifest["fitted_constants"]["t_box"] > 0
         # unit-time fits on a 200-box are outside the diffusive window
         assert manifest["checks"]["fit_window_nonempty"] is False
+        (report,) = reports
+        assert manifest["checks"]["slow_decay_rate"] == report.slow_decay_rate
+        assert manifest["checks"]["fast_decay_rate"] == report.fast_decay_rate
 
     @pytest.mark.parametrize("dt", ["auto", "0.01"])
     def test_evolve_reports_the_step_it_took(self, tmp_path, monkeypatch, stack8, dt):
@@ -458,7 +487,8 @@ class TestArtifacts:
             assert step_dt == 0.01
             assert calls == []
 
-    def test_hydro_limit_table(self, tmp_path):
+    def test_hydro_limit_table(self, tmp_path, monkeypatch):
+        studies = captured(monkeypatch, "hydro_limit_study")
         code, out = run(
             tmp_path, "hl", "hydro-limit", *FAST,
             "--n-x", "8", "--eps-list", "0.5,0.25",
@@ -470,6 +500,9 @@ class TestArtifacts:
         assert len(rows) == 2
         assert [r[0] for r in rows] == ["0.5", "0.25"]
         assert int(rows[0][3]) == 8  # ceil(0.2 / (0.05 * 0.5))
+        (study,) = studies
+        assert (read_manifest(out)["checks"]["distance_scales_with_eps"]
+                == study.distance_scales_with_eps)
 
     def test_validate_kernel_table(self, tmp_path):
         code, out = run(

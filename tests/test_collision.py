@@ -18,6 +18,7 @@ from pboltz.collision import (
     FourierCollision,
     _rev_fft,
     equilibrium,
+    exchange_conserved,
 )
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.torus_grid import TorusGrid, sup_norm
@@ -133,6 +134,12 @@ class TestCollisionOperator:
         _, m1 = collision12.conservation_residuals(W, c)
         assert abs(m1) < sup_norm(c)
         assert abs(m1) > 1e-12 * sup_norm(c)
+
+    @pytest.mark.parametrize("residual, holds", [
+        (2e-10, True), (-2e-10, True), (3e-10, False), (np.nan, False),
+    ])
+    def test_exchange_conserved_to_1e_10_of_sup(self, residual, holds):
+        assert exchange_conserved(residual, 2.0) is holds
 
     def test_commutes_with_reflection(self, stack12, collision12, rng):
         grid, _, _ = stack12
@@ -513,6 +520,13 @@ class TestGatheredLegThree:
     """The full-plane oracle sums gather k3 from an index table; each
     result is bitwise the one of the per-axis arithmetic index with the same
     operations."""
+
+    def test_shift_permutation(self):
+        grid = TorusGrid(2, 8)
+        delta = np.array([3, -2])
+        perm = direct_sums.shift_permutation(grid, delta)
+        expect = grid.flatten(grid.multi_index + delta)
+        assert np.array_equal(perm, expect)
 
     def test_gaussian_weights_are_the_closed_form(self):
         k = DeltaKernel(0.7)

@@ -20,9 +20,13 @@ from pboltz import evolution
 from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.evolution import (
+    DecayReport,
+    DispersionRelationSweep,
     EvolutionTrajectory,
+    HydroStudy,
     ModeFamily,
     ModeSemigroup,
+    SemigroupSweep,
     SlowFastBlocks,
     WeightedNormSpec,
     block_decomposition_check,
@@ -912,8 +916,6 @@ class TestWeightedNormSpec:
     def test_default_exponent_exceeds_half_the_dimension(self):
         assert WeightedNormSpec(d=2).n_w == 2
         assert WeightedNormSpec(d=3).n_w == 2
-        with pytest.raises(ValueError):
-            WeightedNormSpec(d=2, n_w=1)
 
     def test_envelope_values(self):
         spec = WeightedNormSpec(d=2)
@@ -1256,3 +1258,57 @@ class TestHydroLimitStudy:
                 eps_list=(0.4,),
                 t_compare=0.2,
             )
+
+
+# ----------------------------------------------------------------------
+# the check predicates that the CLI manifests and the acceptance suite share
+
+
+def result_with(cls, **given):
+    """A `cls` whose fields are `given`, every other field None."""
+    return cls(**{f.name: given.get(f.name) for f in dataclasses.fields(cls)})
+
+
+class TestCheckPredicates:
+    @pytest.mark.parametrize("ratios, holds", [
+        ([[1.0, 1.0], [0.7, 1.3]], True),
+        ([[1.0, 0.25]], False),  # a frequency-independent tail reads 1/4
+        ([[1.0, np.nan]], False),
+        (np.zeros((0, 3)), False),
+    ])
+    def test_p_squared_law_reads_one(self, ratios, holds):
+        sweep = result_with(SemigroupSweep, qq_halving_ratios=np.asarray(ratios))
+        assert sweep.fast_block_scales_with_p_squared is holds
+
+    @pytest.mark.parametrize("empty, slopes, holds", [
+        (False, (-0.5, -1.0), (True, True)),
+        (False, (-1.0, -1.5), (False, False)),
+        (False, (-0.64, -1.19), (True, True)),
+        (True, (-0.5, -1.0), (False, False)),
+        (True, (np.nan, np.nan), (False, False)),
+    ])
+    def test_box_decay_laws_are_the_d_1_rates(self, empty, slopes, holds):
+        report = result_with(DecayReport, window_empty=empty, slope_T=slopes[0],
+                        slope_v=slopes[1])
+        assert (report.slow_decay_rate, report.fast_decay_rate) == holds
+
+    @pytest.mark.parametrize("monotone, final_vs_first, holds", [
+        (True, 0.3, True),
+        (True, 0.4, False),
+        (False, 0.3, False),
+    ])
+    def test_eps_scaling_needs_a_third_of_the_first_distance(
+        self, monotone, final_vs_first, holds
+    ):
+        study = result_with(HydroStudy, monotone=monotone,
+                       final_vs_first=final_vs_first)
+        assert study.distance_scales_with_eps is holds
+
+    @pytest.mark.parametrize("rel_err, holds", [
+        ([0.0, 0.05], True),
+        ([0.01, 0.06], False),
+        ([0.01, np.nan], False),
+    ])
+    def test_curvature_within_five_percent(self, rel_err, holds):
+        sweep = result_with(DispersionRelationSweep, rel_err=np.array(rel_err))
+        assert sweep.quadratic_coefficients_match_conductivity is holds

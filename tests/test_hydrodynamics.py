@@ -1,5 +1,7 @@
 """Slow projections, conductivity, Fourier law, and shifted-background response."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,18 @@ class TestKappa:
 
     def test_solve_residual_small(self, kappa12):
         assert kappa12.solve_residual < 1e-8
+
+    @pytest.mark.parametrize("mu, cross, holds", [
+        ([1e-9, 1.0], 2e-8, (True, True)),
+        ([0.0, 1.0], 3e-8, (False, False)),
+    ])
+    def test_check_predicates(self, kappa12, mu, cross, holds):
+        # cross-free means at most 1e-8 of max|kappa_ab| = 2
+        kappa = dataclasses.replace(
+            kappa12, mu=np.array(mu), kappa_ab=np.array([[2.0, 0.0], [0.0, 1.0]]),
+            cross_direction_sup=cross,
+        )
+        assert (kappa.positive_definite, kappa.cross_free) == holds
 
 
 class TestFourierLaw:

@@ -119,13 +119,6 @@ class TestPermutations:
         assert np.allclose(kr[interior, 0], -k[interior, 0])
         assert np.allclose(kr[:, 1], k[:, 1])
 
-    def test_shift_permutation(self):
-        grid = TorusGrid(2, 8)
-        delta = np.array([3, -2])
-        perm = grid.shift(delta)
-        expect = grid.flatten(grid.multi_index + delta)
-        assert np.array_equal(perm, expect)
-
     def test_axis_permutation_swaps(self):
         grid = TorusGrid(2, 8)
         perm = grid.axis_permutation((1, 0))
