@@ -25,9 +25,10 @@ The module also carries two independent validators:
 
 * a central finite-difference derivative of the collision evaluator
   (`fd_linearization_check`) — the primary correctness gate tying L to C;
-* an exact-energy-shell evaluation of the I1 integral by co-area root
-  scanning (`i1_exact` / `i1_mollified`) — quantifies the mollification
-  bias of the delta kernel at sampled (k, k').
+* the I1 integral on the exact energy shell (`i1_exact`, by co-area sums
+  over the grid lines of both axes) against the same integral with the
+  regularized delta (`i1_mollified`) — quantifies the mollification bias of
+  the delta kernel at sampled (k, k').
 """
 
 from __future__ import annotations
@@ -243,128 +244,55 @@ def kernel_row_sup(K, grid):
 
 # ----------------------------------------------------------------------
 # exact-shell validator for I1
+#
+# int g delta(G) d^2q by the co-area formula along the grid lines of both
+# axes, split by the partition of unity w_a = |d_a G|^2k / sum_b |d_b G|^2k.
+# On a line q_1 = const the w_2 share is the sum over the roots q_2 of
+# g |d_2 G|^(2k-1) / sum_b |d_b G|^2k, and the same with the axes swapped.
+# The weight vanishes where a line touches the level set, which is where a
+# plain line sum has its inverse-square-root singularity and where roots
+# merge; so each line sum is smooth in the line's position, the periodic
+# trapezoid rule over the lines converges fast, and a root pair that the
+# sampling misses near a tangency carries no measurable weight.
+
+# The exponent k of the partition of unity.
+LINE_WEIGHT_POWER = 3
+# Samples of G per line; their sign changes bracket the roots.
+LINE_SAMPLES = 256
+# Bisection steps: from a bracket of 2 pi / LINE_SAMPLES to the float
+# spacing at pi.
+BISECTIONS = 48
 
 
-def _seed_points(Gfun, m=96):
-    """Rough points on the level set G = 0, from sign changes along grid
-    lines in both axis directions."""
-    # imported here: the validator is its only user, and scipy.optimize
-    # costs every CLI call a noticeable import time
-    from scipy.optimize import brentq
-
-    seeds = []
+def _level_integral(g, G, dG, m):
+    """(2 pi)^-2 int g(q) delta(G(q)) d^2q over the torus, by line sums on m
+    uniform lines per axis."""
     lines = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    ns = 4 * m
-    samples = -np.pi + 2.0 * np.pi * np.arange(ns + 1) / ns
-    for axis in (0, 1):
-        for q_other in lines:
-            if axis == 0:
-                f = lambda t: Gfun(t, q_other)
-            else:
-                f = lambda t: Gfun(q_other, t)
-            vals = f(samples)
-            for idx in np.nonzero(np.diff(np.signbit(vals)))[0]:
-                try:
-                    root = brentq(f, samples[idx], samples[idx + 1], xtol=1e-13)
-                except ValueError:
-                    continue
-                seeds.append((root, q_other) if axis == 0 else (q_other, root))
-    return seeds
-
-
-def _torus_dist(a, b):
-    d = np.abs(np.asarray(a) - np.asarray(b))
-    d = np.minimum(d, 2.0 * np.pi - d)
-    return float(np.hypot(*d))
-
-
-def _project_to_level(Gfun, dG, x, tol=1e-13):
-    x = np.array(x, dtype=float)
-    for _ in range(8):
-        val = Gfun(*x)
-        g1, g2 = dG(*x)
-        norm_sq = g1 * g1 + g2 * g2
-        if norm_sq == 0.0:
-            return None
-        x -= val * np.array([g1, g2]) / norm_sq
-        if abs(Gfun(*x)) < tol * max(1.0, np.sqrt(norm_sq)):
-            return x
-    return x if abs(Gfun(*x)) < 1e-9 else None
-
-
-def _trace_component(Gfun, dG, gfun, start, h):
-    """March once around a closed level-set component with arc step ~h,
-    RK4 predictor along the unit tangent plus Newton projection; returns
-    (integral of g/|grad G| ds, list of visited points).
-
-    The curve may wind around the torus; closure is detected in the torus
-    metric.  Chord-length trapezoid on near-equal arc steps is O(h^2); the
-    caller Richardson-refines by halving h.
-    """
-
-    def tangent(x):
-        g1, g2 = dG(*x)
-        nrm = np.hypot(g1, g2)
-        return np.array([-g2, g1]) / nrm
-
-    def integrand(x):
-        g1, g2 = dG(*x)
-        return gfun(*x) / np.hypot(g1, g2)
-
-    x0 = _project_to_level(Gfun, dG, start)
-    if x0 is None:
-        return 0.0, []
-    pts = [x0]
-    fvals = [integrand(x0)]
-    acc = 0.0
-    x = x0
-    max_steps = int(40.0 * np.pi / h) + 16
-    for step in range(max_steps):
-        k1 = tangent(x)
-        k2 = tangent(x + 0.5 * h * k1)
-        k3 = tangent(x + 0.5 * h * k2)
-        k4 = tangent(x + h * k3)
-        x_new = _project_to_level(Gfun, dG, x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        if x_new is None:
-            return 0.0, []
-        ds = _torus_dist(x, x_new)
-        f_new = integrand(x_new)
-        acc += 0.5 * (fvals[-1] + f_new) * ds
-        pts.append(x_new)
-        fvals.append(f_new)
-        x = x_new
-        if step >= 3 and _torus_dist(x, x0) < 0.75 * h:
-            ds = _torus_dist(x, x0)
-            acc += 0.5 * (f_new + fvals[0]) * ds
-            return acc, pts
-    raise RuntimeError("level-set tracing did not close; degenerate geometry?")
-
-
-def _level_integral(gfun, Gfun, dG, n_arc):
-    """int dq g(q) delta(G(q)) over the torus (normalized measure) by
-    tracing every component of the level set and integrating g/|grad G|
-    along arc length."""
-    h = 2.0 * np.pi / n_arc
-    seeds = _seed_points(Gfun)
-    traced = []  # one (P, 2) array of visited points per component
+    step = 2.0 * np.pi / LINE_SAMPLES
+    samples = -np.pi + step * np.arange(LINE_SAMPLES)
+    k = LINE_WEIGHT_POWER
     total = 0.0
+    for axis in (0, 1):
 
-    def on_traced(seed):
-        for pts in traced:
-            d = np.abs(pts - np.asarray(seed))
-            d = np.minimum(d, 2.0 * np.pi - d)
-            if np.min(np.hypot(d[:, 0], d[:, 1])) < 1.2 * h:
-                return True
-        return False
+        def point(line, t):  # (q1, q2) on the line q_axis = line
+            return (line, t) if axis == 0 else (t, line)
 
-    for seed in seeds:
-        if on_traced(seed):
-            continue
-        val, pts = _trace_component(Gfun, dG, gfun, seed, h)
-        if pts:
-            traced.append(np.asarray(pts))
-            total += val
-    return total / (2.0 * np.pi) ** 2
+        sign = np.signbit(G(*point(lines[:, None], samples[None, :])))
+        i, j = np.nonzero(sign != np.roll(sign, -1, axis=1))
+        line, lo, lo_sign = lines[i], samples[j], sign[i, j]
+        hi = lo + step
+        for _ in range(BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            beyond = np.signbit(G(*point(line, mid))) == lo_sign
+            lo = np.where(beyond, mid, lo)
+            hi = np.where(beyond, hi, mid)
+        root = point(line, 0.5 * (lo + hi))
+        slope = np.abs(np.array(dG(*root)))
+        along = slope[1 - axis]
+        total += float(np.sum(
+            g(*root) * along ** (2 * k - 1) / (slope ** (2 * k)).sum(axis=0)
+        ))
+    return total / (2.0 * np.pi * m)
 
 
 def _i1_geometry(kpoint, kppoint, params):
@@ -397,14 +325,15 @@ def _i1_geometry(kpoint, kppoint, params):
 # Halving the kernel width must divide the error of `i1_mollified` against
 # `i1_exact` by at least this factor (second order would divide it by ~4).
 WIDTH_HALVING_MIN_RATIO = 2.0
-# `i1_exact` doubles its scan grid at most this many times.
+# `i1_exact` doubles its number of lines at most this many times.
 MAX_DOUBLINGS = 4
 
 
 def i1_exact(kpoint, kppoint, params, m=512, refine_tol=1e-6):
-    """Exact-delta value of the I1 integrand at (k, k') in d=2, by co-area
-    root scanning with grid doubling (at most `MAX_DOUBLINGS` times) until
-    successive values agree to `refine_tol` relative."""
+    """Exact-delta value of the I1 integrand at (k, k') in d=2: the co-area
+    line sum of `_level_integral` on m lines per axis, doubled (at most
+    `MAX_DOUBLINGS` times) until successive values agree to `refine_tol`
+    relative.  Raises RuntimeError when they never do."""
     if params.d != 2:
         raise ValueError("the exact-shell validator is worked out for d=2")
     G, dG, g = _i1_geometry(kpoint, kppoint, params)
@@ -415,7 +344,10 @@ def i1_exact(kpoint, kppoint, params, m=512, refine_tol=1e-6):
             return val
         prev = val
         m *= 2
-    return prev
+    raise RuntimeError(
+        f"exact-shell line sum did not converge to {refine_tol:.0e} relative "
+        f"within {MAX_DOUBLINGS} doublings ({m // 2} lines per axis)"
+    )
 
 
 def i1_mollified(kpoint, kppoint, params, delta):

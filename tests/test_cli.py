@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pboltz import cli, evolution, hydrodynamics
+from pboltz import cli, evolution, hydrodynamics, linearized
 from pboltz.cli import (
     COMMANDS,
     SCHEMA,
@@ -384,7 +384,9 @@ class TestArtifacts:
             payload = json.load(fh)
         op = np.array(payload["kappa_op"])
         assert op.shape == (2, 2)
-        assert np.allclose(op, op.T, rtol=1e-10)
+        # kappa_op is symmetrized by construction: test the pairing matrix
+        ab = np.array(payload["kappa_ab"])
+        assert np.abs(ab - ab.T).max() <= 1e-8 * np.abs(ab).max()
         mu = np.array(payload["mu"])
         assert np.all(mu > 0)
         checks = read_manifest(out)["checks"]
@@ -516,6 +518,18 @@ class TestArtifacts:
         assert header[-1] == "pass [bool]"
         assert "error_ratio_1 [-]" in header
         assert float(rows[0][5]) != 0.0  # the exact reduction value
+
+    def test_unconverged_exact_reduction_exits_3(self, tmp_path, monkeypatch):
+        # no doubling allowed: the line sums never meet refine_tol
+        monkeypatch.setattr(linearized, "MAX_DOUBLINGS", 0)
+        code, out = run(
+            tmp_path, "vk", "validate-kernel", *FAST,
+            "--pairs", "1", "--quad-m", "64", "--eta-chain", "0.5,0.25",
+        )
+        assert code == 3
+        manifest = read_manifest(out)
+        assert manifest["status"] == "numerical-failure"
+        assert "did not converge" in manifest["diagnostic"]
 
     def test_numerical_failure_exits_3_with_diagnostic(self, tmp_path):
         code, out = run(

@@ -1,9 +1,12 @@
 """Linearized operator assembly, spectrum, identities, and the kernel validator."""
 
+import csv
+
 import numpy as np
 import pytest
+from scipy.special import ellipk
 
-from pboltz import linearized
+from pboltz import cli, linearized
 from pboltz.collision import DeltaKernel
 from pboltz.dispersion import DispersionField, DispersionParams
 from pboltz.hydrodynamics import LinearModel, compute_kappa
@@ -21,6 +24,7 @@ from pboltz.linearized import (
 from pboltz.torus_grid import TorusGrid
 
 import direct_sums
+from level_tracer import traced_i1
 
 TERMS = ("M", "I1", "I2")
 
@@ -226,14 +230,53 @@ class TestSpectrum:
 
 class TestKernelValidator:
     PARAMS = DispersionParams(2, 1.0)
+    # the test pair, and pair 6 (0-based, as in kernel_validation.csv) of
+    # acceptance 07 (seed 3)
+    PAIRS = (
+        ((0.9, -2.0), (-1.1, 0.4)),
+        ((2.4611932424806, 0.5350945326387717),
+         (-0.18026669018758001, 1.717050091815417)),
+    )
 
     def test_exact_curve_integral_converges(self):
-        # doubling the seeding resolution keeps the traced value stable
+        # doubling the number of lines keeps the value stable
         k = np.array([0.9, -2.0])
         kp = np.array([-1.1, 0.4])
         a = i1_exact(k, kp, self.PARAMS, m=256, refine_tol=1e-5)
         b = i1_exact(k, kp, self.PARAMS, m=512, refine_tol=1e-6)
         assert np.isclose(a, b, rtol=1e-4)
+
+    @pytest.mark.parametrize("E", [0.5, 1.0, 1.5])
+    def test_line_sums_give_the_square_lattice_density_of_states(self, E):
+        # (2 pi)^-2 int delta(cos q1 + cos q2 - E) d^2q = K(1 - E^2/4) / pi^2
+        # (K with parameter m = k^2), away from the van Hove point E = 0
+        def G(q1, q2):
+            return np.cos(q1) + np.cos(q2) - E
+
+        def dG(q1, q2):
+            return -np.sin(q1) + 0.0 * q2, -np.sin(q2) + 0.0 * q1
+
+        def g(q1, q2):
+            return np.ones(np.broadcast(q1, q2).shape)
+
+        value = linearized._level_integral(g, G, dG, 2048)
+        exact = ellipk(1.0 - E * E / 4.0) / np.pi**2
+        assert abs(value / exact - 1.0) <= 1e-9  # measured <= 1.7e-10
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_line_sums_match_the_level_set_tracer(self, pair):
+        # the tracer's O(h^2) values at two arc steps, extrapolated, against
+        # the line sums at acceptance 07's m and refine_tol; measured 2.5e-10
+        # and 3.3e-10 relative
+        k, kp = (np.array(x) for x in self.PAIRS[pair])
+        exact = i1_exact(k, kp, self.PARAMS, m=1024, refine_tol=1e-8)
+        traced = traced_i1(k, kp, self.PARAMS, n_arc=256)
+        assert abs(traced / exact - 1.0) <= 1e-8
+
+    def test_unconverged_line_sum_raises(self, monkeypatch):
+        monkeypatch.setattr(linearized, "MAX_DOUBLINGS", 0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            i1_exact(np.array([0.9, -2.0]), np.array([-1.1, 0.4]), self.PARAMS)
 
     def test_mollified_approaches_exact(self):
         k = np.array([0.9, -2.0])
@@ -245,9 +288,18 @@ class TestKernelValidator:
         ]
         assert errs[1] < errs[0] / 2.0
 
-    def test_separated_arguments_required(self):
-        # the integrand geometry degenerates when k ~ k'; the sampled pairs
-        # in the acceptance suite respect a separation floor, mirrored here
-        k = np.array([0.9, -2.0])
-        sep = np.abs(np.sin((k - k) / 2.0))
-        assert np.all(sep < 0.3)
+    def test_separated_arguments_required(self, tmp_path):
+        # the integrand geometry degenerates when k ~ k': every pair that
+        # validate-kernel writes keeps |sin((k - k') / 2)| > min_sin per axis
+        out = tmp_path / "vk"
+        code = cli.main([
+            "validate-kernel", "--pairs", "4", "--min-sin", "0.6",
+            "--quad-m", "64", "--refine-tol", "1e-5", "--eta-chain", "1.0,0.5",
+            "--outdir", str(out),
+        ])
+        assert code == 0
+        with open(out / "kernel_validation.csv", newline="", encoding="utf-8") as fh:
+            rows = np.array([row[1:5] for row in list(csv.reader(fh))[1:]], float)
+        assert len(rows) == 4
+        sep = np.abs(np.sin((rows[:, :2] - rows[:, 2:]) / 2.0))
+        assert np.all(sep > 0.6)
