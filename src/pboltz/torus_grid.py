@@ -9,12 +9,13 @@ Conventions used throughout the package:
   degree < n);
 * a "k-field" is a flat numpy array of length ``n**d`` in C order over the
   axes; helper permutations on :class:`TorusGrid` implement reflections and
-  axis swaps as index relabelings (the lattice is closed under both).
+  axis swaps as index relabelings (the lattice is closed under both), and
+  ``point_group`` composes them into the signed axis permutations.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, permutations
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -101,6 +102,26 @@ class TorusGrid:
             index += (m[:, None] + sign * m[None, :]) % self.n * stride
         return index
 
+    def point_group(self):
+        """Index maps of the lattice point group, the signed axis
+        permutations (order d! 2^d), cached: row g holds the flat index of
+        g k for every node k.  Element g = p 2^d + f permutes the axes by the
+        p-th of `itertools.permutations(range(d))` (`axis_permutation`) and
+        then flips the axes of the set bits of f (`axis_reflection`), so
+        the first 2^d rows are the flips and row 0 is the identity."""
+        maps = getattr(self, "_point_group", None)
+        if maps is None:
+            flips = [np.arange(self.size)]  # f flips the axes of its set bits
+            for axis in range(self.d):
+                flip = self.axis_reflection(axis)
+                flips += [flip[q] for q in flips]
+            maps = np.array([flip[self.axis_permutation(perm)]
+                             for perm in permutations(range(self.d))
+                             for flip in flips])
+            maps.flags.writeable = False
+            self._point_group = maps
+        return maps
+
     def symmetry_frame(self):
         """The `SymmetryFrame` of the sign flips of all axes, cached."""
         frame = getattr(self, "_frame", None)
@@ -164,14 +185,11 @@ class SymmetryFrame:
     @classmethod
     def of_flips(cls, grid):
         """The frame of the flips of all axes of `grid`, sector t the
-        character chi_t.  Built from the index maps `axis_reflection`."""
+        character chi_t.  Built from the flips among the grid's
+        `point_group` maps, element g flipping the axes of the set bits of g."""
         nodes = np.arange(grid.size)
-        perms = [nodes]  # element g flips the axes of the set bits of g
-        for axis in range(grid.d):
-            flip = grid.axis_reflection(axis)
-            perms += [flip[q] for q in perms]
-        perms = np.array(perms)
-        order = len(perms)
+        order = 1 << grid.d
+        perms = grid.point_group()[:order]
         rep = perms.min(axis=0)
         flip_to = np.argmax(perms[:, rep] == nodes, axis=0)  # g_x
         orbit_size = np.bincount(rep, minlength=grid.size)[rep]

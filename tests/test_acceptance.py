@@ -83,8 +83,9 @@ from pboltz.linearized import (
 from pboltz.torus_grid import TorusGrid, sup_norm
 
 # Threads of the direct collision oracles (tau16/tau24/tau32).  On a 2-vCPU
-# host 2 threads beat 3 (1.17-1.19 s against 1.25-1.34 s at n = 24); the
-# bytes do not depend on the count, which acceptance 14 checks with 1 and 3.
+# host one apply took 0.074, 0.047 and 0.049 s at n = 24 and 0.44, 0.28 and
+# 0.24 s at n = 32 with 1, 2 and 3 threads; the bytes do not depend on the
+# count, which acceptance 14 checks with 1 and 3.
 WORKERS = 2
 BOX_LENGTH = 200.0
 

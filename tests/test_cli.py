@@ -691,7 +691,9 @@ class TestDeterminism:
         ).read_bytes()
         m1, m2 = read_manifest(out1), read_manifest(out2)
         for manifest in (m1, m2):
-            manifest.pop("execution")
+            execution = manifest.pop("execution")
+            # process CPU seconds per stage, beside the wall seconds
+            assert execution["cpu_clock_s"].keys() == execution["wall_clock_s"].keys()
             manifest["config"].pop("outdir")
         assert m1 == m2
 

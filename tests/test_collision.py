@@ -12,6 +12,7 @@ from pboltz.collision import (
     _CHUNK_VALUES,
     AUTO_WIDTH_COEF,
     EQUILIBRIUM_FAMILY,
+    OMEGA_SYMMETRY_RTOL,
     PREFACTOR,
     CollisionOperator,
     DeltaKernel,
@@ -88,7 +89,7 @@ class TestEquilibrium:
 
 class TestCollisionOperator:
     def test_equilibria_annihilated_to_tolerance(self, stack12, collision12, rng):
-        # Only 1/omega is annihilated to roundoff (measured 1.5e-16 of the
+        # Only 1/omega is annihilated to roundoff (measured 5.8e-17 of the
         # random-state scale; 1.4e-16 by the full-plane rows).  The
         # mollified delta leaves the A != 0 members at ~0.94x the
         # random-state scale on this grid; equilibrium_tolerance() is the
@@ -167,7 +168,8 @@ class TestCollisionOperator:
 
 
 class TestShellSums:
-    """The direct sums by momentum shell against the full-plane rows of
+    """The direct sums by momentum shell, one kernel matrix per orbit of the
+    point group on the shells, against the full-plane rows of
     `direct_sums`: the same summands, factored per pair and summed in
     another order."""
 
@@ -184,24 +186,70 @@ class TestShellSums:
         scale = 0.0
         for W in states:
             ref = direct_sums.collision_apply(grid, disp, delta, W)
-            # measured <= 3.9e-16 of the largest sup|C| so far; the
+            # measured <= 6.1e-16 of the largest sup|C| so far; the
             # random states come first, and 1/omega's C is ~1e-21 either way
             scale = max(scale, sup_norm(ref))
             bound = 2e-15 * scale
             assert sup_norm(op.apply(W) - ref) <= bound
-            # measured <= 1.7e-15 relative
+            # measured <= 1.9e-15 relative
             sigma = direct_sums.entropy_production(grid, disp, delta, W)
             assert _relative(op.entropy_production(W), sigma) <= 1e-14
 
     def test_sampled_rows_match_the_full_plane_in_three_dimensions(self):
+        # d = 3, n = 8: 512 shells in 35 orbits of the order-48 group.  Every
+        # row sums over every shell, so sampled rows see every member's
+        # columns; the entropy production is the full sum.
         grid, disp, delta = _stack(3, 8)
+        op = CollisionOperator(grid, disp, delta)
+        assert len(grid.point_group()) == 48 and len(op._orbits) == 35
         rng = np.random.default_rng(8)
         W = 0.1 + rng.random(grid.size)
-        got = CollisionOperator(grid, disp, delta).apply(W)
         rows = rng.choice(grid.size, size=8, replace=False)
-        ref = direct_sums.collision_apply(grid, disp, delta, W, rows)
-        # measured 1.0e-17 of sup|C|
-        assert sup_norm(got[rows] - ref) <= 2e-15 * sup_norm(got)
+        for state in (W, equilibrium(disp, 2.0, 0.5)):
+            got = op.apply(state)
+            ref = direct_sums.collision_apply(grid, disp, delta, state, rows)
+            # measured 4.2e-17 (random) and 1.8e-18 (equilibrium) of sup|C|
+            assert sup_norm(got[rows] - ref) <= 2e-15 * sup_norm(got)
+        sigma = direct_sums.entropy_production(grid, disp, delta, W)
+        # measured 0 relative (the same double)
+        assert _relative(op.entropy_production(W), sigma) <= 1e-14
+
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 8)])
+    def test_orbits_partition_the_shells_into_their_own_pairs(self, d, n):
+        # each shell lies in exactly one orbit, and the representative's
+        # pairs mapped by a member's group element are that member's own
+        # unordered pairs {a, m - a}, with the same multiplicities
+        grid, disp, delta = _stack(d, n)
+        op = CollisionOperator(grid, disp, delta)
+        nodes = np.arange(grid.size)
+        seen = np.zeros(grid.size, dtype=int)
+        for members, A, B, mult, K in op._orbit_pairs(range(len(op._orbits))):
+            seen[members] += 1
+            assert K.shape == (mult.size, mult.size)
+            for j, m in enumerate(members):
+                partner = grid.flatten(grid.multi_index[m] - grid.multi_index)
+                own = np.flatnonzero(nodes <= partner)
+                lo = np.minimum(A[:, j], B[:, j])
+                order = np.argsort(lo)
+                assert np.array_equal(lo[order], own)
+                hi = np.maximum(A[:, j], B[:, j])[order]
+                assert np.array_equal(hi, partner[own])
+                assert np.array_equal(mult[order],
+                                      np.where(own == partner[own], 1.0, 2.0))
+        assert np.all(seen == 1)
+
+    def test_rejects_a_dispersion_off_the_point_group(self):
+        # omega is exactly invariant at n = 8; one node moved by half the
+        # bound is accepted, by twice the bound rejected
+        grid, disp, delta = _stack(2, 8)
+        assert np.array_equal(disp.w[grid.point_group()], np.tile(disp.w, (8, 1)))
+        step = OMEGA_SYMMETRY_RTOL * disp.w.max()
+        w = disp.w.copy()
+        disp.w = w + np.where(np.arange(grid.size) == 1, 0.5 * step, 0.0)
+        CollisionOperator(grid, disp, delta)
+        disp.w = w + np.where(np.arange(grid.size) == 1, 2.0 * step, 0.0)
+        with pytest.raises(ValueError, match="point group"):
+            CollisionOperator(grid, disp, delta)
 
 
 class TestEntropy:

@@ -1,5 +1,7 @@
 """Grid, quadrature, and index-permutation behavior."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,40 @@ class TestPermutations:
         index = grid.pair_index(sign)
         assert index.shape == (grid.size, grid.size)
         assert np.array_equal(index, expect)
+
+
+class TestPointGroup:
+    """`TorusGrid.point_group`: the index maps of the signed axis
+    permutations."""
+
+    @pytest.mark.parametrize("d, n, order", [(2, 8, 8), (2, 10, 8), (3, 8, 48)])
+    def test_has_order_d_factorial_2_to_the_d_and_permutes_the_nodes(self, d, n, order):
+        grid = TorusGrid(d, n)
+        maps = grid.point_group()
+        assert maps.shape == (order, grid.size)
+        nodes = np.arange(grid.size)
+        assert all(np.array_equal(np.sort(g), nodes) for g in maps)
+        assert len({g.tobytes() for g in maps}) == order
+        assert grid.point_group() is maps
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_is_the_group_of_signed_axis_permutations(self, d):
+        # every signed permutation matrix S acting on the integer index
+        # coordinates, built independently of the grid's index maps
+        grid = TorusGrid(d, 8)
+        expect = set()
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                S = np.zeros((d, d), dtype=int)
+                S[range(d), perm] = signs
+                expect.add(grid.flatten(grid.multi_index @ S.T).tobytes())
+        maps = grid.point_group()
+        assert {g.tobytes() for g in maps} == expect
+        # closed under composition; the identity first, then the flips
+        assert all(f[g].tobytes() in expect for f in maps for g in maps)
+        assert np.array_equal(maps[0], np.arange(grid.size))
+        for axis in range(d):
+            assert np.array_equal(maps[1 << axis], grid.axis_reflection(axis))
 
 
 class TestRealFrameCoordinates:
