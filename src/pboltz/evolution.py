@@ -26,8 +26,16 @@ from ``kappa.model``, and `stable_step` takes it.  The box integrator
 `evolve_nonlinear` reads omega from the collision evaluator, and the
 diffusive-scaling study `hydro_limit_study` the evaluator and the model from
 its `CollisionResponse`.  No N x N projector or inverse is formed.
+
+Both box integrators take the transport exactly, as one phase per rfft box
+mode and node (`_transport_exponent`), except on the Nyquist row at even
+box sizes, which the inverse rfft keeps real.  `evolve_nonlinear` adds the
+collisions by second-order exponential time differencing (ETD2), one
+collision evaluation per step; the scaled kinetic solve of the study adds
+them by backward Euler.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,9 +46,11 @@ from .hydrodynamics import TWO_PI, DiffusivityModel, SlowState, slaved_state
 from .linearized import SYM_TOL
 
 # `find_p0` bisects |p| in (1e-14, FIND_P0_MAX] to FIND_P0_REL_TOL relative
-# width; `ModeSemigroup` takes the Pade path past COND_LIMIT; an explicit step
-# is STEP_SAFETY over the fastest rate (`stable_step`); NEWTON_TOL and
-# MAX_NEWTON stop the Newton solve of each backward-Euler collision step.
+# width; `ModeSemigroup` takes the Pade path past COND_LIMIT; the box step of
+# `stable_step` is STEP_SAFETY over the fastest rate, so the fastest mode's
+# transport phase advances at most STEP_SAFETY radians per step, which bounds
+# the error of ETD2's extrapolation of C, not a stability limit; NEWTON_TOL
+# and MAX_NEWTON stop the Newton solve of each backward-Euler collision step.
 FIND_P0_MAX = 1.0
 FIND_P0_REL_TOL = 1e-3
 COND_LIMIT = 1e8
@@ -709,12 +719,17 @@ def evolve_linear(modes, p_values, w0, times):
 
 
 # ----------------------------------------------------------------------
-# nonlinear box evolution (method of lines, spectral transport, RK4)
+# nonlinear box evolution (method of lines, exact spectral transport, ETD2)
 
 
 def stable_step(model, n_x, box_length):
     """Step heuristic: STEP_SAFETY / (collision diagonal rate of the model's
-    L + transport rate)."""
+    L + fastest transport rate).
+
+    `evolve_nonlinear` takes transport exactly, so this is no stability
+    bound: it holds the phase that the fastest box mode advances per step
+    (the largest |z| of `_transport_exponent`) below STEP_SAFETY, and that
+    phase sets the error of the linear extrapolation of C over a step."""
     disp = model.disp
     rate_coll = float(np.diag(model.L).real.max())
     rate_trans = (
@@ -723,18 +738,55 @@ def stable_step(model, n_x, box_length):
     return STEP_SAFETY / (rate_coll + rate_trans)
 
 
-def _transport_rhs(disp, W, ik):
-    dW = np.fft.irfft(ik[:, None] * np.fft.rfft(W, axis=0), n=W.shape[0], axis=0)
-    return -(disp.grad[:, 0][None, :] / TWO_PI) * dW
+def _transport_exponent(disp, n_x, box_length, h, eps=1.0):
+    """z = -i h p d_0omega(k) / (2 pi eps) per rfft box mode p (rows) and
+    node k (columns): exp(z) on the rfft of a state transports it exactly
+    over a step h at rate 1/eps.  At even n_x the inverse rfft keeps only
+    the real part of the Nyquist row, which so shrinks by cos|z| per step."""
+    p_half = TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
+    return -1j * h * p_half[:, None] * disp.grad[:, 0][None, :] / (TWO_PI * eps)
+
+
+def _phi_functions(z):
+    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, elementwise,
+    to a few rounding errors relative.
+
+    Below |z| = 1, where the closed form of phi2 loses eps/|z|^2, phi2 is
+    its Taylor series sum_j z^j/(j+2)!, cut where 1/(j+2)! < 1e-18, and
+    phi1 = 1 + z phi2; elsewhere phi1 = expm1(z)/z and phi2 = (phi1 - 1)/z
+    (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005)."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    phi2 = np.zeros_like(zs)
+    for j in range(17, -1, -1):
+        phi2 = phi2 * zs + 1.0 / math.factorial(j + 2)
+    zl = np.where(small, 1.0, z)
+    phi1_l = np.expm1(zl) / zl
+    return (np.where(small, 1.0 + zs * phi2, phi1_l),
+            np.where(small, phi2, (phi1_l - 1.0) / zl))
 
 
 def evolve_nonlinear(evaluator, W0, times, box_length, dt):
-    """Method-of-lines RK4 for the full equation on a 1-D periodic box.
+    """The full equation on a 1-D periodic box: exact spectral transport,
+    collisions by second-order exponential time differencing.
 
-    Transport acts along the first axis only, differentiated spectrally;
-    collisions act per cell through `evaluator.apply_batch`.  The step is at
-    most `dt` (`stable_step` gives one).  Positivity loss aborts with the
-    failing time in the message.
+    Transport acts along the first axis only; per rfft box mode it is the
+    phase exp(z) of `_transport_exponent`, taken exactly below the Nyquist
+    mode (at even n_x the inverse rfft keeps the real part of that row, so
+    it shrinks by cos|z| per step).  Collisions act per cell through
+    `evaluator.apply_batch` and enter explicitly, by ETD2 (Cox & Matthews,
+    J. Comput. Phys. 176, 2002) with the slope of C taken over the previous
+    step h', however the records split the steps: over a step h,
+
+        W^ <- exp(z) W^ + h phi1(z) C^_n + h phi2(z) (C^_n - C^_{n-1}) h/h',
+
+    hats the rfft along the box.  Only the first step of the run has no
+    C_{n-1} and is ETD1.  The C(W) of each new state serves both the next
+    step and the record, so n steps cost n + 1 evaluations.  The step is at
+    most `dt` (`stable_step` gives one); it bounds no stability, only the
+    error of extrapolating C.  Positivity loss aborts with the failing time
+    in the message.
 
     ``diagnostics["current_sup"]`` is, per recorded time, the largest over
     cells of |int omega^2 d_0 omega W dk| / 2 pi: the transport flux of
@@ -753,12 +805,6 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
         raise ValueError("time grid must start at 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    ik = 1j * TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
-
-    def rhs(W, C=None):
-        if C is None:
-            C = evaluator.apply_batch(W)
-        return _transport_rhs(disp, W, ik) + C
 
     slow = np.stack([disp.winv, disp.winv2], axis=1)
     pair = slow * disp.w_sq[:, None] / disp.grid.size  # (N, 2): field -> (T1, T2)
@@ -782,27 +828,29 @@ def evolve_nonlinear(evaluator, W0, times, box_length, dt):
         jcur = (W * disp.w_sq) @ disp.grad[:, 0] / disp.grid.size / TWO_PI
         diag["current_sup"][j] = np.abs(jcur).max()
 
-    # C(W) of the current state serves both its record and the first RK4
-    # stage of the step that leaves it
     C = evaluator.apply_batch(W)
     record(0, W, C)
+    C_hat = np.fft.rfft(C, axis=0)
+    C_prev, h_prev = C_hat, 1.0  # no history yet: the first step is ETD1
     t = 0.0
     for j in range(1, times.size):
         span = times[j] - t
         n_sub = max(1, int(np.ceil(span / dt)))
         h = span / n_sub
+        z = _transport_exponent(disp, n_x, box_length, h)
+        phi1, phi2 = _phi_functions(z)
+        E, P1, P2 = np.exp(z), h * phi1, h * phi2
         for _ in range(n_sub):
-            k1 = rhs(W, C)
-            k2 = rhs(W + 0.5 * h * k1)
-            k3 = rhs(W + 0.5 * h * k2)
-            k4 = rhs(W + h * k3)
-            W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            W_hat = (E * np.fft.rfft(W, axis=0) + P1 * C_hat
+                     + P2 * (C_hat - C_prev) * (h / h_prev))
+            W = np.fft.irfft(W_hat, n=n_x, axis=0)
             t += h
             if W.min() <= 0:
                 raise FloatingPointError(
                     f"state positivity lost at t = {t:.6g}"
                 )
             C = evaluator.apply_batch(W)
+            C_prev, C_hat, h_prev = C_hat, np.fft.rfft(C, axis=0), h
         record(j, W, C)
     return EvolutionTrajectory(
         times=times,
@@ -1010,11 +1058,7 @@ def _imex_kinetic(response, W0, eps, t_final, dt, box_length):
     h = t_final / n_steps
     scale = h / eps**2
 
-    # transport phase: exp(-i h p grad1 / (2 pi eps)) per (p, k)
-    p_half = TWO_PI * np.fft.rfftfreq(n_x, d=box_length / n_x)
-    phase = np.exp(
-        -1j * h * p_half[:, None] * disp.grad[:, 0][None, :] / (TWO_PI * eps)
-    )
+    phase = np.exp(_transport_exponent(disp, n_x, box_length, h, eps))
 
     lu = lu_factor(np.eye(disp.grid.size) + scale * response.model.L)
     total_newton = 0

@@ -1004,15 +1004,22 @@ class _CountingEvaluator:
         return self._evaluator.apply_batch(W)
 
 
+def _transport_rhs(disp, W, ik):
+    """-(d_0 omega / 2 pi) dW/dx, the derivative spectral along the box."""
+    dW = np.fft.irfft(ik[:, None] * np.fft.rfft(W, axis=0), n=W.shape[0], axis=0)
+    return -(disp.grad[:, 0][None, :] / TWO_PI) * dW
+
+
 def _rk4_fresh_collisions(evaluator, W0, times, box_length, dt):
-    """The states and conservation residuals of `evolve_nonlinear`, with
-    C(W) evaluated anew for every record and every RK4 stage."""
+    """The oracle of `evolve_nonlinear`: method-of-lines RK4 with the same
+    substeps per recorded span, C(W) evaluated anew for every record and
+    every stage.  Returns the states and the conservation residuals."""
     disp = evaluator.disp
     W = np.array(W0, dtype=float)
     ik = 1j * TWO_PI * np.fft.rfftfreq(W.shape[0], d=box_length / W.shape[0])
 
     def rhs(W):
-        return evolution._transport_rhs(disp, W, ik) + evaluator.apply_batch(W)
+        return _transport_rhs(disp, W, ik) + evaluator.apply_batch(W)
 
     def record(W):
         C = evaluator.apply_batch(W)
@@ -1035,22 +1042,113 @@ def _rk4_fresh_collisions(evaluator, W0, times, box_length, dt):
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
+class _ZeroCollisions:
+    """An evaluator with C = 0: the box run is pure transport."""
+
+    def __init__(self, disp):
+        self.disp = disp
+
+    def apply_batch(self, W):
+        return np.zeros_like(W)
+
+
+def _ripple(disp, n_x):
+    x = np.arange(n_x) / n_x
+    return disp.winv[None, :] * (1.0 + 0.01 * np.sin(TWO_PI * x)[:, None])
+
+
 class TestNonlinearEvolution:
-    def test_record_and_first_stage_share_one_evaluation(
+    def test_matches_the_rk4_oracle_with_one_evaluation_per_step(
         self, fourier12, model12, stack12
     ):
         _, disp, _ = stack12
         n_x = 4
-        x = np.arange(n_x) / n_x
-        W0 = disp.winv[None, :] * (1.0 + 0.01 * np.sin(TWO_PI * x)[:, None])
+        W0 = _ripple(disp, n_x)
         times = np.array([0.0, 0.2, 3.0, 3.5])  # two steps in the second span
         dt = stable_step(model12, n_x, BOX)
-        shared, fresh = _CountingEvaluator(fourier12), _CountingEvaluator(fourier12)
-        traj = evolve_nonlinear(shared, W0, times, BOX, dt)
-        states, cons = _rk4_fresh_collisions(fresh, W0, times, BOX, dt)
-        assert np.array_equal(traj.states, states)
-        assert np.array_equal(traj.diagnostics["conservation_sup"], cons)
-        assert shared.calls == fresh.calls - (times.size - 1)
+        counted = _CountingEvaluator(fourier12)
+        traj = evolve_nonlinear(counted, W0, times, BOX, dt)
+        states, cons = _rk4_fresh_collisions(fourier12, W0, times, BOX, dt / 8)
+        steps = sum(max(1, int(np.ceil(span / dt))) for span in np.diff(times))
+        assert counted.calls == steps + 1
+        # measured 3.6e-10 of max|W| and 2.8e-8 relative on the energy
+        # exchange; the number exchange is rounding on both (at most 8.7e-23)
+        assert np.abs(traj.states - states).max() < 5e-9 * np.abs(states).max()
+        np.testing.assert_allclose(traj.diagnostics["conservation_sup"], cons,
+                                   rtol=5e-7, atol=1e-20)
+
+    def test_is_second_order_in_the_step(
+        self, fourier12, model12, stack12
+    ):
+        _, disp, _ = stack12
+        n_x, t_end = 8, 8.0
+        W0 = _ripple(disp, n_x)
+        dt = stable_step(model12, n_x, BOX)
+        oracle = _rk4_fresh_collisions(
+            fourier12, W0, [0.0, t_end], BOX, dt / 8
+        )[0][-1]
+        # the same steps, recorded once at the end or after every step: the
+        # records must not cost the scheme its order (restarting ETD1 at
+        # each record read 1.9, first order, recording every step)
+        for every_step in (False, True):
+            dev = []
+            for h in (dt, 0.5 * dt):
+                n_records = int(np.ceil(t_end / h)) if every_step else 1
+                times = np.linspace(0.0, t_end, n_records + 1)
+                final = evolve_nonlinear(fourier12, W0, times, BOX, h).states[-1]
+                dev.append(np.abs(final - oracle).max())
+            # measured 3.7 on both (second order reads 4)
+            assert dev[0] > 3.0 * dev[1]
+
+    def test_transport_alone_is_exact_in_one_step(self, model12, stack12):
+        _, disp, _ = stack12
+        n_x, t = 8, 7.3
+        x = np.arange(n_x) / n_x
+        # three box modes below the Nyquist one, different per node
+        profile = sum(
+            np.sin(TWO_PI * m * x + m)[:, None] * np.cos(m * disp.w)[None, :]
+            for m in (1, 2, 3)
+        )
+        W0 = disp.winv[None, :] * (1.0 + 0.01 * profile)
+        zero = _ZeroCollisions(disp)
+        one = evolve_nonlinear(zero, W0, [0.0, t], BOX, t).states[-1]
+        many = evolve_nonlinear(zero, W0, [0.0, t], BOX, t / 40).states[-1]
+        z = evolution._transport_exponent(disp, n_x, BOX, t)
+        exact = np.fft.irfft(np.exp(z) * np.fft.rfft(W0, axis=0), n=n_x, axis=0)
+        assert np.abs(exact - W0).max() > 1e-4  # the modes did move
+        # measured: one step bitwise the exact one, 40 steps 4.4e-16
+        assert np.abs(one - exact).max() <= 1e-14 * np.abs(W0).max()
+        assert np.abs(many - exact).max() <= 1e-14 * np.abs(W0).max()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at even n_x the inverse rfft keeps only the real part of "
+        "the Nyquist row, which so shrinks by cos|z| per step",
+    )
+    def test_nyquist_row_is_independent_of_the_step_count(self, stack12):
+        _, disp, _ = stack12
+        n_x, t = 8, 7.3
+        nyquist = np.cos(np.pi * np.arange(n_x))[:, None] * np.cos(disp.w)[None, :]
+        W0 = disp.winv[None, :] * (1.0 + 0.01 * nyquist)
+        zero = _ZeroCollisions(disp)
+        one = evolve_nonlinear(zero, W0, [0.0, t], BOX, t).states[-1]
+        many = evolve_nonlinear(zero, W0, [0.0, t], BOX, t / 40).states[-1]
+        assert np.abs(one - many).max() <= 1e-14 * np.abs(W0).max()
+
+    def test_phi_functions_match_high_precision_on_the_imaginary_axis(self):
+        mpmath = pytest.importorskip("mpmath")
+        y = np.logspace(-12, np.log10(40.0), 300)
+        y = np.concatenate([[0.0], y, -y, [1.0, np.nextafter(1.0, 0.0),
+                                           TWO_PI, 2.0 * TWO_PI]])
+        phi1, phi2 = evolution._phi_functions(1j * y)
+        with mpmath.workdps(40):
+            for yj, p1, p2 in zip(y, phi1, phi2):
+                z = mpmath.mpc(0.0, yj)
+                e1, e2 = ((mpmath.mpf(1), mpmath.mpf(1) / 2) if yj == 0.0 else
+                          (mpmath.expm1(z) / z, (mpmath.expm1(z) - z) / z**2))
+                # measured at most 2.1e-16 on either
+                assert abs(mpmath.mpc(p1) - e1) <= 1e-13 * abs(e1)
+                assert abs(mpmath.mpc(p2) - e2) <= 1e-13 * abs(e2)
 
     def test_stable_step_formula(self, model12, stack12):
         _, disp, _ = stack12
@@ -1097,7 +1195,7 @@ class TestNonlinearEvolution:
         coarse = evolve_nonlinear(fourier12, W0, [0.0, 0.5], BOX, dt)
         fine = evolve_nonlinear(fourier12, W0, [0.0, 0.5], BOX, 0.5 * dt)
         dev = np.abs(coarse.states[-1] - fine.states[-1]).max()
-        assert dev < 1e-4 * np.abs(fine.states[-1]).max()  # measured 3e-13
+        assert dev < 1e-4 * np.abs(fine.states[-1]).max()  # measured 5.0e-10
 
     def test_input_validation(self, fourier12, model12, stack12):
         _, disp, _ = stack12
